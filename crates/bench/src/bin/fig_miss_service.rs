@@ -23,9 +23,8 @@
 //!   BENCH_server_sync.json BENCH_server_async.json
 //! ```
 
-use dcs_costmodel::miss_service::{
-    miss_service_curves, p95_speedup, parse_bench_server, MissServiceMeasurement,
-};
+use dcs_bench::report::parse_bench_server;
+use dcs_costmodel::miss_service::{miss_service_curves, p95_speedup, MissServiceMeasurement};
 use dcs_costmodel::{render, HardwareCatalog};
 
 fn load(path: &str) -> MissServiceMeasurement {

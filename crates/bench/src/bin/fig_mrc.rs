@@ -21,9 +21,8 @@
 //!   [--theta 0.99]
 //! ```
 
-use dcs_costmodel::mrc_cost::{
-    marginal_curve, parse_bench_mrc, recommended_bytes, zipf_miss_ratio, MrcMeasured,
-};
+use dcs_bench::report::{parse_bench_mrc, parse_bench_server};
+use dcs_costmodel::mrc_cost::{marginal_curve, recommended_bytes, zipf_miss_ratio, MrcMeasured};
 use dcs_costmodel::{render, HardwareCatalog};
 
 fn main() {
@@ -65,7 +64,7 @@ fn main() {
     });
     // The run's completed wire throughput, for quoting the access rate
     // the marginal prices are computed at.
-    let wire_rate = dcs_costmodel::miss_service::parse_bench_server(&json)
+    let wire_rate = parse_bench_server(&json)
         .map(|m| m.throughput_ops_per_sec)
         .unwrap_or(0.0);
 

@@ -25,7 +25,10 @@ fn assert_well_formed(snap: &MrcSnapshot) {
         );
     }
     for p in &snap.points {
-        assert!((0.0..=1.0).contains(&p.miss_ratio), "miss ratio out of range");
+        assert!(
+            (0.0..=1.0).contains(&p.miss_ratio),
+            "miss ratio out of range"
+        );
     }
     assert!(snap.sampled <= snap.accesses, "sampled more than observed");
 }

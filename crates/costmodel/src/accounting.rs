@@ -9,10 +9,9 @@
 //! comparable *between runs*, not absolute prices.
 
 use crate::catalog::HardwareCatalog;
-use serde::{Deserialize, Serialize};
 
 /// Measured facts about one run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RunProfile {
     /// Virtual duration of the run in seconds.
     pub duration_secs: f64,

@@ -1,14 +1,12 @@
 //! Hardware cost catalog (§4.1).
 
-use serde::{Deserialize, Serialize};
-
 /// Infrastructure prices and measured performance quantities.
 ///
 /// Defaults ([`HardwareCatalog::paper`]) are the paper's §4.1 estimates
 /// (2018 server prices "gleaned from the web"); every quantity can be
 /// overridden to re-run the analysis for different hardware — the paper's
 /// point is that only *relative* prices matter and those drift slowly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareCatalog {
     /// `$M`: DRAM cost per byte.
     pub dram_per_byte: f64,

@@ -42,8 +42,8 @@ pub mod curves;
 pub mod figures;
 pub mod miss_service;
 pub mod mixed;
-pub mod mrc_cost;
 pub mod mm_vs_caching;
+pub mod mrc_cost;
 pub mod render;
 pub mod technology;
 

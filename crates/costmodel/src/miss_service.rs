@@ -12,10 +12,8 @@
 //! async-measured effective `R` shows what the polled engine buys in the
 //! model's own currency, not just in latency histograms.
 //!
-//! The JSON consumed here is the hand-emitted format of
-//! `dcs-server::BenchReport::to_json`; the tiny extractor below leans on
-//! that known shape (top-level `io_depth`/`miss_service` precede the
-//! per-shard arrays) rather than being a general JSON parser.
+//! Reading the report is `dcs-bench`'s job (`dcs_bench::report`); this
+//! module takes the measurement as a value.
 
 use crate::figures::{linspace, Series};
 use crate::mixed;
@@ -108,152 +106,33 @@ pub fn miss_service_curves(
     ]
 }
 
-/// Pull one measurement out of a `BENCH_server.json` document.
-///
-/// Returns `None` when a required field is missing or malformed — e.g.
-/// a report from a build predating the async engine.
-pub fn parse_bench_server(json: &str) -> Option<MissServiceMeasurement> {
-    let miss_mode = string_field(json, "miss_mode")?;
-    let device_latency_nanos = number_field(json, "device_latency_nanos")? as u64;
-    let throughput_ops_per_sec = number_field(json, "throughput_ops_per_sec")?;
-
-    // Top-level blocks come before the `ops`/`shards_detail` arrays, so
-    // the first occurrence of each key is the aggregate one.
-    let io_depth = object_after(json, "io_depth")?;
-    let io_depth_mean = number_field(io_depth, "mean")?;
-    let io_depth_max = number_field(io_depth, "max")? as u64;
-
-    let miss_service = object_after(json, "miss_service")?;
-    let misses = number_field(miss_service, "misses")? as u64;
-    let parked_peak = number_field(miss_service, "parked_peak")? as u64;
-    let miss_mean_us = number_field(miss_service, "mean_us")?;
-    let miss_p95_us = number_field(miss_service, "p95_us")?;
-
-    // Memory-served GET latency lives per shard; take the worst p95.
-    let mut hit_p95_us: f64 = 0.0;
-    let mut rest = json;
-    while let Some(block) = object_after(rest, "read_latency") {
-        hit_p95_us = hit_p95_us.max(number_field(block, "p95_us")?);
-        rest = &rest[rest.find("\"read_latency\"")? + "\"read_latency\"".len()..];
-    }
-
-    Some(MissServiceMeasurement {
-        miss_mode,
-        device_latency_nanos,
-        throughput_ops_per_sec,
-        misses,
-        parked_peak,
-        miss_mean_us,
-        miss_p95_us,
-        hit_p95_us,
-        io_depth_mean,
-        io_depth_max,
-    })
-}
-
-/// The text after `"key":`, trimmed, or `None` if the key is absent.
-pub(crate) fn after_key<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\"");
-    let at = doc.find(&needle)?;
-    let rest = doc[at + needle.len()..].trim_start();
-    let rest = rest.strip_prefix(':')?;
-    Some(rest.trim_start())
-}
-
-/// First number after `"key":`.
-pub(crate) fn number_field(doc: &str, key: &str) -> Option<f64> {
-    let rest = after_key(doc, key)?;
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '-' || c == '+' || c == '.' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// First quoted string after `"key":`. The emitter escapes quotes, so a
-/// bare `"` terminates the value.
-pub(crate) fn string_field(doc: &str, key: &str) -> Option<String> {
-    let rest = after_key(doc, key)?.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// The balanced `{...}` object after `"key":`.
-pub(crate) fn object_after<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
-    let rest = after_key(doc, key)?;
-    if !rest.starts_with('{') {
-        return None;
-    }
-    let mut depth = 0usize;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A trimmed-down document in the exact shape `BenchReport::to_json`
-    /// emits (same key order, same nesting).
-    fn doc(mode: &str, miss_mean: f64, miss_p95: f64, depth_mean: f64) -> String {
-        format!(
-            r#"{{
-  "bench": "server",
-  "backend": "caching",
-  "mode": "open",
-  "miss_mode": "{mode}",
-  "device_latency_nanos": 400000,
-  "throughput_ops_per_sec": 2900.123,
-  "io_depth": {{"samples": 120, "mean": {depth_mean}, "max": 9, "buckets": [[1, 100], [2, 20]]}},
-  "miss_service": {{"misses": 500, "parked_peak": 8, "latency": {{"count": 500, "mean_us": {miss_mean}, "p50_us": 400.0, "p95_us": {miss_p95}, "p99_us": 5000.0, "max_us": 6000.0}}}},
-  "ops": [
-    {{"kind": "get", "count": 4000, "busy": 0, "errors": 0, "latency": {{"count": 4000, "mean_us": 90.0, "p50_us": 80.0, "p95_us": 700.0, "p99_us": 900.0, "max_us": 1000.0}}}}
-  ],
-  "shards_detail": [
-    {{"shard": 0, "misses": 250, "parked_peak": 8, "read_latency": {{"count": 1700, "mean_us": 50.0, "p50_us": 40.0, "p95_us": 120.0, "p99_us": 150.0, "max_us": 200.0}}, "write_latency": {{"count": 0, "mean_us": 0.0, "p50_us": 0.0, "p95_us": 0.0, "p99_us": 0.0, "max_us": 0.0}}, "miss_service": {{"count": 250, "mean_us": {miss_mean}, "p50_us": 400.0, "p95_us": {miss_p95}, "p99_us": 5000.0, "max_us": 6000.0}}}},
-    {{"shard": 1, "misses": 250, "parked_peak": 5, "read_latency": {{"count": 1700, "mean_us": 55.0, "p50_us": 45.0, "p95_us": 129.0, "p99_us": 160.0, "max_us": 210.0}}, "write_latency": {{"count": 0, "mean_us": 0.0, "p50_us": 0.0, "p95_us": 0.0, "p99_us": 0.0, "max_us": 0.0}}, "miss_service": {{"count": 250, "mean_us": {miss_mean}, "p50_us": 400.0, "p95_us": {miss_p95}, "p99_us": 5000.0, "max_us": 6000.0}}}}
-  ]
-}}
-"#
-        )
-    }
-
-    #[test]
-    fn parses_the_report_shape() {
-        let m = parse_bench_server(&doc("async", 900.0, 2218.0, 1.276)).unwrap();
-        assert_eq!(m.miss_mode, "async");
-        assert_eq!(m.device_latency_nanos, 400_000);
-        assert_eq!(m.misses, 500);
-        assert_eq!(m.parked_peak, 8);
-        assert!((m.miss_mean_us - 900.0).abs() < 1e-9);
-        assert!((m.miss_p95_us - 2218.0).abs() < 1e-9);
-        assert!((m.io_depth_mean - 1.276).abs() < 1e-9);
-        assert_eq!(m.io_depth_max, 9);
-        // Worst shard p95, not the first one.
-        assert!((m.hit_p95_us - 129.0).abs() < 1e-9);
-        assert!((m.throughput_ops_per_sec - 2900.123).abs() < 1e-6);
-    }
-
-    #[test]
-    fn rejects_reports_without_the_new_fields() {
-        assert!(parse_bench_server("{\"bench\": \"server\"}").is_none());
+    /// A measurement as the report reader would hand it over: a 400 us
+    /// device read, 500 misses, the given miss-service latencies.
+    fn measured(mode: &str, miss_mean_us: f64, miss_p95_us: f64) -> MissServiceMeasurement {
+        MissServiceMeasurement {
+            miss_mode: mode.into(),
+            device_latency_nanos: 400_000,
+            throughput_ops_per_sec: 2900.123,
+            misses: 500,
+            parked_peak: 8,
+            miss_mean_us,
+            miss_p95_us,
+            hit_p95_us: 129.0,
+            io_depth_mean: 1.276,
+            io_depth_max: 9,
+        }
     }
 
     #[test]
     fn expansion_inflates_r_for_the_blocking_mode() {
         // Device read is 400 µs; blocking misses averaged 1600 µs
         // (4× queueing expansion), polled misses 480 µs (1.2×).
-        let sync = parse_bench_server(&doc("sync", 1600.0, 4503.0, 1.001)).unwrap();
-        let asynch = parse_bench_server(&doc("async", 480.0, 2218.0, 1.276)).unwrap();
+        let sync = measured("sync", 1600.0, 4503.0);
+        let asynch = measured("async", 480.0, 2218.0);
         assert!((sync.expansion() - 4.0).abs() < 1e-9);
         assert!((asynch.expansion() - 1.2).abs() < 1e-9);
         assert!(sync.effective_r(10.0) > asynch.effective_r(10.0));
@@ -262,8 +141,8 @@ mod tests {
 
     #[test]
     fn curves_order_ideal_above_polled_above_blocking() {
-        let sync = parse_bench_server(&doc("sync", 1600.0, 4503.0, 1.001)).unwrap();
-        let asynch = parse_bench_server(&doc("async", 480.0, 2218.0, 1.276)).unwrap();
+        let sync = measured("sync", 1600.0, 4503.0);
+        let asynch = measured("async", 480.0, 2218.0);
         let curves = miss_service_curves(10.0, &sync, &asynch, 21);
         assert_eq!(curves.len(), 3);
         // Skip F = 0 where all three coincide at 1.0.
@@ -283,7 +162,7 @@ mod tests {
 
     #[test]
     fn zero_injected_latency_degrades_to_the_ideal_curve() {
-        let mut m = parse_bench_server(&doc("async", 480.0, 2218.0, 1.276)).unwrap();
+        let mut m = measured("async", 480.0, 2218.0);
         m.device_latency_nanos = 0;
         assert!((m.expansion() - 1.0).abs() < 1e-9);
         assert!((m.effective_r(9.0) - 9.0).abs() < 1e-9);

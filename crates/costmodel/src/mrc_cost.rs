@@ -107,11 +107,7 @@ pub fn marginal_at(
 /// where the measured curve says this consumer's cache should stop
 /// growing. Returns the curve's smallest budget when no interval breaks
 /// even.
-pub fn recommended_bytes(
-    hw: &HardwareCatalog,
-    access_rate: f64,
-    curve: &[MrcCurvePoint],
-) -> f64 {
+pub fn recommended_bytes(hw: &HardwareCatalog, access_rate: f64, curve: &[MrcCurvePoint]) -> f64 {
     let floor = curve.first().map_or(0.0, |p| p.bytes);
     marginal_curve(hw, access_rate, curve)
         .iter()
@@ -160,75 +156,6 @@ pub struct MrcMeasured {
     pub recommended_bytes: f64,
 }
 
-/// The slice of a `BENCH_server.json` the MRC figure consumes. `None`
-/// when the report has no `mrc` block or it was written with
-/// `--mrc off` (`"enabled": false`).
-pub fn parse_bench_mrc(json: &str) -> Option<Vec<MrcMeasured>> {
-    use crate::miss_service::{after_key, number_field, object_after, string_field};
-    let block = object_after(json, "mrc")?;
-    if !after_key(block, "enabled")?.starts_with("true") {
-        return None;
-    }
-    let mut out = Vec::new();
-    // Each element of `consumers` opens with its `"consumer"` key, so
-    // occurrences of that key delimit the per-consumer segments.
-    let mut rest = block;
-    while let Some(at) = rest.find("\"consumer\"") {
-        let seg = &rest[at..];
-        let end = seg[1..]
-            .find("\"consumer\"")
-            .map_or(seg.len(), |next| next + 1);
-        let seg = &seg[..end];
-        let points = array_after(seg, "points")?;
-        out.push(MrcMeasured {
-            consumer: string_field(seg, "consumer")?,
-            accesses: number_field(seg, "accesses")? as u64,
-            sample_rate: number_field(seg, "sample_rate")?,
-            mean_entity_bytes: number_field(seg, "mean_entity_bytes")?,
-            points: parse_point_pairs(points),
-            recommended_bytes: number_field(seg, "recommended_bytes")?,
-        });
-        rest = &rest[at + end..];
-    }
-    Some(out)
-}
-
-/// The balanced `[...]` array after `"key":`.
-fn array_after<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
-    let rest = crate::miss_service::after_key(doc, key)?;
-    if !rest.starts_with('[') {
-        return None;
-    }
-    let mut depth = 0usize;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Parse `[[bytes, ratio], ...]` — the emitter writes plain numbers, so
-/// splitting on brackets and commas suffices.
-fn parse_point_pairs(array: &str) -> Vec<MrcCurvePoint> {
-    let mut out = Vec::new();
-    for pair in array.split('[').skip(2) {
-        let body = pair.split(']').next().unwrap_or("");
-        let mut nums = body.split(',').filter_map(|n| n.trim().parse::<f64>().ok());
-        if let (Some(bytes), Some(miss_ratio)) = (nums.next(), nums.next()) {
-            out.push(MrcCurvePoint { bytes, miss_ratio });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,36 +174,6 @@ mod tests {
         // θ = 1 takes the logarithmic branch without blowing up.
         let unit = zipf_miss_ratio(1.0, 10_000.0, 100.0);
         assert!(unit > 0.0 && unit < 1.0);
-    }
-
-    #[test]
-    fn parses_the_mrc_block_shape() {
-        // The exact shape `BenchReport::to_json` emits for `mrc`.
-        let doc = r#"{
-  "telemetry": {"reconciled": true},
-  "mrc": {"enabled": true, "budget_bytes": 262144.000, "flight_out": "F.json", "triggers": ["busy spike"], "consumers": [
-    {"consumer": "mrc.record_cache", "accesses": 17929, "sampled": 170, "sample_rate": 0.010000, "mean_entity_bytes": 108.000, "points": [[25811.765, 0.808746], [1651952.941, 0.312343]], "marginal": {"value_per_byte": 5.273683e-6, "dram_price_per_byte": 5.000000e-9, "net_per_byte": 5.268683e-6}, "recommended_bytes": 825976.471},
-    {"consumer": "mrc.page_cache", "accesses": 17929, "sampled": 60, "sample_rate": 0.010000, "mean_entity_bytes": 51200.000, "points": [[51200.000, 0.128284]], "marginal": {"value_per_byte": 0.000000e0, "dram_price_per_byte": 5.000000e-9, "net_per_byte": -5.000000e-9}, "recommended_bytes": 102400.000}
-  ]},
-  "ops": []
-}"#;
-        let consumers = parse_bench_mrc(doc).unwrap();
-        assert_eq!(consumers.len(), 2);
-        assert_eq!(consumers[0].consumer, "mrc.record_cache");
-        assert_eq!(consumers[0].accesses, 17_929);
-        assert_eq!(consumers[0].points.len(), 2);
-        assert!((consumers[0].points[1].bytes - 1_651_952.941).abs() < 1e-6);
-        assert!((consumers[0].points[1].miss_ratio - 0.312343).abs() < 1e-9);
-        assert!((consumers[0].recommended_bytes - 825_976.471).abs() < 1e-6);
-        assert_eq!(consumers[1].consumer, "mrc.page_cache");
-        assert_eq!(consumers[1].points.len(), 1);
-    }
-
-    #[test]
-    fn mrc_block_disabled_or_absent_is_none() {
-        assert!(parse_bench_mrc(r#"{"ops": []}"#).is_none());
-        let off = r#"{"mrc": {"enabled": false, "budget_bytes": 0.000, "flight_out": "", "triggers": [], "consumers": []}}"#;
-        assert!(parse_bench_mrc(off).is_none());
     }
 
     fn steep_then_flat() -> Vec<MrcCurvePoint> {

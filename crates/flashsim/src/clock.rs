@@ -54,15 +54,6 @@ impl VirtualClock {
     pub fn now_secs(&self) -> f64 {
         self.now() as f64 / 1e9
     }
-
-    /// Install this clock as the process-wide `dcs-telemetry` span time
-    /// source, so traces are stamped in virtual nanoseconds. Meant for
-    /// single-device simulations; multi-device runs (one clock per
-    /// shard) should stay on telemetry's monotonic real-clock fallback.
-    pub fn install_telemetry_clock(&self) {
-        let now = Arc::clone(&self.now);
-        dcs_telemetry::set_time_source(move || now.load(Ordering::SeqCst));
-    }
 }
 
 #[cfg(test)]
@@ -123,16 +114,5 @@ mod tests {
         let c = VirtualClock::new();
         c.advance(1_500_000_000);
         assert!((c.now_secs() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn installs_as_telemetry_time_source() {
-        let c = VirtualClock::new();
-        c.advance(123_456);
-        c.install_telemetry_clock();
-        assert_eq!(dcs_telemetry::now_nanos(), 123_456);
-        c.advance(1_000);
-        assert_eq!(dcs_telemetry::now_nanos(), 124_456);
-        dcs_telemetry::clear_time_source();
     }
 }

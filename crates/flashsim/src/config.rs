@@ -2,7 +2,6 @@
 
 use crate::path::IoPathModel;
 use crate::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a simulated flash device.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// 2·10⁵ IOPS with ~80 µs read latency (§4.1). Capacity is expressed in
 /// erase segments because flash is trimmed in segment units; the
 /// log-structured store above allocates and garbage-collects whole segments.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeviceConfig {
     /// Size of one erase segment in bytes.
     pub segment_bytes: usize,
@@ -24,7 +23,6 @@ pub struct DeviceConfig {
     /// single-server queue the paper's IOPS term comes from.
     pub max_iops: f64,
     /// CPU cost of the host I/O execution path, charged per I/O.
-    #[serde(skip, default)]
     pub io_path: IoPathModel,
     /// Whether blocking reads advance the shared virtual clock to the I/O
     /// completion time. Disable for pure CPU-cost measurements where the

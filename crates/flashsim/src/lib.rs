@@ -37,6 +37,7 @@
 //! assert_eq!(device.stats().reads, 1);
 //! ```
 
+mod checksum;
 mod clock;
 mod config;
 mod device;
@@ -46,6 +47,7 @@ mod path;
 mod stats;
 mod sync;
 
+pub use checksum::fnv64;
 pub use clock::VirtualClock;
 pub use config::DeviceConfig;
 pub use device::{DeviceError, FlashAddress, FlashDevice, SegmentId};

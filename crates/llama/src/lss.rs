@@ -4,7 +4,7 @@ use crate::codec::Codec;
 use crate::sync::{AtomicU64 as SyncAtomicU64, Mutex};
 use dcs_bwtree::{PageId, PageImage, PageStore, StoreError};
 use dcs_flashsim::{
-    DeviceError, FlashAddress, FlashDevice, IoQueuePair, IoRequest, SegmentId, SubmitError,
+    fnv64, DeviceError, FlashAddress, FlashDevice, IoQueuePair, IoRequest, SegmentId, SubmitError,
 };
 use std::collections::HashMap;
 // Stats stay on plain std atomics even in instrumented builds: monotonic
@@ -61,15 +61,6 @@ fn token_access(lsn: u64) {
     dcs_check::shadow::on_access(shadow_token(lsn));
     #[cfg(not(feature = "check"))]
     let _ = lsn;
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Configuration of the log-structured store.

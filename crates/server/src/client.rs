@@ -364,7 +364,7 @@ impl Client {
 
     /// Exponential backoff with equal jitter: `base * 2^(attempt-1)`
     /// capped, then uniform in `[delay/2, delay]`. Jitter comes from a
-    /// per-call xorshift seeded off the virtual clock, so retriers that
+    /// per-call xorshift seeded off the telemetry clock, so retriers that
     /// were rejected together spread out instead of re-colliding.
     fn backoff(&self, attempt: usize, rng: &mut u64) -> std::time::Duration {
         let shift = attempt.saturating_sub(1).min(16) as u32;

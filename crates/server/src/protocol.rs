@@ -26,6 +26,7 @@
 //! reader can append bytes and re-poll without framing state of its own.
 
 use crate::statsblock::StatsPayload;
+use dcs_flashsim::fnv64;
 
 /// Frame magic: `b"DCS1"`.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"DCS1");
@@ -36,16 +37,6 @@ pub const HEADER_LEN: usize = 4 + 1 + 8 + 4 + 8;
 /// Upper bound on a frame payload. Chosen to fit any realistic record plus
 /// slack; decoders reject bigger lengths before allocating.
 pub const MAX_PAYLOAD: usize = 1 << 20;
-
-/// FNV-1a, the frame checksum (shared convention with the TC WAL / LSS).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// A decoded request.
 #[derive(Debug, Clone, PartialEq, Eq)]

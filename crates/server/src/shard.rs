@@ -49,7 +49,7 @@ pub struct Mail {
     pub req: Request,
     /// Where the response goes.
     pub reply: Arc<dyn ReplySink>,
-    /// When the request entered the mailbox, in virtual-clock nanos
+    /// When the request entered the mailbox, in telemetry-clock nanos
     /// (`dcs_telemetry::now_nanos`) — the latency measurement origin,
     /// on the same timeline the spans are recorded against.
     pub enqueued: u64,

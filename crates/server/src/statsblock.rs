@@ -23,6 +23,7 @@
 //! `dcs-lint`'s `[wire-path]` pass.
 
 use crate::protocol::{put_val, Cursor, ProtoError};
+use dcs_telemetry::Json;
 
 /// Tag of the metrics-registry block
 /// ([`dcs_telemetry::RegistrySnapshot::to_json`] shape, plus the
@@ -125,24 +126,18 @@ impl StatsPayload {
     /// Merge the blocks into one JSON document for scrapers:
     /// `{"stats_epoch": N, "registry": {...}, "mrc": {...}}`. Blocks
     /// with unknown tags appear under `"block_<tag>"`; blocks whose
-    /// version this build does not know are passed through verbatim
+    /// version this build does not know are carried as they parsed
     /// (their schema is the emitter's contract, not ours).
     pub fn merged_json(&self) -> String {
-        let mut out = format!("{{\"stats_epoch\": {}", self.epoch());
-        for b in &self.blocks {
-            out.push_str(", \"");
-            out.push_str(&b.key());
-            out.push_str("\": ");
-            // A block body is JSON by contract; an empty one (from a
-            // hostile or buggy peer) must not produce invalid output.
-            if b.json.is_empty() {
-                out.push_str("null");
-            } else {
-                out.push_str(&b.json);
-            }
-        }
-        out.push('}');
-        out
+        let epoch = ("stats_epoch".to_string(), Json::from(self.epoch()));
+        // A block body is JSON by contract, but a peer produced it: one
+        // that does not parse (empty, truncated, or crafted to splice keys
+        // into the merged document) is carried as `null`.
+        let blocks = self
+            .blocks
+            .iter()
+            .map(|b| (b.key(), Json::parse(&b.json).unwrap_or(Json::Null)));
+        Json::obj(std::iter::once(epoch).chain(blocks)).to_string()
     }
 }
 
@@ -215,11 +210,13 @@ mod tests {
 
     #[test]
     fn merged_json_carries_every_block_under_its_key() {
-        let json = sample().merged_json();
-        assert!(json.contains("\"stats_epoch\": 7"));
-        assert!(json.contains("\"registry\": {\"counters\""));
-        assert!(json.contains("\"mrc\": {\"consumers\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let doc = Json::parse(&sample().merged_json()).unwrap();
+        assert_eq!(doc.get("stats_epoch"), Some(&Json::UInt(7)));
+        assert_eq!(
+            doc.at(&["registry", "counters", "server.puts"]),
+            Some(&Json::UInt(1))
+        );
+        assert_eq!(doc.at(&["mrc", "consumers"]), Some(&Json::Arr(vec![])));
     }
 
     #[test]
@@ -236,19 +233,31 @@ mod tests {
         p.encode(&mut bytes);
         let back = decode_all(&bytes).unwrap();
         assert_eq!(back, p);
-        assert!(back.merged_json().contains("\"block_200\": {}"));
+        let doc = Json::parse(&back.merged_json()).unwrap();
+        assert_eq!(doc.get("block_200"), Some(&Json::Obj(vec![])));
     }
 
     #[test]
-    fn empty_block_body_merges_as_null() {
-        let p = StatsPayload {
-            blocks: vec![StatsBlock {
-                tag: SB_MRC,
-                version: BLOCK_VERSION,
-                epoch: 0,
-                json: String::new(),
-            }],
-        };
-        assert!(p.merged_json().contains("\"mrc\": null"));
+    fn unparseable_block_bodies_merge_as_null() {
+        // Empty, truncated, and crafted to splice a key into the merged
+        // object: none may corrupt the document a scraper parses.
+        for body in ["", "{\"counters\": {", "1, \"stats_epoch\": 99"] {
+            let p = StatsPayload {
+                blocks: vec![StatsBlock {
+                    tag: SB_MRC,
+                    version: BLOCK_VERSION,
+                    epoch: 3,
+                    json: body.into(),
+                }],
+            };
+            assert_eq!(
+                Json::parse(&p.merged_json()),
+                Ok(Json::obj([
+                    ("stats_epoch", Json::UInt(3)),
+                    ("mrc", Json::Null)
+                ])),
+                "body {body:?}"
+            );
+        }
     }
 }

@@ -11,6 +11,7 @@ use dcs_server::protocol::{
 };
 use dcs_server::statsblock::{StatsBlock, StatsPayload, BLOCK_VERSION, SB_MRC, SB_REGISTRY};
 use dcs_server::{Client, ClientConfig, ClientError};
+use dcs_telemetry::Json;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
@@ -278,20 +279,20 @@ fn stats_scrape_round_trips_through_a_live_server() {
     .unwrap();
     client.put(b"k", b"v").unwrap();
     assert_eq!(client.get(b"k").unwrap().as_deref(), Some(&b"v"[..]));
-    let json = client.stats().unwrap();
-    for needle in [
-        "\"stats_epoch\"",
-        "\"registry\"",
-        "\"counters\"",
-        "\"histograms\"",
-        "server.read_latency_nanos",
-        "server.mailbox_depth",
-        "\"server.puts\":1",
-        "\"mrc\"",
-        "\"consumers\"",
-    ] {
-        assert!(json.contains(needle), "missing {needle} in {json}");
+    let doc = Json::parse(&client.stats().unwrap()).expect("merged STATS is valid JSON");
+    assert!(doc.get("stats_epoch").and_then(Json::as_u64).is_some());
+    assert_eq!(
+        doc.at(&["registry", "counters", "server.puts"]),
+        Some(&Json::UInt(1))
+    );
+    for hist in ["server.read_latency_nanos", "server.mailbox_depth"] {
+        let h = doc.at(&["registry", "histograms", hist]);
+        assert!(
+            h.and_then(|h| h.get("count")).is_some(),
+            "missing {hist} in {doc}"
+        );
     }
+    assert!(matches!(doc.at(&["mrc", "consumers"]), Some(Json::Arr(_))));
     // The raw payload exposes the per-block epoch framing.
     let payload = client.stats_payload().unwrap();
     assert!(payload.block(SB_REGISTRY).is_some());

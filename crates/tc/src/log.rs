@@ -7,7 +7,7 @@
 //! updated-record cache.
 
 use bytes::Bytes;
-use dcs_flashsim::{FlashAddress, FlashDevice};
+use dcs_flashsim::{fnv64, FlashAddress, FlashDevice};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -16,16 +16,6 @@ const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"TCLG");
 /// Frame header: magic (4) + batch sequence (8) + payload length (4) +
 /// payload checksum (8).
 const FRAME_HEADER: usize = 4 + 8 + 4 + 8;
-
-/// FNV-1a, the log's payload checksum (shared convention with the LSS).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// One redo record.
 #[derive(Debug, Clone, PartialEq, Eq)]

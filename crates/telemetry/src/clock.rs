@@ -1,53 +1,18 @@
-//! The time source spans are stamped with.
+//! The time source spans, mailbox stamps and flight frames are stamped
+//! with: nanoseconds of monotonic real time since the first call in the
+//! process.
 //!
-//! Inside the simulator the interesting time is the flashsim *virtual*
-//! clock — device service, queueing, and rent are all accounted in
-//! virtual nanoseconds, and a trace stamped with wall time would show
-//! none of it. Outside the simulator (unit tests, the wall-latency
-//! backends) a monotonic real clock is the only thing available. This
-//! module lets the process install whichever applies:
-//!
-//! * [`set_time_source`] installs a closure (typically
-//!   `VirtualClock::now`) consulted by every [`now_nanos`] call.
-//! * With nothing installed, [`now_nanos`] falls back to nanoseconds of
-//!   monotonic real time since the first call in the process.
-//!
-//! Reads take a `RwLock` read lock — uncontended after startup, and only
-//! paid on the *sampled* tracing path; the exact cost ledger never needs
-//! a timestamp.
+//! There is one clock and nothing can replace it, so no two tests (or
+//! two servers in one process) share mutable clock state, and a read is
+//! one `Instant::elapsed` with no lock in front of it. Simulated device
+//! time lives on the flashsim `VirtualClock` each device owns; it prices
+//! I/O service and rent and is not what a trace is stamped with.
 
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-type TimeFn = Arc<dyn Fn() -> u64 + Send + Sync>;
-
-static SOURCE: RwLock<Option<TimeFn>> = RwLock::new(None);
-
-/// Install `f` as the process-wide span time source (e.g. a flashsim
-/// `VirtualClock`). Replaces any previous source.
-pub fn set_time_source<F: Fn() -> u64 + Send + Sync + 'static>(f: F) {
-    *SOURCE.write().unwrap() = Some(Arc::new(f));
-}
-
-/// Remove the installed source, reverting to the monotonic real clock.
-pub fn clear_time_source() {
-    *SOURCE.write().unwrap() = None;
-}
-
-/// Current time in nanoseconds: the installed source if any, otherwise
-/// monotonic real time since the first call.
+/// Current time in nanoseconds: monotonic real time since the first call.
 pub fn now_nanos() -> u64 {
-    // Poison recovery, not unwrap: a panicking writer can only have
-    // swapped the whole `Option`, which is valid in either state, and the
-    // clock is read on every wire-path span — it must never abort a shard.
-    let source = SOURCE.read().unwrap_or_else(|e| e.into_inner());
-    if let Some(f) = source.as_ref() {
-        return f();
-    }
-    monotonic_nanos()
-}
-
-fn monotonic_nanos() -> u64 {
     static START: OnceLock<Instant> = OnceLock::new();
     START.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
@@ -55,25 +20,9 @@ fn monotonic_nanos() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
-    fn fallback_is_monotonic() {
-        clear_time_source();
-        let a = now_nanos();
-        let b = now_nanos();
-        assert!(b >= a);
-    }
-
-    #[test]
-    fn installed_source_wins_and_clears() {
-        let tick = Arc::new(AtomicU64::new(41));
-        let t = Arc::clone(&tick);
-        set_time_source(move || t.fetch_add(1, Ordering::SeqCst) + 1);
-        assert_eq!(now_nanos(), 42);
-        assert_eq!(now_nanos(), 43);
-        clear_time_source();
-        // Back on the real clock: monotonic again.
+    fn is_monotonic() {
         let a = now_nanos();
         let b = now_nanos();
         assert!(b >= a);

@@ -16,7 +16,9 @@
 //! from a pacing thread, so a build that never ticks pays nothing beyond
 //! the idle `OnceLock`.
 
+use crate::json::Json;
 use crate::mrc::{mrc, MrcSnapshot};
+use crate::obj;
 use crate::registry::{global, RegistrySnapshot};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -146,31 +148,20 @@ impl FlightRecorder {
     /// `{"triggers": [...], "frames": [{tick, nanos, reason, registry, mrc}]}`.
     pub fn dump_json(&self) -> String {
         let inner = self.lock();
-        let triggers: Vec<String> = inner
-            .triggers
-            .iter()
-            .map(|t| format!("\"{}\"", t.replace('\\', "\\\\").replace('"', "\\\"")))
-            .collect();
-        let frames: Vec<String> = inner
-            .frames
-            .iter()
-            .map(|f| {
-                let mrc: Vec<String> = f.mrc.iter().map(|s| s.to_json()).collect();
-                format!(
-                    "{{\"tick\": {}, \"nanos\": {}, \"reason\": \"{}\", \"registry\": {}, \"mrc\": [{}]}}",
-                    f.tick,
-                    f.nanos,
-                    f.reason.replace('\\', "\\\\").replace('"', "\\\""),
-                    f.registry.to_json(),
-                    mrc.join(", ")
-                )
-            })
-            .collect();
-        format!(
-            "{{\"triggers\": [{}], \"frames\": [\n{}\n]}}\n",
-            triggers.join(", "),
-            frames.join(",\n")
-        )
+        let frames = inner.frames.iter().map(|f| {
+            obj! {
+                "tick": f.tick,
+                "nanos": f.nanos,
+                "reason": f.reason.as_str(),
+                "registry": f.registry.json(),
+                "mrc": Json::arr(f.mrc.iter().map(MrcSnapshot::json)),
+            }
+        });
+        obj! {
+            "triggers": Json::arr(inner.triggers.iter().map(String::as_str)),
+            "frames": Json::arr(frames),
+        }
+        .to_string()
     }
 }
 
@@ -209,9 +200,19 @@ mod tests {
         }
         // 8 captures (ticks 5, 10, ..., 40), bounded to the last 3.
         assert_eq!(r.len(), 3);
-        let dump = r.dump_json();
-        assert!(dump.contains("\"tick\": 40"));
-        assert!(!dump.contains("\"tick\": 5,"), "old frames must rotate out");
+        let dump = Json::parse(&r.dump_json()).unwrap();
+        let ticks: Vec<_> = dump
+            .get("frames")
+            .map(Json::items)
+            .unwrap_or_default()
+            .iter()
+            .map(|f| f.get("tick").and_then(Json::as_u64))
+            .collect();
+        assert_eq!(
+            ticks,
+            [Some(30), Some(35), Some(40)],
+            "old frames rotate out"
+        );
     }
 
     #[test]
@@ -224,19 +225,44 @@ mod tests {
         r.trigger("busy spike: 120 rejections in one tick");
         assert_eq!(r.len(), 1);
         assert_eq!(r.triggers().len(), 1);
-        let dump = r.dump_json();
-        assert!(dump.contains("busy spike"));
-        assert_eq!(dump.matches('{').count(), dump.matches('}').count());
-        assert_eq!(dump.matches('[').count(), dump.matches(']').count());
+        let reason = Json::from("busy spike: 120 rejections in one tick");
+        let dump = Json::parse(&r.dump_json()).unwrap();
+        assert_eq!(dump.get("triggers"), Some(&Json::Arr(vec![reason.clone()])));
+        let [frame] = dump.get("frames").map(Json::items).unwrap_or_default() else {
+            panic!("one frame expected: {dump}");
+        };
+        assert_eq!(frame.get("reason"), Some(&reason));
+        assert_eq!(frame.get("tick"), Some(&Json::UInt(7)));
+        assert!(matches!(
+            frame.at(&["registry", "counters"]),
+            Some(Json::Obj(_))
+        ));
     }
 
     #[test]
-    fn reasons_with_quotes_stay_valid_json() {
+    fn hostile_reasons_stay_valid_json() {
         let r = recorder(0, 2);
-        r.trigger("p95 \"regression\" \\ test");
-        let dump = r.dump_json();
-        assert!(dump.contains("p95 \\\"regression\\\" \\\\ test"));
-        assert_eq!(dump.matches('{').count(), dump.matches('}').count());
+        let reason = "p95 \"regression\" \\ test\n\u{1}\u{1f}";
+        r.trigger(reason);
+        let dump = Json::parse(&r.dump_json()).unwrap();
+        assert_eq!(dump.get("triggers"), Some(&Json::arr([reason])));
+    }
+
+    #[test]
+    fn frames_carry_the_mrc_consumers() {
+        mrc().profiler("mrc.flight_test").record(1, 8);
+        let r = recorder(1, 2);
+        r.tick();
+        let dump = Json::parse(&r.dump_json()).unwrap();
+        let last = dump.get("frames").and_then(|f| f.items().last()).unwrap();
+        let consumers: Vec<_> = last
+            .get("mrc")
+            .map(Json::items)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|s| s.get("consumer").and_then(Json::as_str))
+            .collect();
+        assert!(consumers.contains(&"mrc.flight_test"), "{consumers:?}");
     }
 
     #[test]

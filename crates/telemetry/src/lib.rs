@@ -20,19 +20,21 @@
 //!   the winning bucket (and against the observed max in the top
 //!   bucket), fixing the upper-bound bias of the old copies.
 //! * [`trace`] — structured spans in bounded per-thread ring buffers,
-//!   stamped by [`clock::now_nanos`]: the flashsim virtual clock when
-//!   one is installed, a monotonic real clock otherwise. A sampling
-//!   knob gates whole request trees; export is chrome://tracing /
-//!   Perfetto JSON.
+//!   stamped by [`clock::now_nanos`], the process's one monotonic
+//!   clock. A sampling knob gates whole request trees; export is
+//!   chrome://tracing / Perfetto JSON.
 //! * [`cost`] — every span carries a [`CostClass`]; the exact (never
 //!   sampled) [`CostLedger`] counts MM ops, SS I/Os, and occupancy so
 //!   `dcs_costmodel::accounting` can be fed *measured* rather than
 //!   modeled inputs.
-//! * [`mrc`] — online miss-ratio curves per memory consumer via
+//! * [`mod@mrc`] — online miss-ratio curves per memory consumer via
 //!   SHARDS-style spatially-hashed reuse-distance sampling (exact
 //!   ghost-cache mode for tests): the counterfactual the ledger cannot
 //!   see — what a bigger or smaller cache *would* do.
-//! * [`flight`] — a bounded ring of registry + MRC snapshots captured
+//! * [`json`] — the one [`Json`] value, writer and strict reader every
+//!   exported document (report, STATS blocks, flight dump, trace) goes
+//!   through.
+//! * [`mod@flight`] — a bounded ring of registry + MRC snapshots captured
 //!   on a tick cadence and dumped on anomaly (BUSY spike, p95
 //!   regression, reconciliation failure) for postmortems.
 //!
@@ -47,14 +49,16 @@ pub mod clock;
 pub mod cost;
 pub mod flight;
 pub mod hist;
+pub mod json;
 pub mod mrc;
 pub mod registry;
 pub mod trace;
 
-pub use clock::{clear_time_source, now_nanos, set_time_source};
+pub use clock::now_nanos;
 pub use cost::{ledger, CostClass, CostLedger, CostTotals};
 pub use flight::{flight, FlightConfig, FlightFrame, FlightRecorder};
 pub use hist::{Histogram, HistogramSnapshot, HistogramSummary, HIST_BUCKETS};
+pub use json::{Json, JsonError};
 pub use mrc::{mrc, MrcConfig, MrcPoint, MrcProfiler, MrcRegistry, MrcSnapshot};
 pub use registry::{global, Counter, Gauge, Registry, RegistrySnapshot};
 pub use trace::{

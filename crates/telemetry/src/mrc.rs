@@ -30,6 +30,8 @@
 //! scales bucket boundaries by `1/R` and emits a monotonically
 //! non-increasing miss-ratio curve by cumulative-hit construction.
 
+use crate::json::Json;
+use crate::obj;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -313,29 +315,20 @@ impl MrcSnapshot {
         sum / pts.len() as f64
     }
 
-    /// Render as a JSON object (hand-rolled; the workspace's serde shim
-    /// is marker-traits only).
-    pub fn to_json(&self) -> String {
-        let points: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"entities\": {:.1}, \"bytes\": {:.1}, \"miss_ratio\": {:.6}}}",
-                    p.entities, p.bytes, p.miss_ratio
-                )
-            })
-            .collect();
-        format!(
-            "{{\"consumer\": \"{}\", \"accesses\": {}, \"sampled\": {}, \"sample_rate\": {}, \"evictions\": {}, \"mean_entity_bytes\": {:.1}, \"points\": [{}]}}",
-            self.consumer,
-            self.accesses,
-            self.sampled,
-            self.sample_rate,
-            self.evictions,
-            self.mean_entity_bytes,
-            points.join(", ")
-        )
+    /// The snapshot as a [`Json`] object.
+    pub fn json(&self) -> Json {
+        let points = self.points.iter().map(|p| {
+            obj! { "entities": p.entities, "bytes": p.bytes, "miss_ratio": p.miss_ratio }
+        });
+        obj! {
+            "consumer": self.consumer.as_str(),
+            "accesses": self.accesses,
+            "sampled": self.sampled,
+            "sample_rate": self.sample_rate,
+            "evictions": self.evictions,
+            "mean_entity_bytes": self.mean_entity_bytes,
+            "points": Json::arr(points),
+        }
     }
 }
 
@@ -505,10 +498,11 @@ impl MrcRegistry {
         map.values().map(|p| p.snapshot()).collect()
     }
 
-    /// All snapshots as one JSON object: `{"consumers": [...]}`.
+    /// All snapshots as one JSON object: `{"consumers": [...]}` — the
+    /// `STATS` opcode's MRC block.
     pub fn to_json(&self) -> String {
-        let consumers: Vec<String> = self.snapshots().iter().map(|s| s.to_json()).collect();
-        format!("{{\"consumers\": [{}]}}", consumers.join(", "))
+        let consumers = self.snapshots();
+        obj! { "consumers": Json::arr(consumers.iter().map(MrcSnapshot::json)) }.to_string()
     }
 }
 
@@ -652,7 +646,10 @@ mod tests {
         }
         let s = p.snapshot();
         // 2 cold, 9 998 reuses at distance 1: a 2-entity cache hits all.
-        assert!((s.miss_ratio_at(2.0) - 2.0 / 10_000.0).abs() < 1e-9, "{s:?}");
+        assert!(
+            (s.miss_ratio_at(2.0) - 2.0 / 10_000.0).abs() < 1e-9,
+            "{s:?}"
+        );
     }
 
     #[test]
@@ -678,7 +675,10 @@ mod tests {
         }
         let (es, ss) = (exact.snapshot(), shards.snapshot());
         let mae = ss.mean_absolute_error(&es);
-        assert!(mae <= 0.02, "zipfian MAE {mae} exceeds 0.02\n{es:?}\n{ss:?}");
+        assert!(
+            mae <= 0.02,
+            "zipfian MAE {mae} exceeds 0.02\n{es:?}\n{ss:?}"
+        );
         // The sampler really sampled: ~1/8 of the stream.
         let frac = ss.sampled as f64 / ss.accesses as f64;
         assert!((frac - 0.125).abs() < 0.02, "sampled fraction {frac}");
@@ -709,7 +709,10 @@ mod tests {
         }
         let (es, ss) = (exact.snapshot(), shards.snapshot());
         let mae = ss.mean_absolute_error(&es);
-        assert!(mae <= 0.02, "uniform MAE {mae} exceeds 0.02\n{es:?}\n{ss:?}");
+        assert!(
+            mae <= 0.02,
+            "uniform MAE {mae} exceeds 0.02\n{es:?}\n{ss:?}"
+        );
     }
 
     #[test]
@@ -719,11 +722,20 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         a.record_key(b"k1", 32);
         a.record_key(b"k1", 32);
-        let json = mrc().to_json();
-        assert!(json.starts_with("{\"consumers\": ["));
-        assert!(json.contains("\"consumer\": \"mrc.test_json\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let doc = Json::parse(&mrc().to_json()).unwrap();
+        let mine = doc
+            .get("consumers")
+            .map(Json::items)
+            .unwrap_or_default()
+            .iter()
+            .find(|c| c.get("consumer").and_then(Json::as_str) == Some("mrc.test_json"))
+            .expect("registered consumer is exported");
+        assert_eq!(mine.get("accesses"), Some(&Json::UInt(2)));
+        assert_eq!(
+            mine.get("sample_rate"),
+            Some(&Json::Num(MrcConfig::DEFAULT_RATE))
+        );
+        assert!(matches!(mine.get("points"), Some(Json::Arr(_))));
     }
 
     #[test]

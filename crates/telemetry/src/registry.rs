@@ -19,6 +19,8 @@
 //! server's `STATS` wire opcode.
 
 use crate::hist::{Histogram, HistogramSnapshot};
+use crate::json::Json;
+use crate::obj;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -221,49 +223,37 @@ impl RegistrySnapshot {
         }
     }
 
-    /// Render as a stable JSON object (keys sorted; histograms as
-    /// summaries plus occupied buckets). This is the `STATS` opcode
-    /// payload.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{k}\":{v}"));
-        }
-        s.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{k}\":{v}"));
-        }
-        s.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
+    /// The snapshot as a [`Json`] object (keys sorted; histograms as
+    /// summaries plus occupied buckets).
+    pub fn json(&self) -> Json {
+        let histograms = self.histograms.iter().map(|(k, h)| {
             let sum = h.summary();
-            let buckets: Vec<String> = h
+            let buckets = h
                 .nonzero_buckets()
-                .iter()
-                .map(|(lo, c)| format!("[{lo},{c}]"))
-                .collect();
-            s.push_str(&format!(
-                "\"{k}\":{{\"count\":{},\"mean\":{:.1},\"p50\":{:.1},\"p95\":{:.1},\"p99\":{:.1},\"max\":{},\"buckets\":[{}]}}",
-                sum.count,
-                sum.mean_nanos,
-                sum.p50_nanos,
-                sum.p95_nanos,
-                sum.p99_nanos,
-                sum.max_nanos,
-                buckets.join(",")
-            ));
+                .into_iter()
+                .map(|(lo, count)| Json::arr([lo, count]));
+            let body = obj! {
+                "count": sum.count,
+                "mean": sum.mean_nanos,
+                "p50": sum.p50_nanos,
+                "p95": sum.p95_nanos,
+                "p99": sum.p99_nanos,
+                "max": sum.max_nanos,
+                "buckets": Json::arr(buckets),
+            };
+            (k.clone(), body)
+        });
+        obj! {
+            "counters": Json::obj(self.counters.iter().map(|(k, &v)| (k.clone(), v.into()))),
+            "gauges": Json::obj(self.gauges.iter().map(|(k, &v)| (k.clone(), v.into()))),
+            "histograms": Json::obj(histograms),
         }
-        s.push_str("}}");
-        s
+    }
+
+    /// [`RegistrySnapshot::json`] rendered to text. This is the `STATS`
+    /// opcode's registry block.
+    pub fn to_json(&self) -> String {
+        self.json().to_string()
     }
 }
 
@@ -329,13 +319,20 @@ mod tests {
         let r = Registry::new();
         r.counter("b").add(2);
         r.counter("a").add(1);
+        r.gauge("g").set(-3);
         r.histogram("h").record(7);
-        let j = r.snapshot().to_json();
+        let doc = Json::parse(&r.snapshot().to_json()).unwrap();
         // BTreeMap ordering: "a" before "b".
-        assert!(j.starts_with("{\"counters\":{\"a\":1,\"b\":2}"));
-        assert!(j.contains("\"histograms\":{\"h\":{\"count\":1"));
-        assert!(j.contains("\"buckets\":[[4,1]]"));
-        assert!(j.ends_with("}}"));
+        assert_eq!(
+            doc.get("counters"),
+            Some(&Json::obj([("a", Json::UInt(1)), ("b", Json::UInt(2))]))
+        );
+        assert_eq!(doc.at(&["gauges", "g"]), Some(&Json::Int(-3)));
+        let h = doc.at(&["histograms", "h"]).unwrap();
+        assert_eq!(h.get("count"), Some(&Json::UInt(1)));
+        assert_eq!(h.get("max"), Some(&Json::UInt(7)));
+        assert!(h.get("p95").and_then(Json::as_f64).is_some());
+        assert_eq!(h.get("buckets"), Some(&Json::arr([Json::arr([4u64, 1])])));
     }
 
     #[test]

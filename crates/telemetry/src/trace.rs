@@ -2,9 +2,8 @@
 //! chrome://tracing export.
 //!
 //! A span is a guard: [`span`] stamps the start from
-//! [`crate::clock::now_nanos`] (the flashsim virtual clock when
-//! installed), dropping it stamps the end and pushes one complete event
-//! into the recording thread's ring buffer. Rings are bounded
+//! [`crate::clock::now_nanos`], dropping it stamps the end and pushes one
+//! complete event into the recording thread's ring buffer. Rings are bounded
 //! ([`RING_CAPACITY`] events, oldest dropped and counted), so tracing
 //! can stay on in a long server run without growing memory.
 //!
@@ -24,6 +23,8 @@
 #[cfg(not(feature = "disabled"))]
 use crate::clock::now_nanos;
 use crate::cost::CostClass;
+use crate::json::Json;
+use crate::obj;
 #[cfg(not(feature = "disabled"))]
 use std::cell::Cell;
 use std::cell::RefCell;
@@ -260,19 +261,6 @@ pub fn trace_stats() -> TraceStats {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Drain every thread's ring into a chrome://tracing / Perfetto JSON
 /// document (Trace Event Format). Timestamps are microseconds on the
 /// telemetry clock; thread ids are assigned in registration order and
@@ -280,41 +268,33 @@ fn json_escape(s: &str) -> String {
 pub fn export_chrome_json() -> String {
     let bufs: Vec<Arc<ThreadBuf>> = thread_bufs().lock().unwrap().clone();
     let mut events: Vec<(u32, SpanEvent)> = Vec::new();
-    let mut meta = String::new();
+    let mut trace_events = Vec::new();
     for (tid, buf) in bufs.iter().enumerate() {
         let tid = tid as u32 + 1;
-        if !meta.is_empty() {
-            meta.push(',');
-        }
-        meta.push_str(&format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":\"{}\"}}}}",
-            json_escape(&buf.label)
-        ));
+        trace_events.push(obj! {
+            "name": "thread_name",
+            "ph": "M",
+            "pid": 1u32,
+            "tid": tid,
+            "args": obj! { "name": buf.label.as_str() },
+        });
         let mut ring = buf.ring.lock().unwrap();
-        for ev in ring.events.drain(..) {
-            events.push((tid, ev));
-        }
+        events.extend(ring.events.drain(..).map(|ev| (tid, ev)));
     }
     events.sort_by_key(|(_, e)| e.start_nanos);
-    let mut body = String::with_capacity(events.len() * 96 + meta.len() + 64);
-    body.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    body.push_str(&meta);
-    for (tid, ev) in &events {
-        if !body.ends_with('[') {
-            body.push(',');
+    trace_events.extend(events.iter().map(|(tid, ev)| {
+        obj! {
+            "name": ev.name,
+            "cat": ev.class.label(),
+            "ph": "X",
+            "ts": ev.start_nanos as f64 / 1000.0,
+            "dur": ev.dur_nanos as f64 / 1000.0,
+            "pid": 1u32,
+            "tid": *tid,
+            "args": obj! { "cost_class": ev.class.label() },
         }
-        body.push_str(&format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{},\"args\":{{\"cost_class\":\"{}\"}}}}",
-            json_escape(ev.name),
-            ev.class.label(),
-            ev.start_nanos as f64 / 1000.0,
-            ev.dur_nanos as f64 / 1000.0,
-            tid,
-            ev.class.label()
-        ));
-    }
-    body.push_str("]}");
-    body
+    }));
+    obj! { "displayTimeUnit": "ns", "traceEvents": Json::Arr(trace_events) }.to_string()
 }
 
 #[cfg(all(test, not(feature = "disabled")))]
@@ -326,6 +306,16 @@ mod tests {
     fn guard() -> std::sync::MutexGuard<'static, ()> {
         static M: Mutex<()> = Mutex::new(());
         M.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Drain the rings and return the parsed `traceEvents` array.
+    fn exported_events() -> Vec<Json> {
+        let doc = Json::parse(&export_chrome_json()).expect("trace is valid JSON");
+        assert_eq!(doc.get("displayTimeUnit"), Some(&Json::from("ns")));
+        doc.get("traceEvents")
+            .map(Json::items)
+            .unwrap_or_default()
+            .to_vec()
     }
 
     #[test]
@@ -352,12 +342,22 @@ mod tests {
         let after = trace_stats();
         assert_eq!(after.buffered - before.buffered, 3);
         set_sampling_permille(0);
-        let json = export_chrome_json();
-        assert!(json.contains("\"name\":\"request\""));
-        assert!(json.contains("\"name\":\"device.read\""));
-        assert!(json.contains("\"cat\":\"ss_read\""));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"thread_name\""));
+        let events = exported_events();
+        let named = |name: &str| {
+            events
+                .iter()
+                .find(|e| e.get("name").and_then(Json::as_str) == Some(name))
+                .unwrap_or_else(|| panic!("no {name} event in {events:?}"))
+        };
+        assert_eq!(named("request").get("ph"), Some(&Json::from("X")));
+        let leaf = named("device.read");
+        assert_eq!(leaf.get("cat"), Some(&Json::from("ss_read")));
+        assert_eq!(
+            leaf.at(&["args", "cost_class"]),
+            Some(&Json::from("ss_read"))
+        );
+        assert!(leaf.get("ts").and_then(Json::as_f64).is_some());
+        assert_eq!(named("thread_name").get("ph"), Some(&Json::from("M")));
     }
 
     #[test]
@@ -382,13 +382,17 @@ mod tests {
     fn backdated_root_span_duration() {
         let _g = guard();
         set_sampling_permille(1000);
-        crate::clock::clear_time_source();
         let start = crate::clock::now_nanos();
         {
             let _s = span_at("backdated", CostClass::Mm, start.saturating_sub(5_000));
         }
         set_sampling_permille(0);
-        let json = export_chrome_json();
-        assert!(json.contains("\"name\":\"backdated\""));
+        let events = exported_events();
+        let backdated = events
+            .iter()
+            .find(|e| e.get("name").and_then(Json::as_str) == Some("backdated"))
+            .expect("backdated span exported");
+        // Backdated by 5 us: the duration covers at least that.
+        assert!(backdated.get("dur").and_then(Json::as_f64) >= Some(5.0));
     }
 }

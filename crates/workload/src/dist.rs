@@ -2,7 +2,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// FNV-1a 64-bit hash, used to scramble Zipfian ranks across the key space.
 pub(crate) fn fnv1a(mut x: u64) -> u64 {
@@ -18,7 +17,7 @@ pub(crate) fn fnv1a(mut x: u64) -> u64 {
 /// Declarative description of a key-access distribution.
 ///
 /// Turn into a stateful sampler with [`KeyDist::sampler`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KeyDist {
     /// Every key equally likely.
     Uniform,

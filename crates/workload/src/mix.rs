@@ -1,9 +1,7 @@
 //! Operation mixes.
 
-use serde::{Deserialize, Serialize};
-
 /// The kinds of operation a workload can issue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Point read of an existing key.
     Read,
@@ -27,7 +25,7 @@ pub enum OpKind {
 /// A weighted blend of operation kinds.
 ///
 /// Weights are relative; they need not sum to 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpMix {
     weights: Vec<(OpKind, f64)>,
 }

@@ -5,10 +5,9 @@ use crate::keys;
 use crate::mix::{OpKind, OpMix, Operation};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A complete, declarative description of a workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadSpec {
     /// Number of records loaded before the run.
     pub record_count: u64,
