@@ -86,6 +86,17 @@ pub enum TryGetAsync {
     },
 }
 
+impl TryGetAsync {
+    /// Whether the read is still waiting on durable state `token`. This is
+    /// the rule for a failed fetch of `token`, on the blocking and the
+    /// submit/poll paths alike: re-probe, and fail the read only if this
+    /// holds — otherwise a concurrent flush or install moved the leaf on
+    /// and the read carries on from the fresh probe.
+    pub fn needs_token(&self, token: u64) -> bool {
+        matches!(self, TryGetAsync::NeedFetch { token: t, .. } if *t == token)
+    }
+}
+
 /// Point-in-time description of one page, for cache managers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageInfo {
@@ -495,56 +506,30 @@ impl BwTree {
     // Reads
     // ------------------------------------------------------------------
 
-    /// Point lookup. Fetches the base page from the store if it is
-    /// flash-resident (a secondary-storage operation).
+    /// Point lookup: the non-blocking probe ([`BwTree::try_get_async`])
+    /// driven to completion. A flash-resident leaf is fetched from the page
+    /// store with no epoch pinned, installed with
+    /// [`BwTree::install_fetched`] and re-probed, so the blocking and the
+    /// submit/poll miss paths count the same operations by construction.
+    ///
+    /// A failed fetch fails the read only if the leaf still needs the token
+    /// that failed ([`TryGetAsync::needs_token`]): a concurrent flush may
+    /// have superseded it and the store reclaimed the old state.
     pub fn try_get(&self, key: &[u8]) -> Result<Option<Bytes>, TreeError> {
-        let guard = dcs_ebr::pin();
         bump!(self.stats, gets);
-        let vt = self.vtime();
-        let mut fetched = false;
-        let mut pid = self.find_leaf(key, &guard);
-        self.mrc.record(pid, self.config.max_leaf_bytes as u64);
-        self.mapping.touch(pid, vt);
+        let mut probe = self.probe_get(key, true, None);
         loop {
-            let head = self.mapping.load(pid);
-            if head.is_null() {
-                pid = self.find_leaf(key, &guard);
-                continue;
-            }
-            // SAFETY: guard held since before the load.
-            let result = unsafe { search_leaf(head, key) };
-            match result {
-                LeafSearch::Found {
-                    value,
-                    from_delta_over_flash,
-                } => {
-                    if from_delta_over_flash {
-                        bump!(self.stats, record_cache_hits);
-                    }
-                    self.finish_read(fetched);
-                    return Ok(Some(value));
-                }
-                LeafSearch::Deleted | LeafSearch::Missing => {
-                    self.finish_read(fetched);
-                    return Ok(None);
-                }
-                LeafSearch::GoRight(r) => {
-                    pid = r;
-                    self.mapping.touch(pid, vt);
-                }
-                LeafSearch::NeedFetch { token } => {
-                    match self.fetch_install(pid, head, token, &guard) {
-                        Ok(()) => {}
-                        Err(TreeError::Store(StoreError::UnknownToken(_)))
-                            if self.mapping.load(pid) != head =>
-                        {
-                            // A concurrent flush superseded the token and the
-                            // store reclaimed it; the fresh head has the live
-                            // token. Retry.
-                        }
-                        Err(e) => return Err(e),
-                    }
-                    fetched = true;
+            let (pid, token) = match probe {
+                TryGetAsync::Hit(found) => return Ok(found),
+                TryGetAsync::NeedFetch { pid, token } => (pid, token),
+            };
+            // No guard is pinned here: a device read must not hold an epoch.
+            let fetch = self.store.fetch(pid, token);
+            let fetch = fetch.map(|img| self.install_fetched(pid, token, img));
+            probe = self.probe_get(key, false, Some(pid));
+            if let Err(e) = fetch {
+                if probe.needs_token(token) {
+                    return Err(e.into());
                 }
             }
         }
@@ -566,7 +551,7 @@ impl BwTree {
     /// operation, matching [`BwTree::try_get`].
     pub fn try_get_async(&self, key: &[u8]) -> TryGetAsync {
         bump!(self.stats, gets);
-        self.probe_get(key, true)
+        self.probe_get(key, true, None)
     }
 
     /// Re-probe after [`BwTree::install_fetched`]. Does **not** count a new
@@ -574,13 +559,17 @@ impl BwTree {
     /// counts no main-memory op either — the install already charged the
     /// secondary-storage op, as the blocking miss path does.
     pub fn resume_get(&self, key: &[u8]) -> TryGetAsync {
-        self.probe_get(key, false)
+        self.probe_get(key, false, None)
     }
 
-    fn probe_get(&self, key: &[u8], count_hit: bool) -> TryGetAsync {
+    /// The tree's one leaf probe. `count_hit` marks a read's first probe;
+    /// `start` names the leaf a resumed read halted at, sparing it the
+    /// descent (sibling links and a null slot correct a stale one, as on
+    /// the write path).
+    fn probe_get(&self, key: &[u8], count_hit: bool, start: Option<PageId>) -> TryGetAsync {
         let guard = dcs_ebr::pin();
         let vt = self.vtime();
-        let mut pid = self.find_leaf(key, &guard);
+        let mut pid = start.unwrap_or_else(|| self.find_leaf(key, &guard));
         if count_hit {
             // One logical get, one MRC access; the resume probe after an
             // install must not count the page twice.
@@ -623,9 +612,9 @@ impl BwTree {
         }
     }
 
-    /// Install an externally fetched page image as `pid`'s new in-memory
-    /// base, preserving unflushed deltas above it — the asynchronous
-    /// counterpart of the blocking fetch inside [`BwTree::try_get`].
+    /// Install a fetched page image as `pid`'s new in-memory base,
+    /// preserving unflushed deltas above it — the tree's one swap-in step,
+    /// taken by blocking reads, scans and submit/poll callers alike.
     ///
     /// Returns `false` without installing when the chain moved on (fetched
     /// token superseded by a newer flush, page became resident, or the CAS
@@ -633,8 +622,14 @@ impl BwTree {
     /// which re-fetches if still needed. Counts one fetch and one
     /// secondary-storage op either way — an I/O happened.
     pub fn install_fetched(&self, pid: PageId, token: u64, img: PageImage) -> bool {
-        bump!(self.stats, fetches);
         bump!(self.stats, ss_ops);
+        self.install_image(pid, token, img)
+    }
+
+    /// [`BwTree::install_fetched`] without the secondary-storage op: the
+    /// healing fetch under a blind write rides on that write's count.
+    fn install_image(&self, pid: PageId, token: u64, img: PageImage) -> bool {
+        bump!(self.stats, fetches);
         let guard = dcs_ebr::pin();
         let head = self.mapping.load(pid);
         if head.is_null() {
@@ -643,105 +638,56 @@ impl BwTree {
         // The image is only installable while the chain's durable state is
         // still exactly `token`.
         // SAFETY: guard held since before the load.
-        let current = unsafe {
-            match analyze_leaf_chain(head) {
-                LeafChainInfo::FlashBase { durable_token, .. } => Some(durable_token),
-                _ => None,
-            }
-        };
-        if current != Some(token) {
+        let info = unsafe { analyze_leaf_chain(head) };
+        if !matches!(info, LeafChainInfo::FlashBase { durable_token, .. } if durable_token == token)
+        {
             return false;
         }
-        // Clone unflushed deltas above the topmost marker, as the blocking
-        // fetch does; everything below is contained in the image.
-        let mut deltas: Vec<&Node> = Vec::new();
-        // SAFETY: guard held.
-        unsafe {
-            for node in chain_iter(head) {
-                match node {
-                    Node::FlushMarker { .. } | Node::FlashBase { .. } => break,
-                    Node::LeafBase(_) | Node::InnerBase(_) => return false,
-                    _ => deltas.push(node),
-                }
-            }
-        }
-        let base = Node::LeafBase(LeafBase {
+        let mut new_head = Node::LeafBase(LeafBase {
             entries: img.entries,
             high_key: img.high_key,
             right: img.right,
             stored: Some(token),
         })
         .into_raw();
-        let mut new_head = base;
-        for node in deltas.into_iter().rev() {
+        // Re-hang the unflushed deltas (those above the topmost marker);
+        // everything at or below the marker is contained in the image.
+        // SAFETY: guard held.
+        let unflushed = unsafe { collect_nodes_above_marker(head) };
+        for node in unflushed.into_iter().rev() {
             new_head = clone_delta(node, new_head);
         }
-        if self.mapping.cas(pid, head, new_head) {
-            // SAFETY: old chain atomically unlinked.
-            unsafe { retire_chain(&guard, head) };
-            true
-        } else {
-            // SAFETY: new chain never published.
-            unsafe { free_chain_now(new_head) };
-            false
-        }
+        // SAFETY: `head` was loaded under `guard`; `new_head` is the
+        // unpublished chain built above.
+        unsafe { self.replace_chain(pid, head, new_head, &guard) }
     }
 
-    fn finish_read(&self, fetched: bool) {
-        if fetched {
-            bump!(self.stats, ss_ops);
-        } else {
-            self.stats.mm_op();
-        }
-    }
-
-    /// Fetch the durable page state at `token` and install it as the new
-    /// in-memory base, preserving unflushed deltas above it.
-    fn fetch_install(
+    /// Swing `pid` from the chain `old` to the chain `new` by CAS: on a win
+    /// `old` is retired through `guard`, on a loss `new` is freed. Returns
+    /// whether the CAS won.
+    ///
+    /// # Safety
+    /// `old` must have been loaded from `pid`'s slot while `guard` was
+    /// pinned, and `new` must be a chain the caller built and has not
+    /// published, sharing no node with `old`.
+    unsafe fn replace_chain(
         &self,
         pid: PageId,
-        observed_head: *mut Node,
-        token: u64,
+        old: *mut Node,
+        new: *mut Node,
         guard: &Guard,
-    ) -> Result<(), TreeError> {
-        bump!(self.stats, fetches);
-        let img = self.store.fetch(pid, token)?;
-        // Clone unflushed deltas (those above the topmost marker); everything
-        // at or below the marker is contained in the fetched image.
-        let mut deltas: Vec<&Node> = Vec::new();
-        // SAFETY: guard held.
-        unsafe {
-            for node in chain_iter(observed_head) {
-                match node {
-                    Node::FlushMarker { .. } | Node::FlashBase { .. } => break,
-                    Node::LeafBase(_) | Node::InnerBase(_) => {
-                        // Chain changed under us (no longer flash-resident);
-                        // nothing to install.
-                        return Ok(());
-                    }
-                    _ => deltas.push(node),
-                }
-            }
-        }
-        let base = Node::LeafBase(LeafBase {
-            entries: img.entries,
-            high_key: img.high_key,
-            right: img.right,
-            stored: Some(token),
-        })
-        .into_raw();
-        let mut new_head = base;
-        for node in deltas.into_iter().rev() {
-            new_head = clone_delta(node, new_head);
-        }
-        if self.mapping.cas(pid, observed_head, new_head) {
-            // SAFETY: old chain atomically unlinked.
-            unsafe { retire_chain(guard, observed_head) };
-            Ok(())
+    ) -> bool {
+        if self.mapping.cas(pid, old, new) {
+            // SAFETY: the CAS unlinked `old` atomically, so no new reader
+            // can reach it; readers that loaded it earlier are pinned, and
+            // retiring through `guard` defers the free past their epoch.
+            unsafe { retire_chain(guard, old) };
+            true
         } else {
-            // SAFETY: new chain never published.
-            unsafe { free_chain_now(new_head) };
-            Ok(())
+            // SAFETY: `new` never reached the mapping table; this thread
+            // holds the only pointer to it.
+            unsafe { free_chain_now(new) };
+            false
         }
     }
 
@@ -852,7 +798,8 @@ impl BwTree {
             }
             LeafChainInfo::Frozen => return,
         };
-        if self.fetch_install(pid, head, token, guard).is_ok() {
+        if let Ok(img) = self.store.fetch(pid, token) {
+            self.install_image(pid, token, img);
             self.consolidate_leaf(pid, guard);
         }
     }
@@ -880,16 +827,12 @@ impl BwTree {
             stored: None,
         })
         .into_raw();
-        if self.mapping.cas(pid, head, new_base) {
+        // SAFETY: `head` was loaded under `guard`; `new_base` is unpublished.
+        if unsafe { self.replace_chain(pid, head, new_base, guard) } {
             bump!(self.stats, consolidations);
             self.stats.maintenance();
-            // SAFETY: old chain unlinked by the CAS.
-            unsafe { retire_chain(guard, head) };
             self.maybe_split_leaf(pid, new_base, guard);
             self.maybe_merge_leaf(pid, new_base, guard);
-        } else {
-            // SAFETY: never published.
-            unsafe { free_chain_now(new_base) };
         }
     }
 
@@ -1336,15 +1279,11 @@ impl BwTree {
             right: merged.right,
         })
         .into_raw();
-        if self.mapping.cas(pid, head, new_base) {
+        // SAFETY: `head` was loaded under `guard`; `new_base` is unpublished.
+        if unsafe { self.replace_chain(pid, head, new_base, guard) } {
             bump!(self.stats, consolidations);
             self.stats.maintenance();
-            // SAFETY: unlinked by CAS.
-            unsafe { retire_chain(guard, head) };
             self.maybe_split_inner(pid, new_base, guard);
-        } else {
-            // SAFETY: never published.
-            unsafe { free_chain_now(new_base) };
         }
     }
 
@@ -1427,14 +1366,13 @@ impl BwTree {
         kind: FlushKind,
         guard: &Guard,
     ) -> Result<Option<u64>, TreeError> {
-        // Analyze the chain.
         // SAFETY: guard held.
         let analysis = unsafe { analyze_leaf_chain(head) };
-        match analysis {
+        let (token, new_head) = match analysis {
             LeafChainInfo::Frozen => {
                 // Mid-merge: the page is about to disappear into its left
                 // sibling; cache managers treat this like a vanished page.
-                Err(TreeError::PageNotFound(pid))
+                return Err(TreeError::PageNotFound(pid));
             }
             LeafChainInfo::MemBase {
                 deltas,
@@ -1443,34 +1381,25 @@ impl BwTree {
             } => {
                 // SAFETY: guard held (merge re-walks the same chain).
                 let merged = unsafe { merge_leaf_chain(head) }.expect("mem base merges");
-                let token = if deltas == 0 {
-                    match stored {
-                        Some(t) => t, // clean page, no write needed
-                        None => {
-                            let img = PageImage::base(
-                                merged.entries.clone(),
-                                merged.high_key.clone(),
-                                merged.right,
-                            );
-                            bump!(self.stats, full_flushes);
-                            self.store.write(pid, &img, None)?
-                        }
+                let token = match stored {
+                    Some(t) if deltas == 0 => t, // clean page, no write needed
+                    Some(t) if !has_split => {
+                        // Incremental flush: only the deltas travel.
+                        // SAFETY: guard held.
+                        let ops = unsafe { collect_unflushed_ops(head) };
+                        let img = PageImage::delta(ops, merged.high_key.clone(), merged.right);
+                        bump!(self.stats, incremental_flushes);
+                        self.store.write(pid, &img, Some(t))?
                     }
-                } else if let (Some(t), false) = (stored, has_split) {
-                    // Incremental flush: only the deltas travel.
-                    // SAFETY: guard held.
-                    let ops = unsafe { collect_unflushed_ops(head) };
-                    let img = PageImage::delta(ops, merged.high_key.clone(), merged.right);
-                    bump!(self.stats, incremental_flushes);
-                    self.store.write(pid, &img, Some(t))?
-                } else {
-                    let img = PageImage::base(
-                        merged.entries.clone(),
-                        merged.high_key.clone(),
-                        merged.right,
-                    );
-                    bump!(self.stats, full_flushes);
-                    self.store.write(pid, &img, None)?
+                    _ => {
+                        let img = PageImage::base(
+                            merged.entries.clone(),
+                            merged.high_key.clone(),
+                            merged.right,
+                        );
+                        bump!(self.stats, full_flushes);
+                        self.store.write(pid, &img, None)?
+                    }
                 };
                 let new_head = match kind {
                     FlushKind::FlushOnly => Node::LeafBase(LeafBase {
@@ -1487,46 +1416,12 @@ impl BwTree {
                     }
                     .into_raw(),
                     FlushKind::EvictBaseKeepDeltas => {
-                        let flash = Node::FlashBase {
-                            token,
-                            high_key: merged.high_key,
-                            right: merged.right,
-                        }
-                        .into_raw();
-                        // Keep record deltas (not splits/markers) in memory
-                        // purely as a read cache; they are already durable in
-                        // `token`, so a top marker prevents re-flushing them.
-                        let mut chain = flash;
                         // SAFETY: guard held.
-                        let record_deltas: Vec<&Node> = unsafe {
-                            chain_iter(head)
-                                .filter(|n| matches!(n, Node::Put { .. } | Node::Del { .. }))
-                                .collect()
-                        };
-                        for node in record_deltas.into_iter().rev() {
-                            chain = clone_delta(node, chain);
-                        }
-                        Node::FlushMarker { token, next: chain }.into_raw()
+                        let nodes: Vec<&Node> = unsafe { chain_iter(head) }.collect();
+                        record_cache_over_flash(token, merged.high_key, merged.right, &nodes)
                     }
                 };
-                if self.mapping.cas(pid, head, new_head) {
-                    match kind {
-                        FlushKind::EvictAll => {
-                            bump!(self.stats, evictions);
-                        }
-                        FlushKind::EvictBaseKeepDeltas => {
-                            bump!(self.stats, base_evictions);
-                        }
-                        FlushKind::FlushOnly => {}
-                    }
-                    // SAFETY: unlinked by CAS.
-                    unsafe { retire_chain(guard, head) };
-                    Ok(Some(token))
-                } else {
-                    // SAFETY: never published.
-                    unsafe { free_chain_now(new_head) };
-                    Ok(None)
-                }
+                (token, new_head)
             }
             LeafChainInfo::FlashBase {
                 durable_token,
@@ -1534,85 +1429,50 @@ impl BwTree {
                 high_key,
                 right,
             } => {
-                if unflushed == 0 {
+                let token = if unflushed == 0 {
                     if kind != FlushKind::EvictAll {
                         return Ok(Some(durable_token));
                     }
-                    let new_head = Node::FlashBase {
-                        token: durable_token,
-                        high_key,
-                        right,
-                    }
-                    .into_raw();
-                    if self.mapping.cas(pid, head, new_head) {
-                        bump!(self.stats, evictions);
-                        // SAFETY: unlinked.
-                        unsafe { retire_chain(guard, head) };
-                        return Ok(Some(durable_token));
-                    }
-                    // SAFETY: unpublished.
-                    unsafe { free_chain_now(new_head) };
-                    return Ok(None);
-                }
-                // Incremental flush of the unflushed deltas.
-                // SAFETY: guard held.
-                let ops = unsafe { collect_unflushed_ops(head) };
-                let img = PageImage::delta(ops, high_key.clone(), right);
-                bump!(self.stats, incremental_flushes);
-                let t2 = self.store.write(pid, &img, Some(durable_token))?;
+                    durable_token
+                } else {
+                    // Incremental flush of the unflushed deltas.
+                    // SAFETY: guard held.
+                    let ops = unsafe { collect_unflushed_ops(head) };
+                    let img = PageImage::delta(ops, high_key.clone(), right);
+                    bump!(self.stats, incremental_flushes);
+                    self.store.write(pid, &img, Some(durable_token))?
+                };
                 let new_head = match kind {
                     FlushKind::EvictAll => Node::FlashBase {
-                        token: t2,
+                        token,
                         high_key,
                         right,
                     }
                     .into_raw(),
                     FlushKind::FlushOnly | FlushKind::EvictBaseKeepDeltas => {
-                        let flash = Node::FlashBase {
-                            token: t2,
-                            high_key,
-                            right,
-                        }
-                        .into_raw();
-                        let mut chain = flash;
-                        // Keep the just-flushed deltas as the record cache.
+                        // Only the just-flushed deltas stay cached.
                         // SAFETY: guard held.
-                        let record_deltas: Vec<&Node> = unsafe {
-                            collect_nodes_above_marker(head)
-                                .into_iter()
-                                .filter(|n| matches!(n, Node::Put { .. } | Node::Del { .. }))
-                                .collect()
-                        };
-                        for node in record_deltas.into_iter().rev() {
-                            chain = clone_delta(node, chain);
-                        }
-                        Node::FlushMarker {
-                            token: t2,
-                            next: chain,
-                        }
-                        .into_raw()
+                        let nodes = unsafe { collect_nodes_above_marker(head) };
+                        record_cache_over_flash(token, high_key, right, &nodes)
                     }
                 };
-                if self.mapping.cas(pid, head, new_head) {
-                    match kind {
-                        FlushKind::EvictAll => {
-                            bump!(self.stats, evictions);
-                        }
-                        FlushKind::EvictBaseKeepDeltas => {
-                            bump!(self.stats, base_evictions);
-                        }
-                        FlushKind::FlushOnly => {}
-                    }
-                    // SAFETY: unlinked.
-                    unsafe { retire_chain(guard, head) };
-                    Ok(Some(t2))
-                } else {
-                    // SAFETY: unpublished.
-                    unsafe { free_chain_now(new_head) };
-                    Ok(None)
-                }
+                (token, new_head)
             }
+        };
+        // SAFETY: `head` was loaded under `guard`; `new_head` is unpublished.
+        if !unsafe { self.replace_chain(pid, head, new_head, guard) } {
+            return Ok(None);
         }
+        match kind {
+            FlushKind::EvictAll => {
+                bump!(self.stats, evictions);
+            }
+            FlushKind::EvictBaseKeepDeltas => {
+                bump!(self.stats, base_evictions);
+            }
+            FlushKind::FlushOnly => {}
+        }
+        Ok(Some(token))
     }
 
     /// Flush and fully evict a page: afterwards only a flash stub remains.
@@ -1689,8 +1549,14 @@ impl BwTree {
     /// Approximate total in-memory footprint: page chains plus the mapping
     /// table's fixed per-slot overhead.
     pub fn footprint_bytes(&self) -> usize {
-        let pages: usize = self.pages().iter().map(|p| p.mem_bytes).sum();
-        pages + self.mapping.high_water() as usize * 16
+        self.footprint_of(&self.pages())
+    }
+
+    /// [`BwTree::footprint_bytes`] of a [`BwTree::pages`] snapshot the
+    /// caller already holds.
+    pub fn footprint_of(&self, pages: &[PageInfo]) -> usize {
+        let chains: usize = pages.iter().map(|p| p.mem_bytes).sum();
+        chains + self.mapping.high_water() as usize * 16
     }
 
     /// Merged snapshot of the leaf owning `key` plus its high key (the
@@ -1723,8 +1589,8 @@ impl BwTree {
                         if let LeafChainInfo::FlashBase { durable_token, .. } =
                             analyze_leaf_chain(head)
                         {
-                            self.fetch_install(pid, head, durable_token, &guard)?;
-                            bump!(self.stats, ss_ops);
+                            let img = self.store.fetch(pid, durable_token)?;
+                            self.install_fetched(pid, durable_token, img);
                         }
                     }
                 }
@@ -2170,6 +2036,30 @@ unsafe fn collect_nodes_above_marker<'g>(head: *const Node) -> Vec<&'g Node> {
     out
 }
 
+/// A flash stub for durable state `token` with the record deltas among
+/// `nodes` (newest first) re-hung above it purely as a read cache (§6.3).
+/// They are already durable in `token`, so a top marker keeps them from
+/// being flushed again.
+fn record_cache_over_flash(
+    token: u64,
+    high_key: Option<Bytes>,
+    right: Option<PageId>,
+    nodes: &[&Node],
+) -> *mut Node {
+    let mut chain = Node::FlashBase {
+        token,
+        high_key,
+        right,
+    }
+    .into_raw();
+    for node in nodes.iter().rev() {
+        if matches!(node, Node::Put { .. } | Node::Del { .. }) {
+            chain = clone_delta(node, chain);
+        }
+    }
+    Node::FlushMarker { token, next: chain }.into_raw()
+}
+
 /// Clone a delta node onto a new `next` pointer.
 fn clone_delta(node: &Node, next: *mut Node) -> *mut Node {
     let cloned = match node {
@@ -2445,9 +2335,81 @@ mod tests {
             panic!("still evicted");
         };
         assert_eq!(t3, token2);
+        // The blocking read is the same steps driven to completion: one
+        // fetch, of the live token, answers with the newer value.
+        let fetches = t.stats().fetches;
+        assert_eq!(t.try_get(&kv(2).0), Ok(Some(b("newer"))));
+        assert_eq!(t.stats().fetches, fetches + 1);
+        // Evicting the now-clean page writes nothing, so the hand-driven
+        // read below still meets token2.
+        assert_eq!(t.evict_page(pid), Ok(token2));
         let img2 = store.fetch(pid, token2).unwrap();
         assert!(t.install_fetched(pid, token2, img2));
         assert_eq!(t.resume_get(&kv(2).0), TryGetAsync::Hit(Some(b("newer"))));
+    }
+
+    /// A store whose next fetch fails, after running a hook in the window
+    /// where the blocking read holds no guard and no lock.
+    #[derive(Default)]
+    struct FailNextFetch {
+        inner: MemStore,
+        before_failing: std::sync::Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    }
+
+    impl PageStore for FailNextFetch {
+        fn write(
+            &self,
+            pid: PageId,
+            img: &PageImage,
+            prev: Option<u64>,
+        ) -> Result<u64, StoreError> {
+            self.inner.write(pid, img, prev)
+        }
+
+        fn fetch(&self, pid: PageId, token: u64) -> Result<PageImage, StoreError> {
+            let hook = self.before_failing.lock().unwrap().take();
+            match hook {
+                Some(hook) => {
+                    hook();
+                    Err(StoreError::Io("injected".into()))
+                }
+                None => self.inner.fetch(pid, token),
+            }
+        }
+    }
+
+    #[test]
+    fn failed_fetch_fails_the_read_only_while_its_token_is_current() {
+        let store = Arc::new(FailNextFetch::default());
+        let t = Arc::new(BwTree::with_store(BwTreeConfig::default(), store.clone()));
+        for i in 0..10u32 {
+            let (k, v) = kv(i);
+            t.put(k, v);
+        }
+        let pid = t.pages().into_iter().find(|p| p.is_leaf).unwrap().pid;
+        t.evict_page(pid).unwrap();
+
+        // Nothing moves the leaf on: the failure is the read's answer.
+        *store.before_failing.lock().unwrap() = Some(Box::new(|| {}));
+        assert_eq!(
+            t.try_get(&kv(2).0),
+            Err(TreeError::Store(StoreError::Io("injected".into())))
+        );
+
+        // A writer supersedes the token while the fetch is out: the failed
+        // fetch is of a dead token, and the read carries on to the new one.
+        let writer = t.clone();
+        *store.before_failing.lock().unwrap() = Some(Box::new(move || {
+            writer.blind_update(kv(2).0, b("newer"));
+            writer.flush_page(pid, FlushKind::EvictAll).unwrap();
+        }));
+        let fetches = t.stats().fetches;
+        assert_eq!(t.try_get(&kv(2).0), Ok(Some(b("newer"))));
+        assert_eq!(
+            t.stats().fetches,
+            fetches + 1,
+            "only the live token installs"
+        );
     }
 
     #[test]

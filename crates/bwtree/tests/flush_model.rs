@@ -1,10 +1,12 @@
 //! Property test: the Bw-tree over a page store, under random interleaving
 //! of record operations and every cache-management transition — flush,
 //! evict-all, evict-base-keep-deltas — must stay equivalent to a
-//! `BTreeMap`.
+//! `BTreeMap` — and must count the same operations whether a miss is served
+//! by the blocking read or by a caller driving probe / fetch / install /
+//! resume by hand.
 
 use bytes::Bytes;
-use dcs_bwtree::{BwTree, BwTreeConfig, FlushKind, MemStore};
+use dcs_bwtree::{BwTree, BwTreeConfig, FlushKind, MemStore, PageStore, TryGetAsync};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -140,6 +142,62 @@ proptest! {
                 "post-evict {}",
                 k
             );
+        }
+    }
+
+    /// Twin trees take the same operations; one reads with `try_get`, the
+    /// other as `CachingStore::get_submit`/`poll_gets` do. Every counter —
+    /// `gets`, `mm_ops`, `ss_ops`, `fetches`, `record_cache_hits` and the
+    /// rest — must agree after every step.
+    #[test]
+    fn blocking_and_hand_driven_reads_count_alike(
+        ops in proptest::collection::vec(op_strategy(), 1..250)
+    ) {
+        let twin = || {
+            let store = Arc::new(MemStore::new());
+            (BwTree::with_store(BwTreeConfig::small_pages(), store.clone()), store)
+        };
+        let (blocking, _) = twin();
+        let (driven, driven_store) = twin();
+        for op in &ops {
+            if let Op::Get(k) = op {
+                let mut probe = driven.try_get_async(&key(*k));
+                let found = loop {
+                    match probe {
+                        TryGetAsync::Hit(found) => break found,
+                        TryGetAsync::NeedFetch { pid, token } => {
+                            let img = driven_store.fetch(pid, token).expect("fetch");
+                            driven.install_fetched(pid, token, img);
+                            probe = driven.resume_get(&key(*k));
+                        }
+                    }
+                };
+                prop_assert_eq!(blocking.try_get(&key(*k)).expect("get"), found, "get {}", k);
+            } else {
+                for tree in [&blocking, &driven] {
+                    match op {
+                        Op::Put(k, v) => tree.put(key(*k), Bytes::from(vec![*v])),
+                        Op::BlindUpdate(k, v) => tree.blind_update(key(*k), Bytes::from(vec![*v])),
+                        Op::Del(k) => tree.delete(key(*k)),
+                        Op::FlushAll(c) => {
+                            for p in tree.pages() {
+                                if p.is_leaf {
+                                    let _ = tree.flush_page(p.pid, c.kind());
+                                }
+                            }
+                        }
+                        Op::FlushOne(k, c) => {
+                            let _ = tree.flush_page(tree.locate_leaf(&key(*k)), c.kind());
+                        }
+                        Op::Scan(a, b) => {
+                            let (lo, hi) = (key(*a.min(b)), key(*a.max(b)));
+                            tree.range(&lo, Some(&hi)).for_each(|r| drop(r.expect("scan")));
+                        }
+                        Op::Get(_) => unreachable!(),
+                    }
+                }
+            }
+            prop_assert_eq!(blocking.stats(), driven.stats(), "after {:?}", op);
         }
     }
 }

@@ -145,8 +145,8 @@ pub struct BackendOpts {
 
 /// A constructed backend: the blocking [`KvStore`] handle plus, where the
 /// store supports it, the non-blocking [`AsyncKvStore`] handle over the
-/// same instance. Two fields because Rust 1.75 cannot upcast
-/// `Arc<dyn AsyncKvStore>` to `Arc<dyn KvStore>`.
+/// same instance. Two fields because the traits are still two
+/// (ROADMAP item 4) and `benchmark/` names both fields.
 pub struct BuiltBackend {
     /// Blocking operations (always available).
     pub kv: Arc<dyn KvStore + Send + Sync>,

@@ -270,7 +270,7 @@ impl CachingStore {
     /// caller keeps doing other work and reaps the result later with
     /// [`CachingStore::poll_gets`].
     pub fn get_submit(&self, key: &[u8]) -> Result<SubmittedGet, TreeError> {
-        let r = self.get_submit_inner(key);
+        let r = self.drive_miss(key, self.tree.try_get_async(key), None);
         if let Ok(submitted) = &r {
             let val_len = match submitted {
                 SubmittedGet::Ready(Some(v)) => v.len(),
@@ -282,35 +282,45 @@ impl CachingStore {
         r
     }
 
-    fn get_submit_inner(&self, key: &[u8]) -> Result<SubmittedGet, TreeError> {
-        let mut probe = self.tree.try_get_async(key);
+    /// Drive a read on from `probe` until it is answered or parked on a
+    /// device fetch: images the LSS has at hand are installed and the tree
+    /// re-probed. `miss_token` is the handle of a miss being resumed (a
+    /// chain continuation, or a token superseded mid-install, parks again
+    /// under the same handle); `None` mints one at the first park.
+    fn drive_miss(
+        &self,
+        key: &[u8],
+        mut probe: TryGetAsync,
+        miss_token: Option<u64>,
+    ) -> Result<SubmittedGet, TreeError> {
         loop {
-            match probe {
+            let (pid, token) = match probe {
                 TryGetAsync::Hit(v) => return Ok(SubmittedGet::Ready(v)),
-                TryGetAsync::NeedFetch { pid, token } => {
-                    match self.lss.fetch_submit(token).map_err(TreeError::Store)? {
-                        FetchSubmit::Ready(img) => {
-                            // A raced install loses harmlessly: the winner's
-                            // image is equivalent, and the re-probe below
-                            // sees whatever won.
-                            let _ = self.tree.install_fetched(pid, token, img);
-                        }
-                        FetchSubmit::Pending(fetch_id) => {
-                            let mut t = self.misses.lock();
-                            let miss_token = t.next_token;
-                            t.next_token += 1;
-                            t.by_fetch.insert(
-                                fetch_id,
-                                PendingMiss {
-                                    key: key.to_vec(),
-                                    pid,
-                                    token,
-                                    miss_token,
-                                },
-                            );
-                            return Ok(SubmittedGet::Pending(miss_token));
-                        }
-                    }
+                TryGetAsync::NeedFetch { pid, token } => (pid, token),
+            };
+            match self.lss.fetch_submit(token).map_err(TreeError::Store)? {
+                FetchSubmit::Ready(img) => {
+                    // A raced install loses harmlessly: the winner's image
+                    // is equivalent, and the re-probe below sees whatever
+                    // won.
+                    let _ = self.tree.install_fetched(pid, token, img);
+                }
+                FetchSubmit::Pending(fetch_id) => {
+                    let mut t = self.misses.lock();
+                    let miss_token = miss_token.unwrap_or_else(|| {
+                        t.next_token += 1;
+                        t.next_token - 1
+                    });
+                    t.by_fetch.insert(
+                        fetch_id,
+                        PendingMiss {
+                            key: key.to_vec(),
+                            pid,
+                            token,
+                            miss_token,
+                        },
+                    );
+                    return Ok(SubmittedGet::Pending(miss_token));
                 }
             }
             probe = self.tree.resume_get(key);
@@ -331,59 +341,31 @@ impl CachingStore {
                 // directly); nothing to resolve.
                 continue;
             };
-            let outcome = match c.result {
-                Ok(img) => {
-                    let _ = self.tree.install_fetched(miss.pid, miss.token, img);
-                    self.finish_miss(&miss)
-                }
-                // The fetch failed — but a concurrent writer may have
-                // superseded the token (rollup, GC) and installed the page
-                // behind us. A resume that hits still answers the read.
-                Err(e) => match self.tree.resume_get(&miss.key) {
-                    TryGetAsync::Hit(v) => Some(Ok(v)),
-                    TryGetAsync::NeedFetch { .. } => Some(Err(TreeError::Store(e))),
-                },
+            let installed = c
+                .result
+                .map(|img| self.tree.install_fetched(miss.pid, miss.token, img));
+            // A failed fetch fails the read only if the leaf still needs
+            // that token; otherwise a concurrent writer superseded it
+            // (rollup, GC) and the read carries on from the fresh probe.
+            let probe = self.tree.resume_get(&miss.key);
+            let outcome = match installed {
+                Err(e) if probe.needs_token(miss.token) => Err(TreeError::Store(e)),
+                _ => self.drive_miss(&miss.key, probe, Some(miss.miss_token)),
             };
             // No tick() here: the operation already ticked at submit, and
             // the sweep cadence must not depend on which path served it.
-            if let Some(result) = outcome {
-                out.push(FinishedGet {
-                    token: miss.miss_token,
-                    result,
-                });
-                resolved += 1;
-            }
+            let result = match outcome {
+                Ok(SubmittedGet::Pending(_)) => continue,
+                Ok(SubmittedGet::Ready(v)) => Ok(v),
+                Err(e) => Err(e),
+            };
+            out.push(FinishedGet {
+                token: miss.miss_token,
+                result,
+            });
+            resolved += 1;
         }
         resolved
-    }
-
-    /// Resume a miss after its fetch completed. `Some(result)` resolves the
-    /// read; `None` means a further fetch went pending (chain continuation
-    /// or a token superseded mid-install) under the same miss token.
-    fn finish_miss(&self, miss: &PendingMiss) -> Option<Result<Option<Bytes>, TreeError>> {
-        loop {
-            match self.tree.resume_get(&miss.key) {
-                TryGetAsync::Hit(v) => return Some(Ok(v)),
-                TryGetAsync::NeedFetch { pid, token } => match self.lss.fetch_submit(token) {
-                    Err(e) => return Some(Err(TreeError::Store(e))),
-                    Ok(FetchSubmit::Ready(img)) => {
-                        let _ = self.tree.install_fetched(pid, token, img);
-                    }
-                    Ok(FetchSubmit::Pending(fetch_id)) => {
-                        self.misses.lock().by_fetch.insert(
-                            fetch_id,
-                            PendingMiss {
-                                key: miss.key.clone(),
-                                pid,
-                                token,
-                                miss_token: miss.miss_token,
-                            },
-                        );
-                        return None;
-                    }
-                },
-            }
-        }
     }
 
     /// Misses currently in flight on the device.
@@ -450,17 +432,17 @@ impl CachingStore {
 
     /// Run one cache-management sweep now. Returns pages evicted.
     pub fn sweep(&self) -> Result<usize, TreeError> {
-        let evicted = self.cache.sweep(&self.tree)?;
-        self.report_occupancy();
+        let (evicted, footprint) = self.cache.sweep(&self.tree)?;
+        self.report_occupancy(footprint as u64);
         Ok(evicted)
     }
 
     /// Refresh the telemetry occupancy gauges (the rent terms of the cost
-    /// attribution) with this store's current footprints, as a delta
-    /// against what it last reported so shard stores sum process-wide.
-    fn report_occupancy(&self) {
+    /// attribution) with this store's current footprints — `dram` is the
+    /// tree's, as the sweep just measured it — as a delta against what it
+    /// last reported so shard stores sum process-wide.
+    fn report_occupancy(&self, dram: u64) {
         let ledger = dcs_telemetry::ledger();
-        let dram = self.tree.footprint_bytes() as u64;
         let prev = self.reported_dram.swap(dram, Ordering::Relaxed);
         ledger.add_dram_bytes(dram as i64 - prev as i64);
         let flash = self.lss.live_bytes() as u64;
@@ -680,6 +662,40 @@ mod tests {
         assert_eq!(a.ss_ops, b.ss_ops, "ss_ops diverge");
         assert_eq!(a.mm_ops, b.mm_ops, "mm_ops diverge");
         assert_eq!(a.fetches, b.fetches, "fetches diverge");
+    }
+
+    #[test]
+    fn failed_fetch_of_a_current_token_fails_both_read_paths() {
+        let mut b = StoreBuilder::small_test();
+        b.sweep_every_ops = 0;
+        let s = b.build();
+        for i in 0..200u32 {
+            let (k, v) = kv(i);
+            s.put(k, v);
+        }
+        // Everything durable on the device (not the write buffer), nothing
+        // resident, and no writer to supersede a token: a failed device
+        // read leaves the leaf needing exactly the token that failed.
+        s.checkpoint().unwrap();
+        for p in s.tree().pages().into_iter().filter(|p| p.is_leaf) {
+            s.tree().evict_page(p.pid).unwrap();
+        }
+        s.device()
+            .set_injector(dcs_flashsim::FailureInjector::failing_reads(1.0, 7));
+        let key = kv(3).0;
+        assert!(matches!(s.try_get(&key), Err(TreeError::Store(_))));
+        let SubmittedGet::Pending(token) = s.get_submit(&key).unwrap() else {
+            panic!("an evicted, flushed page must park on the device");
+        };
+        let mut out = Vec::new();
+        s.drain_gets(&mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].token, token);
+        assert!(matches!(out[0].result, Err(TreeError::Store(_))));
+        // The device recovers: both paths answer.
+        s.device()
+            .set_injector(dcs_flashsim::FailureInjector::disabled());
+        assert_eq!(s.try_get(&key).unwrap(), Some(kv(3).1));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! renting DRAM for. The [`EvictionPolicy::CostModel`] policy implements
 //! that rule directly; [`EvictionPolicy::Lru`] is the classic comparator.
 
-use dcs_bwtree::{BwTree, FlushKind, ResidencyState, TreeError};
+use dcs_bwtree::{BwTree, FlushKind, PageInfo, ResidencyState, TreeError};
 use dcs_flashsim::VirtualClock;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -107,79 +107,82 @@ impl CacheManager {
         }
     }
 
-    /// One policy sweep over the tree. Returns pages evicted.
+    /// One policy sweep over the tree. Returns pages evicted and the
+    /// tree's footprint after the sweep.
     ///
     /// Propagates the tree's virtual time from the clock, applies the
     /// cost-model interval rule (if configured), then enforces the memory
-    /// budget by LRU.
-    pub fn sweep(&self, tree: &BwTree) -> Result<usize, TreeError> {
+    /// budget by LRU — all over one [`BwTree::pages`] snapshot, the
+    /// footprint following each eviction by the bytes it released.
+    pub fn sweep(&self, tree: &BwTree) -> Result<(usize, usize), TreeError> {
         // ORDERING: statistics counter only.
         self.sweeps.fetch_add(1, Ordering::Relaxed);
         let _span = dcs_telemetry::span("llama.cache_sweep", dcs_telemetry::CostClass::Maintenance);
         dcs_telemetry::ledger().maintenance_op();
         let now = self.clock.now();
         tree.set_vtime(now);
+        let pages = tree.pages();
+        let mut footprint = tree.footprint_of(&pages);
         let mut evicted = 0usize;
 
         // Phase 1 — cost-model rule: any leaf colder than Ti goes to flash,
         // regardless of memory pressure (it is cheaper there).
-        if let EvictionPolicy::CostModel { ti_nanos } = self.config.policy {
-            for page in tree.pages() {
-                if !page.is_leaf || page.residency != ResidencyState::Resident {
-                    continue;
-                }
-                if now.saturating_sub(page.last_access) > ti_nanos
-                    && self.evict_one(tree, page.pid, page.mem_bytes)?.is_some()
-                {
-                    evicted += 1;
-                }
+        let ti_nanos = match self.config.policy {
+            EvictionPolicy::CostModel { ti_nanos } => Some(ti_nanos),
+            EvictionPolicy::Lru => None,
+        };
+        let mut resident = Vec::new();
+        for page in pages {
+            if !page.is_leaf || page.residency != ResidencyState::Resident {
+                continue;
+            }
+            let cold = ti_nanos.is_some_and(|ti| now.saturating_sub(page.last_access) > ti);
+            if cold && self.evict_one(tree, &page, &mut footprint)? {
+                evicted += 1;
+            } else {
+                resident.push(page);
             }
         }
 
-        // Phase 2 — budget enforcement, coldest first.
-        let mut footprint = tree.footprint_bytes();
+        // Phase 2 — budget enforcement over what is still resident,
+        // coldest first.
         if footprint > self.config.memory_budget {
-            let mut candidates: Vec<_> = tree
-                .pages()
-                .into_iter()
-                .filter(|p| p.is_leaf && p.residency == ResidencyState::Resident)
-                .collect();
-            candidates.sort_by_key(|p| p.last_access);
-            for page in candidates {
+            resident.sort_by_key(|p| p.last_access);
+            for page in &resident {
                 if footprint <= self.config.memory_budget {
                     break;
                 }
-                if let Some(released) = self.evict_one(tree, page.pid, page.mem_bytes)? {
+                if self.evict_one(tree, page, &mut footprint)? {
                     evicted += 1;
-                    footprint = footprint.saturating_sub(released);
                 }
             }
         }
-        Ok(evicted)
+        Ok((evicted, footprint))
     }
 
-    /// Evict one page; returns the bytes actually released (the page's
-    /// in-memory stub remains, so this is less than its resident size).
+    /// Evict one page of a sweep's snapshot, moving `footprint` by what that
+    /// changed (the page's in-memory stub remains, so less than its
+    /// resident size). `Ok(false)` = the page vanished under a racing SMO.
     fn evict_one(
         &self,
         tree: &BwTree,
-        pid: dcs_bwtree::PageId,
-        bytes_before: usize,
-    ) -> Result<Option<usize>, TreeError> {
-        match tree.flush_page(pid, self.flush_kind()) {
+        page: &PageInfo,
+        footprint: &mut usize,
+    ) -> Result<bool, TreeError> {
+        match tree.flush_page(page.pid, self.flush_kind()) {
             Ok(_) => {
-                let bytes_after = tree.page_info(pid).map(|p| p.mem_bytes).unwrap_or(0);
-                let released = bytes_before.saturating_sub(bytes_after);
+                let bytes_after = tree.page_info(page.pid).map(|p| p.mem_bytes).unwrap_or(0);
+                *footprint = (*footprint + bytes_after).saturating_sub(page.mem_bytes);
+                let released = page.mem_bytes.saturating_sub(bytes_after) as u64;
                 // ORDERING: statistics counters; eviction correctness
                 // is carried by the tree's own page-state atomics.
                 self.pages_evicted.fetch_add(1, Ordering::Relaxed);
                 // ORDERING: as above.
-                self.bytes_released
-                    .fetch_add(released as u64, Ordering::Relaxed);
-                Ok(Some(released))
+                self.bytes_released.fetch_add(released, Ordering::Relaxed);
+                Ok(true)
             }
             // A page can disappear or change level under a racing SMO.
-            Err(TreeError::InnerPageNotEvictable(_)) | Err(TreeError::PageNotFound(_)) => Ok(None),
+            Err(TreeError::InnerPageNotEvictable(_)) | Err(TreeError::PageNotFound(_)) => Ok(false),
             Err(e) => Err(e),
         }
     }
@@ -266,9 +269,10 @@ mod tests {
             },
             clock,
         );
-        let evicted = mgr.sweep(&tree).unwrap();
+        let (evicted, swept_to) = mgr.sweep(&tree).unwrap();
         assert!(evicted > 0);
         let after = tree.footprint_bytes();
+        assert_eq!(swept_to, after, "the sweep's running footprint drifted");
         assert!(
             after < before,
             "footprint should shrink: {before} -> {after}"
@@ -318,8 +322,9 @@ mod tests {
             },
             clock,
         );
-        let evicted = mgr.sweep(&tree).unwrap();
+        let (evicted, swept_to) = mgr.sweep(&tree).unwrap();
         assert!(evicted > 0, "cold pages should be evicted");
+        assert_eq!(swept_to, tree.footprint_bytes());
         // The hot leaf (first keys) must remain resident.
         let hot_hits_before = tree.stats().fetches;
         tree.get(&kv(0).0);

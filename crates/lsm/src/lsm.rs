@@ -244,8 +244,9 @@ impl LsmTree {
         self.stats
             .app_bytes_in
             .fetch_add((key.len() + value.len()) as u64, Ordering::Relaxed);
-        let memtable = self.state.read().memtable.clone();
-        memtable.put(key, value);
+        // Under the state lock: a rotation (which takes it for writing)
+        // must not snapshot this memtable between the load and the insert.
+        self.state.read().memtable.put(key, value);
         self.maybe_flush()
     }
 
@@ -256,8 +257,8 @@ impl LsmTree {
         self.stats
             .app_bytes_in
             .fetch_add(key.len() as u64, Ordering::Relaxed);
-        let memtable = self.state.read().memtable.clone();
-        memtable.delete(key);
+        // Under the state lock, as in `put`.
+        self.state.read().memtable.delete(key);
         self.maybe_flush()
     }
 

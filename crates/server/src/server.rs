@@ -56,9 +56,10 @@ impl Default for ServerConfig {
 
 /// One shard's store handles: the blocking [`KvStore`] plus, when the
 /// store supports submit/poll reads, the [`AsyncKvStore`] over the same
-/// instance (two fields because `Arc<dyn AsyncKvStore>` cannot be upcast
-/// on this toolchain). Mirrors `dcs_core::BuiltBackend` without making
-/// this crate depend on the concrete store types.
+/// instance (two fields because the traits are still two — ROADMAP item
+/// 4 — and `benchmark/` constructs this struct by field). Mirrors
+/// `dcs_core::BuiltBackend` without making this crate depend on the
+/// concrete store types.
 pub struct ShardBackend {
     /// Blocking operations (always required).
     pub kv: Arc<dyn KvStore + Send + Sync>,

@@ -3,7 +3,7 @@
 //! with zero dropped acknowledged writes, and the existing workload
 //! `Runner` driving a server over TCP through the client's `KvStore` impl.
 
-use dcs_core::BackendKind;
+use dcs_core::{BackendKind, BackendOpts};
 use dcs_server::protocol::{Request, Response};
 use dcs_server::{
     Client, ClientConfig, MissMode, Partitioner, Server, ServerConfig, ShardBackend, ShardConfig,
@@ -414,6 +414,80 @@ fn sync_miss_mode_blocks_queued_hits() {
     client.close();
     let report = server.shutdown();
     assert_eq!(report.shards[0].misses, 1);
+}
+
+/// The real store served the way the benchmark's wire workloads and CI's
+/// loadgen runs serve it: `build_shards_with` hands `Server::start_with`
+/// the submit/poll handle, so a GET that needs flash parks on the device
+/// instead of blocking the shard. Without the handle (`async_kv: None`,
+/// what `Server::start` passes) no miss is ever counted or parked.
+#[test]
+fn caching_store_serves_parked_misses_through_its_async_handle() {
+    const RECORDS: u64 = 6_000;
+    const WINDOW: usize = 128;
+    let backends = BackendKind::Caching
+        .build_shards_with(
+            2,
+            BackendOpts {
+                memory_budget: Some(64 << 10),
+                ..BackendOpts::default()
+            },
+        )
+        .into_iter()
+        .map(|b| ShardBackend {
+            kv: b.kv,
+            async_kv: b.async_kv,
+        })
+        .collect();
+    let server = Server::start_with(
+        backends,
+        Partitioner::from_splits(keys::range_splits(RECORDS, 2)),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let client = Client::connect(server.addr(), ClientConfig::default()).unwrap();
+
+    // Pipelined, a window at a time so no mailbox overflows into BUSY.
+    let ids: Vec<u64> = (0..RECORDS).collect();
+    for window in ids.chunks(WINDOW) {
+        let tickets: Vec<_> = window
+            .iter()
+            .map(|&id| {
+                let (key, value) = (keys::encode(id).to_vec(), keys::value_for(id, 1, 100));
+                client.submit(Request::Put { key, value }).unwrap()
+            })
+            .collect();
+        for t in tickets {
+            assert!(matches!(t.wait().unwrap(), Response::Ok));
+        }
+    }
+    for window in ids.chunks(WINDOW) {
+        let tickets: Vec<_> = window
+            .iter()
+            .map(|&id| {
+                let key = keys::encode(id).to_vec();
+                client.submit(Request::Get { key }).unwrap()
+            })
+            .collect();
+        for (&id, t) in window.iter().zip(tickets) {
+            match t.wait().unwrap() {
+                Response::Value(Some(v)) => assert_eq!(keys::parse_value(&v), Some((id, 1))),
+                other => panic!("read {id}: {other:?}"),
+            }
+        }
+    }
+
+    client.close();
+    let report = server.shutdown();
+    let parked: Vec<_> = report
+        .shards
+        .iter()
+        .map(|s| (s.misses, s.parked_peak))
+        .collect();
+    assert!(
+        parked.iter().any(|&(misses, peak)| misses > 0 && peak > 0),
+        "no GET parked on the device: {parked:?}"
+    );
 }
 
 /// The pooled client is a `KvStore`, so the stock workload runner can
