@@ -20,7 +20,6 @@ pub fn parse_bench_server(json: &str) -> Option<MissServiceMeasurement> {
         hit_p95_us = hit_p95_us.max(shard.at(&["read_latency", "p95_us"])?.as_f64()?);
     }
     Some(MissServiceMeasurement {
-        miss_mode: doc.get("miss_mode")?.as_str()?.to_string(),
         device_latency_nanos: count(&["device_latency_nanos"])?,
         throughput_ops_per_sec: num(&["throughput_ops_per_sec"])?,
         misses: count(&["miss_service", "misses"])?,
@@ -81,7 +80,7 @@ mod tests {
     /// blocks and carries its own `latency`/`mean_us` keys: the reader
     /// navigates by path, so key order and repeated key names are
     /// irrelevant.
-    fn doc(mode: &str, miss_mean: f64, miss_p95: f64, depth_mean: f64) -> String {
+    fn doc(miss_mean: f64, miss_p95: f64, depth_mean: f64) -> String {
         format!(
             r#"{{
   "bench": "server",
@@ -90,7 +89,6 @@ mod tests {
   ],
   "backend": "caching",
   "mode": "open",
-  "miss_mode": "{mode}",
   "device_latency_nanos": 400000,
   "throughput_ops_per_sec": 2900.123,
   "shards_detail": [
@@ -106,8 +104,7 @@ mod tests {
 
     #[test]
     fn parses_the_report_shape() {
-        let m = parse_bench_server(&doc("async", 900.0, 2218.0, 1.276)).unwrap();
-        assert_eq!(m.miss_mode, "async");
+        let m = parse_bench_server(&doc(900.0, 2218.0, 1.276)).unwrap();
         assert_eq!(m.device_latency_nanos, 400_000);
         assert_eq!(m.misses, 500);
         assert_eq!(m.parked_peak, 8);
@@ -127,7 +124,7 @@ mod tests {
         assert!(parse_bench_server("{\"bench\": \"server\"}").is_none());
         assert!(parse_bench_server("not json").is_none());
         // A mistyped field is a rejection, not a silent zero.
-        let bad = doc("async", 900.0, 2218.0, 1.276).replace("\"max\": 9", "\"max\": \"9\"");
+        let bad = doc(900.0, 2218.0, 1.276).replace("\"max\": 9", "\"max\": \"9\"");
         assert!(parse_bench_server(&bad).is_none());
     }
 

@@ -338,6 +338,28 @@ pub(crate) unsafe fn retire_chain(guard: &Guard, head: *mut Node) {
     });
 }
 
+/// Retire one published node — not the chain below it — through the
+/// guard's collector: a delta that was CASed back out of its slot, leaving
+/// the node under it live again (a rolled-back merge freeze). A reader
+/// pinned before the unlink may still be walking it, so it cannot be freed
+/// at once, and its `next` must not be freed with it.
+///
+/// # Safety
+/// `node` must have been atomically unlinked from the mapping table (no
+/// new references can form) and must not be retired twice.
+pub(crate) unsafe fn retire_node(guard: &Guard, node: *mut Node) {
+    #[cfg(feature = "check")]
+    dcs_check::shadow::on_retire(node as *const Node);
+    let addr = node as usize;
+    guard.defer(move || {
+        #[cfg(feature = "check")]
+        dcs_check::shadow::on_free(addr as *const Node);
+        // SAFETY: unlinked and the grace period has elapsed. Dropping the
+        // box frees this node only: `next` is a raw pointer.
+        drop(unsafe { Box::from_raw(addr as *mut Node) });
+    });
+}
+
 /// Free a chain immediately. Only for never-published chains (e.g. a failed
 /// split's orphan page) and for teardown in `Drop` when no readers exist.
 pub(crate) unsafe fn free_chain_now(head: *mut Node) {

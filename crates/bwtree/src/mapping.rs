@@ -77,10 +77,14 @@ impl MappingTable {
 
     pub(crate) fn load(&self, pid: PageId) -> *mut Node {
         let head = self.slots[pid as usize].head.load(Ordering::SeqCst);
-        // A published head must never point at reclaimed memory; surfacing
-        // it at the load keeps the checker's report close to the bad unlink.
+        // A reader may be preempted between loading a head and walking the
+        // chain it names: the window the epoch guard exists for. Yield there
+        // so the checker explores it, then check the head was not reclaimed
+        // meanwhile. A node unlinked and freed without a grace period
+        // surfaces here, close to the bad unlink.
         #[cfg(feature = "check")]
         if !head.is_null() {
+            dcs_check::scheduler::schedule_point();
             dcs_check::shadow::on_access(head);
         }
         head

@@ -3,7 +3,7 @@
 
 use crate::config::BwTreeConfig;
 use crate::delta::{
-    chain_iter, chain_shape, free_chain_now, retire_chain, InnerBase, LeafBase, Node,
+    chain_iter, chain_shape, free_chain_now, retire_chain, retire_node, InnerBase, LeafBase, Node,
 };
 use crate::mapping::{MappingTable, PageId};
 use crate::page::{DeltaOp, PageImage};
@@ -934,7 +934,10 @@ impl BwTree {
         }
         // SAFETY: guard held.
         unsafe {
-            if (*r_head).is_inner() {
+            // A page frozen by a concurrent merge of the same pair stays
+            // that merge's to absorb or roll back: stacking a second freeze
+            // on it would make the first merge's unlink CAS fail.
+            if (*r_head).is_inner() || matches!(*r_head, Node::RemoveNode { .. }) {
                 return;
             }
         }
@@ -954,10 +957,7 @@ impl BwTree {
         // A page reachable only as its parent's first child (sep is that
         // parent's low fence) cannot be merged from the left.
         if !self.parent_has_exact_entry(right_pid, pid, &sep, guard) {
-            let ok = self.mapping.cas(right_pid, remove, r_head);
-            debug_assert!(ok, "freeze rollback must succeed");
-            // SAFETY: never observed as committed state by writers.
-            unsafe { drop(Box::from_raw(remove)) };
+            self.unfreeze(right_pid, remove, r_head, guard);
             return;
         }
 
@@ -966,10 +966,7 @@ impl BwTree {
         // SAFETY: the chain below the freeze is immutable now.
         let folded = unsafe { merge_leaf_chain(r_head) };
         let Some(folded) = folded else {
-            let ok = self.mapping.cas(right_pid, remove, r_head);
-            debug_assert!(ok, "freeze rollback must succeed");
-            // SAFETY: never observed as published state by writers.
-            unsafe { drop(Box::from_raw(remove)) };
+            self.unfreeze(right_pid, remove, r_head, guard);
             return;
         };
         let mut attempts = 0;
@@ -986,10 +983,7 @@ impl BwTree {
                     .any(|n| matches!(n, Node::RemoveNode { .. } | Node::FlashBase { .. }))
             };
             if l_unmergeable || attempts > 8 {
-                let ok = self.mapping.cas(right_pid, remove, r_head);
-                debug_assert!(ok, "freeze rollback must succeed");
-                // SAFETY: as above.
-                unsafe { drop(Box::from_raw(remove)) };
+                self.unfreeze(right_pid, remove, r_head, guard);
                 return;
             }
             let absorb = Node::Absorb {
@@ -1024,6 +1018,18 @@ impl BwTree {
         debug_assert!(ok, "nobody else may replace a frozen chain");
         // SAFETY: unlinked by the CAS above.
         unsafe { retire_chain(guard, remove) };
+    }
+
+    /// Roll a merge freeze back: swing `pid` from the published `remove`
+    /// delta back to `r_head`, which is live again, and retire `remove`
+    /// alone. A reader that loaded the frozen head may still be walking
+    /// it, so it is not freed before the grace period.
+    fn unfreeze(&self, pid: PageId, remove: *mut Node, r_head: *mut Node, guard: &Guard) {
+        let ok = self.mapping.cas(pid, remove, r_head);
+        debug_assert!(ok, "freeze rollback must succeed");
+        // SAFETY: unlinked by the CAS above (only this merge may replace
+        // its own freeze), and retired once, here.
+        unsafe { retire_node(guard, remove) };
     }
 
     /// Whether some inner page holds an explicit routing entry

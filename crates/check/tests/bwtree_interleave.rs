@@ -166,3 +166,72 @@ fn scan_merge_race() {
         },
     );
 }
+
+/// Point reads race merges whose freeze rolls back. Forty-eight keys
+/// settle into leaves of four under small pages, and the leaf holding
+/// keys 28..32 is the first child of its inner page. Emptying the leaf to
+/// its left makes that leaf try to absorb it; a merge may not cross a
+/// parent boundary, so every attempt freezes the sibling and then rolls
+/// the freeze back. A reader that loaded the frozen head before the
+/// rollback may still be walking the `RemoveNode`, so the rollback must
+/// retire it through the epoch, not free it: the shadow heap reports a
+/// use-after-free otherwise.
+#[test]
+fn read_merge_rollback_race() {
+    const EMPTIED: std::ops::Range<usize> = 24..28;
+    const READ: std::ops::Range<usize> = 28..32;
+    explore_with(
+        "bwtree-read-merge-rollback",
+        // Random, not PCT: a detection needs the reader preempted twice,
+        // once to load the frozen head and once right after.
+        Config {
+            seeds: 0..200,
+            ..Config::default()
+        },
+        || {
+            let tree = Arc::new(BwTree::in_memory(BwTreeConfig::small_pages()));
+            for i in 0..48 {
+                tree.put(key(i), fat_value(i));
+            }
+
+            let deleter = {
+                let tree = tree.clone();
+                dcs_check::thread::spawn(move || {
+                    // A leaf consolidates, and so tries to merge, once four
+                    // deltas sit on it: three rounds, three rollbacks.
+                    for _ in 0..3 {
+                        for i in EMPTIED {
+                            tree.delete(key(i));
+                        }
+                    }
+                })
+            };
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    let tree = tree.clone();
+                    dcs_check::thread::spawn(move || {
+                        for i in READ.chain(READ) {
+                            assert_eq!(
+                                tree.get(&key(i)).as_deref(),
+                                Some(fat_value(i).as_slice()),
+                                "live key {i} lost while a merge rolled back"
+                            );
+                        }
+                    })
+                })
+                .collect();
+            deleter.join().unwrap();
+            for r in readers {
+                r.join().unwrap();
+            }
+
+            assert_eq!(tree.stats().leaf_merges, 0, "a merge crossed a parent");
+            for i in EMPTIED {
+                assert_eq!(tree.get(&key(i)), None, "deleted key {i} resurrected");
+            }
+            let guard = dcs_ebr::pin();
+            tree.audit(&guard)
+                .expect("structural audit after rolled-back merges");
+        },
+    );
+}

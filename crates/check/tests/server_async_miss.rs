@@ -8,7 +8,7 @@
 
 use dcs_check::explore_with;
 use dcs_server::protocol::{Request, Response};
-use dcs_server::shard::{Mail, MissMode, Partitioner, ReplySink, Shard, ShardConfig};
+use dcs_server::shard::{Mail, Partitioner, ReplySink, Shard, ShardConfig};
 use dcs_tc::RecoveryLog;
 use dcs_workload::{AsyncGet, AsyncKvStore, CompletedGet, KvStore, StoreFailure};
 use std::collections::BTreeMap;
@@ -87,7 +87,7 @@ impl ReplySink for Ledger {
 }
 
 /// A producer offers a mix of missing and hitting GETs and then closes
-/// the mailbox while the async-mode worker is mid-drain. Every request
+/// the mailbox while the worker is mid-drain. Every request
 /// must resolve exactly once: served with the right value, or refused
 /// with a shutdown error at the mailbox — never parked-and-forgotten.
 #[test]
@@ -106,7 +106,6 @@ fn shutdown_answers_every_parked_miss() {
             store.kv_put(b"hot".to_vec(), b"h".to_vec()).unwrap();
             let backends: Arc<Vec<Arc<dyn KvStore + Send + Sync>>> = Arc::new(vec![store.clone()]);
             let cfg = ShardConfig {
-                miss_mode: MissMode::Async,
                 batch_max: 2,
                 ..ShardConfig::default()
             };

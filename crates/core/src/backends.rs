@@ -56,12 +56,7 @@ impl BackendKind {
         }
     }
 
-    /// Build one workload-ready store instance (test-scale configuration).
-    pub fn build(&self) -> Arc<dyn KvStore + Send + Sync> {
-        self.build_with(BackendOpts::default()).kv
-    }
-
-    /// Build one instance with explicit options, returning both the
+    /// Build one instance (test-scale configuration), returning both the
     /// blocking handle and (for the flash-backed stores) the asynchronous
     /// submit/poll handle.
     pub fn build_with(&self, opts: BackendOpts) -> BuiltBackend {
@@ -121,12 +116,6 @@ impl BackendKind {
     /// Build `n` independent instances — one per shard of a shared-nothing
     /// serving layer (each owns a disjoint key range, so they never share
     /// state).
-    pub fn build_shards(&self, n: usize) -> Vec<Arc<dyn KvStore + Send + Sync>> {
-        (0..n).map(|_| self.build()).collect()
-    }
-
-    /// [`BackendKind::build_shards`] with explicit options and async
-    /// handles.
     pub fn build_shards_with(&self, n: usize, opts: BackendOpts) -> Vec<BuiltBackend> {
         (0..n).map(|_| self.build_with(opts)).collect()
     }

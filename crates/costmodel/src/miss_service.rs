@@ -1,5 +1,4 @@
-//! §7-style what-if grounded in measurement: blocking vs polled miss
-//! service.
+//! §7-style what-if grounded in measurement: polled miss service.
 //!
 //! The serving layer's load generator emits `BENCH_server.json` with a
 //! `miss_service` block (wire-level latency of device-served GETs) and an
@@ -8,8 +7,8 @@
 //! service time to raw device latency is the queueing expansion a miss
 //! suffers on its way through the shard, and it inflates the paper's `R`
 //! factor (§2.1) the same way a slow I/O path does in Figure 7. Rendering
-//! Figure-1-style relative-performance curves at the sync-measured and
-//! async-measured effective `R` shows what the polled engine buys in the
+//! Figure-1-style relative-performance curves at the ideal and the
+//! measured effective `R` shows what the served miss path costs in the
 //! model's own currency, not just in latency histograms.
 //!
 //! Reading the report is `dcs-bench`'s job (`dcs_bench::report`); this
@@ -21,8 +20,6 @@ use crate::mixed;
 /// The slice of a `BENCH_server.json` document this figure consumes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MissServiceMeasurement {
-    /// `"sync"` (blocking miss path) or `"async"` (parked-miss path).
-    pub miss_mode: String,
     /// Injected device read latency, nanoseconds (`--device-latency`).
     pub device_latency_nanos: u64,
     /// Completed wire operations per second.
@@ -47,7 +44,7 @@ pub struct MissServiceMeasurement {
 impl MissServiceMeasurement {
     /// Queueing expansion of a miss: measured mean service time over the
     /// raw device read latency. 1.0 means misses ran at device speed;
-    /// a blocking path serving a burst of `k` misses approaches
+    /// serving a burst of `k` misses one at a time would approach
     /// `(k + 1) / 2`. Falls back to 1.0 when the report carries no
     /// injected latency or no misses.
     pub fn expansion(&self) -> f64 {
@@ -66,42 +63,26 @@ impl MissServiceMeasurement {
     }
 }
 
-/// Measured sync-over-async improvement on the p95 of miss service.
-pub fn p95_speedup(sync: &MissServiceMeasurement, asynch: &MissServiceMeasurement) -> f64 {
-    if asynch.miss_p95_us <= 0.0 {
-        return 1.0;
-    }
-    sync.miss_p95_us / asynch.miss_p95_us
-}
-
 /// The figure: relative performance vs SS-fraction `F` (Equation 2) at
-/// the ideal `R` and at the effective `R` measured under each miss mode.
-/// The polled engine's curve sits between the ideal and the blocking
-/// curve; the gap at the run's actual `F` is the modelled cost of
-/// serving misses one at a time.
+/// the ideal `R` and at the effective `R` the measurement implies. The
+/// gap at the run's actual `F` is the modelled cost of the queueing a
+/// miss met on its way through the shard.
 pub fn miss_service_curves(
     r_device: f64,
-    sync: &MissServiceMeasurement,
-    asynch: &MissServiceMeasurement,
+    m: &MissServiceMeasurement,
     samples: usize,
 ) -> Vec<Series> {
     let xs = linspace(0.0, 1.0, samples);
     let ideal = r_device;
-    let r_sync = sync.effective_r(r_device);
-    let r_async = asynch.effective_r(r_device);
+    let polled = m.effective_r(r_device);
     vec![
         Series::sample(format!("ideal device (R = {ideal:.1})"), &xs, move |f| {
             mixed::relative_performance(f, ideal)
         }),
         Series::sample(
-            format!("polled miss service (R = {r_async:.1})"),
+            format!("polled miss service (R = {polled:.1})"),
             &xs,
-            move |f| mixed::relative_performance(f, r_async),
-        ),
-        Series::sample(
-            format!("blocking miss service (R = {r_sync:.1})"),
-            &xs,
-            move |f| mixed::relative_performance(f, r_sync),
+            move |f| mixed::relative_performance(f, polled),
         ),
     ]
 }
@@ -111,16 +92,15 @@ mod tests {
     use super::*;
 
     /// A measurement as the report reader would hand it over: a 400 us
-    /// device read, 500 misses, the given miss-service latencies.
-    fn measured(mode: &str, miss_mean_us: f64, miss_p95_us: f64) -> MissServiceMeasurement {
+    /// device read, 500 misses, the given mean miss-service latency.
+    fn measured(miss_mean_us: f64) -> MissServiceMeasurement {
         MissServiceMeasurement {
-            miss_mode: mode.into(),
             device_latency_nanos: 400_000,
             throughput_ops_per_sec: 2900.123,
             misses: 500,
             parked_peak: 8,
             miss_mean_us,
-            miss_p95_us,
+            miss_p95_us: 2218.0,
             hit_p95_us: 129.0,
             io_depth_mean: 1.276,
             io_depth_max: 9,
@@ -128,41 +108,35 @@ mod tests {
     }
 
     #[test]
-    fn expansion_inflates_r_for_the_blocking_mode() {
-        // Device read is 400 µs; blocking misses averaged 1600 µs
-        // (4× queueing expansion), polled misses 480 µs (1.2×).
-        let sync = measured("sync", 1600.0, 4503.0);
-        let asynch = measured("async", 480.0, 2218.0);
-        assert!((sync.expansion() - 4.0).abs() < 1e-9);
-        assert!((asynch.expansion() - 1.2).abs() < 1e-9);
-        assert!(sync.effective_r(10.0) > asynch.effective_r(10.0));
-        assert!(p95_speedup(&sync, &asynch) > 2.0);
+    fn expansion_inflates_r_by_the_measured_queueing() {
+        // Device read is 400 µs; misses averaged 480 µs end to end.
+        let m = measured(480.0);
+        assert!((m.expansion() - 1.2).abs() < 1e-9);
+        assert!((m.effective_r(10.0) - 12.0).abs() < 1e-9);
+        // A miss cannot be served faster than the device reads.
+        assert!((measured(300.0).expansion() - 1.0).abs() < 1e-9);
     }
 
     #[test]
-    fn curves_order_ideal_above_polled_above_blocking() {
-        let sync = measured("sync", 1600.0, 4503.0);
-        let asynch = measured("async", 480.0, 2218.0);
-        let curves = miss_service_curves(10.0, &sync, &asynch, 21);
-        assert_eq!(curves.len(), 3);
-        // Skip F = 0 where all three coincide at 1.0.
-        for i in 1..21 {
-            let (ideal, polled, blocking) = (
-                curves[0].points[i].1,
-                curves[1].points[i].1,
-                curves[2].points[i].1,
-            );
-            assert!(
-                ideal >= polled && polled > blocking,
-                "at F = {}: ideal {ideal}, polled {polled}, blocking {blocking}",
-                curves[0].points[i].0
-            );
+    fn ideal_curve_bounds_the_polled_curve() {
+        for mean in [400.0, 480.0, 1600.0] {
+            let curves = miss_service_curves(10.0, &measured(mean), 21);
+            assert_eq!(curves.len(), 2);
+            // Skip F = 0 where both coincide at 1.0.
+            for i in 1..21 {
+                let (ideal, polled) = (curves[0].points[i].1, curves[1].points[i].1);
+                assert!(
+                    ideal >= polled,
+                    "mean {mean} us at F = {}: ideal {ideal}, polled {polled}",
+                    curves[0].points[i].0
+                );
+            }
         }
     }
 
     #[test]
     fn zero_injected_latency_degrades_to_the_ideal_curve() {
-        let mut m = measured("async", 480.0, 2218.0);
+        let mut m = measured(480.0);
         m.device_latency_nanos = 0;
         assert!((m.expansion() - 1.0).abs() < 1e-9);
         assert!((m.effective_r(9.0) - 9.0).abs() < 1e-9);

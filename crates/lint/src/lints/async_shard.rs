@@ -1,12 +1,12 @@
-//! Async-shard non-blocking lint: nothing reachable from the async
-//! drain loop may block the shard thread.
+//! Async-shard non-blocking lint: nothing reachable from the shard
+//! worker loop may block the shard thread.
 //!
-//! The whole point of `MissMode::Async` (PR 4) is that a shard keeps
-//! serving hits while misses are in flight — the drain loop submits,
+//! The whole point of the parked-miss loop (`Shard::run`) is that a shard
+//! keeps serving hits while misses are in flight — the loop submits,
 //! polls, and parks, but never waits. One synchronous device read or
-//! condvar wait anywhere under the loop silently turns the async path
-//! back into the sync path, and the miss-service experiment stops
-//! measuring what it claims to. The roots come from the manifest's
+//! condvar wait anywhere under the loop silently makes every hit queued
+//! behind a miss wait out the device, and the miss-service experiment
+//! stops measuring what it claims to. The roots come from the manifest's
 //! `[async-shard] roots`; everything reachable from them in the
 //! workspace call graph whose summary carries `BlocksOnIo` is reported.
 //!

@@ -26,7 +26,7 @@
 //! kv_get = ["dcs-core::CachingStore::kv_get", "dcs-core::LsmBackend::kv_get"]
 //!
 //! [async-shard]
-//! roots = ["dcs-server::Shard::run_async"]
+//! roots = ["dcs-server::Shard::run"]
 //!
 //! [effects]
 //! blocking = ["dcs-flashsim::FlashDevice::read"]
@@ -350,7 +350,7 @@ kv_get = ["dcs-core::CachingStore::kv_get", "dcs-core::LsmBackend::kv_get"]
 deliver = ["dcs-server::ConnState::deliver"]
 
 [async-shard]
-roots = ["dcs-server::Shard::run_async"]
+roots = ["dcs-server::Shard::run"]
 
 [effects]
 blocking = ["dcs-flashsim::FlashDevice::read"]
@@ -378,7 +378,7 @@ blocking = ["dcs-flashsim::FlashDevice::read"]
             m.async_roots,
             vec![HotPath {
                 krate: "server".into(),
-                func: "Shard::run_async".into()
+                func: "Shard::run".into()
             }]
         );
         assert_eq!(

@@ -25,9 +25,8 @@ use dcs_server::report::{
     BenchReport, CostTerms, IoDepthReport, MissServiceReport, MrcConsumerReport, MrcReport,
     OpReport, PlacementReport, TelemetryReport,
 };
-use dcs_server::shard::{MissMode, Partitioner};
 use dcs_server::{
-    Client, ClientConfig, RebalanceConfig, Server, ServerConfig, ShardBackend, Ticket,
+    Client, ClientConfig, Partitioner, RebalanceConfig, Server, ServerConfig, ShardBackend, Ticket,
 };
 use dcs_workload::{keys, Arrivals, KeyDist, OpKind, OpMix, WorkloadSpec};
 use std::collections::HashSet;
@@ -53,7 +52,6 @@ struct Args {
     rebalance_tick_ms: u64,
     seed: u64,
     out: String,
-    miss_mode: MissMode,
     device_latency: u64,
     memory_budget: Option<usize>,
     trace_out: Option<String>,
@@ -81,7 +79,6 @@ impl Default for Args {
             rebalance_tick_ms: 20,
             seed: 42,
             out: "BENCH_server.json".into(),
-            miss_mode: MissMode::Async,
             device_latency: 0,
             memory_budget: None,
             trace_out: None,
@@ -122,8 +119,6 @@ fn parse_args() -> Args {
                  --rebalance-tick-ms MS                  (default 20)\n\
                  --seed N                                (default 42)\n\
                  --out PATH                              (default BENCH_server.json)\n\
-                 --miss-mode sync|async                  (default async; how a\n\
-                    shard services cache misses on async-capable backends)\n\
                  --device-latency NANOS                  (default 0; injected\n\
                     wall-clock latency per device read)\n\
                  --memory-budget BYTES                   (caching backend only;\n\
@@ -177,12 +172,6 @@ fn parse_args() -> Args {
             }
             "--seed" => args.seed = value.parse().expect("--seed"),
             "--out" => args.out = value.clone(),
-            "--miss-mode" => {
-                args.miss_mode = MissMode::parse(value).unwrap_or_else(|| {
-                    eprintln!("--miss-mode must be sync or async, got '{value}'");
-                    std::process::exit(2);
-                })
-            }
             "--device-latency" => args.device_latency = value.parse().expect("--device-latency"),
             "--memory-budget" => args.memory_budget = Some(value.parse().expect("--memory-budget")),
             "--trace-out" => args.trace_out = Some(value.clone()),
@@ -540,6 +529,7 @@ fn main() {
     );
     let backends: Vec<Arc<dyn dcs_workload::KvStore + Send + Sync>> =
         built.iter().map(|b| b.kv.clone()).collect();
+    let devices: Vec<_> = built.iter().filter_map(|b| b.device.clone()).collect();
     let partitioner = if args.shards == 1 {
         Partitioner::single()
     } else {
@@ -580,10 +570,6 @@ fn main() {
         (issued, run_start.elapsed(), Vec::new(), cost_before, map)
     } else {
         let config = ServerConfig {
-            shard: dcs_server::ShardConfig {
-                miss_mode: args.miss_mode,
-                ..dcs_server::ShardConfig::default()
-            },
             rebalance: RebalanceConfig {
                 enabled: args.rebalance,
                 tick_ms: args.rebalance_tick_ms,
@@ -596,13 +582,7 @@ fn main() {
             ..ServerConfig::default()
         };
         let server = Server::start_with(
-            built
-                .iter()
-                .map(|b| ShardBackend {
-                    kv: b.kv.clone(),
-                    async_kv: b.async_kv.clone(),
-                })
-                .collect(),
+            built.into_iter().map(ShardBackend::from).collect(),
             partitioner.clone(),
             config,
         )
@@ -676,10 +656,8 @@ fn main() {
     // Aggregate the achieved-io-depth histograms across shard devices
     // (the in-memory comparators have no device and report zeros).
     let mut depth = dcs_telemetry::HistogramSnapshot::default();
-    for b in &built {
-        if let Some(device) = &b.device {
-            depth.merge(&device.stats().io_depth);
-        }
+    for device in &devices {
+        depth.merge(&device.stats().io_depth);
     }
     let io_depth = IoDepthReport {
         samples: depth.count,
@@ -836,7 +814,6 @@ fn main() {
     let bench = BenchReport {
         backend: args.backend.name().into(),
         mode: args.mode.clone(),
-        miss_mode: args.miss_mode.name().into(),
         device_latency_nanos: args.device_latency,
         shards: args.shards,
         connections: args.conns,

@@ -44,4 +44,4 @@ pub use protocol::{Frame, ProtoError, Request, Response};
 pub use rebalance::{migrate_range, MigrationStats, RebalanceConfig};
 pub use report::{BenchReport, IoDepthReport, MissServiceReport, OpReport, PlacementReport};
 pub use server::{Server, ServerConfig, ServerReport, ShardBackend};
-pub use shard::{Mail, MissMode, Partitioner, ReplySink, Shard, ShardConfig};
+pub use shard::{Mail, Partitioner, ReplySink, Shard, ShardConfig};

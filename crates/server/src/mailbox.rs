@@ -147,7 +147,7 @@ impl<T> Mailbox<T> {
                 // LINT: allow(effect-block): the drain loop parks here only
                 // when no misses are in flight and the queue is empty — the
                 // async-shard guarantee is "never block *with work parked*",
-                // and run_async switches to try_recv_batch in that state.
+                // and Shard::run switches to try_recv_batch in that state.
                 // LINT: allow(effect-panic): poisoning, as above.
                 inner = self.notempty.wait(inner).unwrap();
             }

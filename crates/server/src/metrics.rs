@@ -48,8 +48,8 @@ pub struct ShardMetrics {
     /// GETs that missed the cache and went to the device (async submit
     /// returned a pending token).
     pub misses_submitted: AtomicU64,
-    /// Most misses parked concurrently (async miss mode only; a blocking
-    /// shard never holds more than one).
+    /// Most misses parked concurrently (0 for a store with no async
+    /// handle, which never parks).
     pub parked_peak: AtomicUsize,
     /// Read-class latency (GET/SCAN), mailbox-entry to reply.
     pub read_latency: LatencyHistogram,

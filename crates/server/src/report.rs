@@ -9,7 +9,7 @@ use dcs_telemetry::{obj, Json};
 
 /// Achieved-io-depth histogram aggregated across the shards' devices.
 ///
-/// A blocking read path pins this at depth 1; the async engine's parked
+/// Serving one miss at a time pins this at depth 1; the shards' parked
 /// misses and speculative batch reads push it higher — this is the
 /// report's direct evidence of device-level concurrency.
 #[derive(Debug, Clone, Default)]
@@ -241,8 +241,6 @@ pub struct BenchReport {
     pub backend: String,
     /// `open` or `closed`.
     pub mode: String,
-    /// Cache-miss servicing discipline (`sync` or `async`).
-    pub miss_mode: String,
     /// Injected wall-clock device read latency (nanoseconds; 0 = none).
     pub device_latency_nanos: u64,
     /// Shards serving.
@@ -367,7 +365,6 @@ impl BenchReport {
             "bench": "server",
             "backend": self.backend.as_str(),
             "mode": self.mode.as_str(),
-            "miss_mode": self.miss_mode.as_str(),
             "device_latency_nanos": self.device_latency_nanos,
             "shards": self.shards,
             "connections": self.connections,
@@ -453,7 +450,6 @@ mod tests {
         let report = BenchReport {
             backend: "caching".into(),
             mode: "open".into(),
-            miss_mode: "async".into(),
             device_latency_nanos: 200_000,
             shards: 4,
             connections: 2,
@@ -552,7 +548,6 @@ mod tests {
         is(&["throughput_ops_per_sec"], 6.667.into());
         is(&["ops_completed"], 10u64.into());
         is(&["verification", "missing_keys"], 0u64.into());
-        is(&["miss_mode"], "async".into());
         is(&["device_latency_nanos"], 200_000u64.into());
         is(&["io_depth", "samples"], 100u64.into());
         is(&["io_depth", "max"], 8u64.into());

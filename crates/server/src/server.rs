@@ -57,21 +57,22 @@ impl Default for ServerConfig {
 /// One shard's store handles: the blocking [`KvStore`] plus, when the
 /// store supports submit/poll reads, the [`AsyncKvStore`] over the same
 /// instance (two fields because the traits are still two — ROADMAP item
-/// 4 — and `benchmark/` constructs this struct by field). Mirrors
-/// `dcs_core::BuiltBackend` without making this crate depend on the
-/// concrete store types.
+/// 4 — and `benchmark/` constructs this struct by field).
 pub struct ShardBackend {
     /// Blocking operations (always required).
     pub kv: Arc<dyn KvStore + Send + Sync>,
-    /// Non-blocking point reads, when available; enables the shard's
-    /// miss-mode machinery.
+    /// Non-blocking point reads. Required by any store whose reads can
+    /// wait on a device: the shard parks such a GET instead of stalling.
+    /// `None` only for stores that answer every read from memory.
     pub async_kv: Option<Arc<dyn AsyncKvStore + Send + Sync>>,
 }
 
-impl ShardBackend {
-    /// A blocking-only backend (GETs always take the synchronous path).
-    pub fn blocking(kv: Arc<dyn KvStore + Send + Sync>) -> Self {
-        ShardBackend { kv, async_kv: None }
+impl From<dcs_core::BuiltBackend> for ShardBackend {
+    fn from(b: dcs_core::BuiltBackend) -> Self {
+        ShardBackend {
+            kv: b.kv,
+            async_kv: b.async_kv,
+        }
     }
 }
 
@@ -159,23 +160,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind to `127.0.0.1:0` and start serving `backends` (one per shard
-    /// of `partitioner`) through the blocking read path.
-    pub fn start(
-        backends: Vec<Arc<dyn KvStore + Send + Sync>>,
-        partitioner: Partitioner,
-        config: ServerConfig,
-    ) -> std::io::Result<Server> {
-        Self::start_with(
-            backends.into_iter().map(ShardBackend::blocking).collect(),
-            partitioner,
-            config,
-        )
-    }
-
-    /// [`Server::start`] with full shard backends: stores that supply an
-    /// async handle get submit/poll GETs, governed by
-    /// [`ShardConfig::miss_mode`](crate::shard::ShardConfig::miss_mode).
+    /// Bind to `127.0.0.1:0` and start serving `backends`, one per shard
+    /// of `partitioner`. A store that supplies an async handle gets
+    /// submit/poll GETs whose misses park (see [`Shard::run`]).
     pub fn start_with(
         backends: Vec<ShardBackend>,
         partitioner: Partitioner,

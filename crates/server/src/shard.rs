@@ -103,42 +103,6 @@ impl Partitioner {
     }
 }
 
-/// How a shard services GETs that miss the in-memory cache and need a
-/// device fetch (only meaningful when the backend provides an
-/// [`AsyncKvStore`] handle).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MissMode {
-    /// The shard worker stalls on each miss until its fetch completes —
-    /// the classic blocking read path. Every request queued behind the
-    /// miss waits out the device latency.
-    Sync,
-    /// Misses are submitted to the device and the requesting mail is
-    /// *parked* in a per-shard pending-miss table; the worker keeps
-    /// draining its mailbox (serving hits) and acks parked requests out
-    /// of order, by request id, as their fetches complete.
-    #[default]
-    Async,
-}
-
-impl MissMode {
-    /// Parse a CLI name (`sync` / `async`).
-    pub fn parse(name: &str) -> Option<MissMode> {
-        match name.to_ascii_lowercase().as_str() {
-            "sync" => Some(MissMode::Sync),
-            "async" => Some(MissMode::Async),
-            _ => None,
-        }
-    }
-
-    /// The canonical CLI name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            MissMode::Sync => "sync",
-            MissMode::Async => "async",
-        }
-    }
-}
-
 /// Per-shard tunables.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
@@ -146,8 +110,6 @@ pub struct ShardConfig {
     pub mailbox_capacity: usize,
     /// Most operations drained (and group-committed) per batch.
     pub batch_max: usize,
-    /// Cache-miss servicing discipline for async-capable backends.
-    pub miss_mode: MissMode,
 }
 
 impl Default for ShardConfig {
@@ -155,7 +117,6 @@ impl Default for ShardConfig {
         ShardConfig {
             mailbox_capacity: 1024,
             batch_max: 64,
-            miss_mode: MissMode::default(),
         }
     }
 }
@@ -168,10 +129,9 @@ pub struct Shard {
     metrics: ShardMetrics,
     backend: Arc<dyn KvStore + Send + Sync>,
     /// Non-blocking submit/poll handle over the same store, when it has
-    /// one. GETs route through it (hits answer inline, misses go to the
-    /// device) under either [`MissMode`].
+    /// one. GETs route through it: hits answer inline, misses are parked
+    /// until the device completes them.
     async_backend: Option<Arc<dyn AsyncKvStore + Send + Sync>>,
-    miss_mode: MissMode,
     /// All shards' backends, for read-only scan continuation.
     all_backends: Arc<Vec<Arc<dyn KvStore + Send + Sync>>>,
     /// The shared placement surface: versioned map, per-shard write
@@ -207,7 +167,6 @@ impl Shard {
             // (index < shard count), not wire input.
             backend: backends[index].clone(),
             async_backend: None,
-            miss_mode: config.miss_mode,
             all_backends: backends,
             router,
             wal,
@@ -235,8 +194,8 @@ impl Shard {
     }
 
     /// Attach the non-blocking handle over this shard's own store. With
-    /// one attached, GETs go submit/poll; [`ShardConfig::miss_mode`]
-    /// decides whether a pending miss stalls the worker or is parked.
+    /// one attached, GETs go submit/poll and a pending miss is parked
+    /// (see [`Shard::run`]); without one, GETs call the blocking store.
     pub fn with_async_backend(
         mut self,
         async_backend: Option<Arc<dyn AsyncKvStore + Send + Sync>>,
@@ -276,29 +235,21 @@ impl Shard {
         }
     }
 
-    /// The worker loop: drain batches until the mailbox is closed *and*
-    /// empty, then issue a final WAL barrier. Run on a dedicated thread.
+    /// The worker loop. Run on a dedicated thread.
+    ///
+    /// A GET that misses to the device is *parked* in a per-shard table
+    /// keyed by its submit token, and the worker keeps draining its
+    /// mailbox. While misses are parked the loop switches from blocking
+    /// receives to non-blocking drains interleaved with completion polls,
+    /// so a device-bound GET never stops the shard from serving the
+    /// requests queued behind it; parked requests are answered out of
+    /// order, by request id, as their fetches complete. A shard without an
+    /// async handle never parks, so it only ever blocks in `recv_batch`.
+    ///
+    /// The loop ends once the mailbox is closed *and* empty and every
+    /// parked request has been answered; then a final WAL barrier makes
+    /// every acknowledged write durable before shutdown completes.
     pub fn run(&self) {
-        if let (Some(ab), MissMode::Async) = (&self.async_backend, self.miss_mode) {
-            self.run_async(&ab.clone());
-            return;
-        }
-        let mut batch: Vec<Mail> = Vec::with_capacity(self.batch_max);
-        while self.mailbox.recv_batch(self.batch_max, &mut batch) {
-            self.process_batch(&mut batch, None);
-        }
-        // Drained after close: one last barrier so every acknowledged write
-        // is durable before the server reports shutdown complete.
-        let _ = self.wal.commit_batch(&[]);
-    }
-
-    /// The async-miss worker loop. While misses are parked the shard
-    /// switches from blocking receives to non-blocking drains interleaved
-    /// with completion polls, so a device-bound GET never stops the shard
-    /// from serving the requests queued behind it. On shutdown the loop
-    /// keeps polling past the closed mailbox until every parked request
-    /// has been answered — only then does the final WAL barrier run.
-    fn run_async(&self, ab: &Arc<dyn AsyncKvStore + Send + Sync>) {
         let mut batch: Vec<Mail> = Vec::with_capacity(self.batch_max);
         let mut parked: HashMap<u64, Mail> = HashMap::new();
         let mut completions: Vec<CompletedGet> = Vec::new();
@@ -310,13 +261,14 @@ impl Shard {
             };
             let got_mail = !batch.is_empty();
             if got_mail {
-                self.process_batch(&mut batch, Some(&mut parked));
+                self.process_batch(&mut batch, &mut parked);
                 self.metrics
                     .parked_peak
                     .fetch_max(parked.len(), Ordering::Relaxed);
             }
             let mut reaped = 0;
-            if !parked.is_empty() {
+            // Only a shard with an async handle ever parks a miss.
+            if let (Some(ab), false) = (&self.async_backend, parked.is_empty()) {
                 completions.clear();
                 reaped = ab.kv_poll(&mut completions);
                 for c in completions.drain(..) {
@@ -325,7 +277,11 @@ impl Shard {
                     // but losing one here would strand a client forever, so
                     // tolerate and drop rather than panic.
                     if let Some(mail) = parked.remove(&c.token) {
-                        self.reply_miss(mail, Self::miss_response(c.result));
+                        let resp = match c.result {
+                            Ok(v) => Response::Value(v),
+                            Err(e) => Response::Err(e.to_string()),
+                        };
+                        self.reply_miss(mail, resp);
                     }
                 }
             }
@@ -345,39 +301,7 @@ impl Shard {
         let _ = self.wal.commit_batch(&[]);
     }
 
-    fn miss_response(result: Result<Option<Vec<u8>>, dcs_workload::StoreFailure>) -> Response {
-        match result {
-            Ok(v) => Response::Value(v),
-            Err(e) => Response::Err(e.to_string()),
-        }
-    }
-
-    /// Sync miss mode: stall the worker until the one in-flight fetch
-    /// completes. This is the blocking baseline the async mode is measured
-    /// against — everything queued behind the miss eats the device latency.
-    fn await_miss(&self, ab: &Arc<dyn AsyncKvStore + Send + Sync>, token: u64) -> Response {
-        let mut completions: Vec<CompletedGet> = Vec::with_capacity(1);
-        loop {
-            completions.clear();
-            if ab.kv_poll(&mut completions) == 0 {
-                // LINT: allow(effect-block): sync-mode-only stall — the
-                // analysis is path-insensitive, but `process_batch` reaches
-                // this call only under `MissMode::Sync`; the async drain
-                // loop parks the miss instead of calling `await_miss`.
-                std::thread::sleep(Duration::from_micros(5));
-                continue;
-            }
-            for c in completions.drain(..) {
-                // Only one miss is ever in flight on this path, so the
-                // first completion is ours.
-                if c.token == token {
-                    return Self::miss_response(c.result);
-                }
-            }
-        }
-    }
-
-    fn process_batch(&self, batch: &mut Vec<Mail>, parked: Option<&mut HashMap<u64, Mail>>) {
+    fn process_batch(&self, batch: &mut Vec<Mail>, parked: &mut HashMap<u64, Mail>) {
         self.metrics.batches.fetch_add(1, Ordering::Relaxed);
         self.metrics
             .batched_ops
@@ -387,7 +311,6 @@ impl Shard {
             .fetch_max(batch.len(), Ordering::Relaxed);
         let mut wal_records: Vec<LogRecord> = Vec::new();
         let mut deferred: Vec<(Mail, Response)> = Vec::new();
-        let mut parked = parked;
         for mail in batch.drain(..) {
             match &mail.req {
                 Request::Get { key } => {
@@ -416,18 +339,8 @@ impl Shard {
                             self.metrics
                                 .misses_submitted
                                 .fetch_add(1, Ordering::Relaxed);
-                            match parked.as_deref_mut() {
-                                // Async miss mode: park the mail; the run
-                                // loop acks it when the fetch completes.
-                                Some(table) => {
-                                    table.insert(token, mail);
-                                }
-                                // Sync miss mode: stall right here.
-                                None => {
-                                    let resp = self.await_miss(ab, token);
-                                    self.reply_miss(mail, resp);
-                                }
-                            }
+                            // The run loop acks it when the fetch completes.
+                            parked.insert(token, mail);
                         }
                         Err(e) => self.reply_read(mail, Response::Err(e.to_string())),
                     }
@@ -978,7 +891,7 @@ mod tests {
         }
     }
 
-    fn slow_shard(miss_mode: MissMode, delay_ms: u64) -> (Arc<Shard>, Arc<SlowAsyncStore>) {
+    fn slow_shard(delay_ms: u64) -> (Arc<Shard>, Arc<SlowAsyncStore>) {
         let store = Arc::new(SlowAsyncStore::new(std::time::Duration::from_millis(
             delay_ms,
         )));
@@ -986,14 +899,10 @@ mod tests {
         store.kv_put(b"cold2".to_vec(), b"c2".to_vec()).unwrap();
         store.kv_put(b"hot".to_vec(), b"h".to_vec()).unwrap();
         let backends: SharedBackends = Arc::new(vec![store.clone()]);
-        let cfg = ShardConfig {
-            miss_mode,
-            ..ShardConfig::default()
-        };
         let shard = Arc::new(
             Shard::new(
                 0,
-                &cfg,
+                &ShardConfig::default(),
                 backends,
                 Arc::new(Partitioner::single()),
                 Arc::new(RecoveryLog::in_memory()),
@@ -1005,7 +914,7 @@ mod tests {
 
     #[test]
     fn async_miss_does_not_block_hits() {
-        let (shard, _store) = slow_shard(MissMode::Async, 80);
+        let (shard, _store) = slow_shard(80);
         let sink = Arc::new(CollectSink::default());
         let worker = {
             let shard = shard.clone();
@@ -1063,36 +972,8 @@ mod tests {
     }
 
     #[test]
-    fn sync_miss_mode_stalls_in_arrival_order() {
-        let (shard, _store) = slow_shard(MissMode::Sync, 10);
-        let sink = Arc::new(CollectSink::default());
-        shard.offer(mail(
-            1,
-            Request::Get {
-                key: b"cold1".to_vec(),
-            },
-            &sink,
-        ));
-        shard.offer(mail(
-            2,
-            Request::Get {
-                key: b"hot".to_vec(),
-            },
-            &sink,
-        ));
-        shard.mailbox().close();
-        shard.run();
-        let replies = sink.0.lock().unwrap();
-        // Blocking path: the hit waits out the miss ahead of it.
-        assert_eq!(replies[0].0, 1);
-        assert_eq!(replies[1].0, 2);
-        assert_eq!(shard.metrics().misses_submitted.load(Ordering::Relaxed), 1);
-        assert_eq!(shard.metrics().miss_latency.count(), 1);
-    }
-
-    #[test]
     fn shutdown_drains_parked_misses() {
-        let (shard, store) = slow_shard(MissMode::Async, 40);
+        let (shard, store) = slow_shard(40);
         let sink = Arc::new(CollectSink::default());
         shard.offer(mail(
             1,
@@ -1131,7 +1012,6 @@ mod tests {
         let cfg = ShardConfig {
             mailbox_capacity: 1,
             batch_max: 8,
-            ..ShardConfig::default()
         };
         let shard = Shard::new(
             0,

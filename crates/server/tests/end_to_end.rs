@@ -6,7 +6,7 @@
 use dcs_core::{BackendKind, BackendOpts};
 use dcs_server::protocol::{Request, Response};
 use dcs_server::{
-    Client, ClientConfig, MissMode, Partitioner, Server, ServerConfig, ShardBackend, ShardConfig,
+    Client, ClientConfig, Partitioner, Server, ServerConfig, ShardBackend, ShardConfig,
 };
 use dcs_workload::{
     keys, AsyncGet, AsyncKvStore, CompletedGet, KvStore, Runner, StoreFailure, WorkloadSpec,
@@ -15,23 +15,23 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn start_caching(
-    shards: usize,
-    records: u64,
-) -> (Server, Vec<Arc<dyn KvStore + Send + Sync>>, Partitioner) {
-    let backends = BackendKind::Caching.build_shards(shards);
+fn start_caching(shards: usize, records: u64) -> (Server, Partitioner) {
     let partitioner = if shards == 1 {
         Partitioner::single()
     } else {
         Partitioner::from_splits(keys::range_splits(records, shards))
     };
-    let server = Server::start(
-        backends.clone(),
+    let server = Server::start_with(
+        BackendKind::Caching
+            .build_shards_with(shards, BackendOpts::default())
+            .into_iter()
+            .map(ShardBackend::from)
+            .collect(),
         partitioner.clone(),
         ServerConfig::default(),
     )
     .expect("start server");
-    (server, backends, partitioner)
+    (server, partitioner)
 }
 
 /// The acceptance scenario: ≥4 shards, multiple pipelined connections,
@@ -40,7 +40,8 @@ fn start_caching(
 #[test]
 fn four_shards_pipelined_no_acked_write_lost() {
     const RECORDS: u64 = 2_000;
-    let (server, backends, partitioner) = start_caching(4, RECORDS);
+    let (server, partitioner) = start_caching(4, RECORDS);
+    let backends = server.backends();
     let client = Client::connect(
         server.addr(),
         ClientConfig {
@@ -153,16 +154,16 @@ impl KvStore for SlowStore {
 
 #[test]
 fn flood_gets_busy_not_hangs_and_accepted_ops_all_answered() {
-    let backends: Vec<Arc<dyn KvStore + Send + Sync>> =
-        vec![Arc::new(SlowStore(Default::default()))];
-    let server = Server::start(
-        backends,
+    let server = Server::start_with(
+        vec![ShardBackend {
+            kv: Arc::new(SlowStore(Default::default())),
+            async_kv: None,
+        }],
         Partitioner::single(),
         ServerConfig {
             shard: ShardConfig {
                 mailbox_capacity: 4,
                 batch_max: 2,
-                ..ShardConfig::default()
             },
             durable_wal: false,
             ..ServerConfig::default()
@@ -299,7 +300,7 @@ impl AsyncKvStore for ColdKeyStore {
     }
 }
 
-fn start_cold_key_server(miss_mode: MissMode, delay: Duration) -> (Server, Arc<ColdKeyStore>) {
+fn start_cold_key_server(delay: Duration) -> (Server, Arc<ColdKeyStore>) {
     let store = Arc::new(ColdKeyStore::new(delay));
     store.kv_put(b"coldA".to_vec(), b"polar".to_vec()).unwrap();
     store.kv_put(b"hot".to_vec(), b"lava".to_vec()).unwrap();
@@ -310,10 +311,6 @@ fn start_cold_key_server(miss_mode: MissMode, delay: Duration) -> (Server, Arc<C
         }],
         Partitioner::single(),
         ServerConfig {
-            shard: ShardConfig {
-                miss_mode,
-                ..ShardConfig::default()
-            },
             durable_wal: false,
             ..ServerConfig::default()
         },
@@ -329,7 +326,7 @@ fn start_cold_key_server(miss_mode: MissMode, delay: Duration) -> (Server, Arc<C
 #[test]
 fn slow_miss_does_not_block_hits_over_the_wire() {
     const DELAY: Duration = Duration::from_millis(300);
-    let (server, store) = start_cold_key_server(MissMode::Async, DELAY);
+    let (server, store) = start_cold_key_server(DELAY);
     let client = Client::connect(
         server.addr(),
         ClientConfig {
@@ -375,72 +372,31 @@ fn slow_miss_does_not_block_hits_over_the_wire() {
     assert_eq!(store.kv_inflight(), 0);
 }
 
-/// The blocking baseline of the same scenario: in sync miss mode the hits
-/// queued behind the miss wait out the whole device delay.
-#[test]
-fn sync_miss_mode_blocks_queued_hits() {
-    const DELAY: Duration = Duration::from_millis(150);
-    let (server, _store) = start_cold_key_server(MissMode::Sync, DELAY);
-    let client = Client::connect(
-        server.addr(),
-        ClientConfig {
-            connections: 1,
-            ..ClientConfig::default()
-        },
-    )
-    .unwrap();
-
-    let t0 = Instant::now();
-    let cold = client
-        .submit(Request::Get {
-            key: b"coldA".to_vec(),
-        })
-        .unwrap();
-    let hit = client
-        .submit(Request::Get {
-            key: b"hot".to_vec(),
-        })
-        .unwrap();
-    assert_eq!(hit.wait().unwrap(), Response::Value(Some(b"lava".to_vec())));
-    assert!(
-        t0.elapsed() >= DELAY,
-        "a hit behind a blocking miss cannot finish before the device"
-    );
-    assert_eq!(
-        cold.wait().unwrap(),
-        Response::Value(Some(b"polar".to_vec()))
-    );
-
-    client.close();
-    let report = server.shutdown();
-    assert_eq!(report.shards[0].misses, 1);
-}
-
-/// The real store served the way the benchmark's wire workloads and CI's
-/// loadgen runs serve it: `build_shards_with` hands `Server::start_with`
-/// the submit/poll handle, so a GET that needs flash parks on the device
-/// instead of blocking the shard. Without the handle (`async_kv: None`,
-/// what `Server::start` passes) no miss is ever counted or parked.
+/// The flash-backed stores served the way the benchmark's wire workloads
+/// and CI's loadgen runs serve them: `build_shards_with` hands
+/// `Server::start_with` the submit/poll handle, so a GET that needs the
+/// device parks instead of blocking the shard. The caching store misses
+/// past its 64 KiB budget; the LSM's 32 KiB memtable sends most of the
+/// keys to SSTables, whose reads park the same way.
 #[test]
 fn caching_store_serves_parked_misses_through_its_async_handle() {
+    for kind in [BackendKind::Caching, BackendKind::Lsm] {
+        serves_parked_misses(kind);
+    }
+}
+
+fn serves_parked_misses(kind: BackendKind) {
     const RECORDS: u64 = 6_000;
     const WINDOW: usize = 128;
-    let backends = BackendKind::Caching
-        .build_shards_with(
-            2,
-            BackendOpts {
-                memory_budget: Some(64 << 10),
-                ..BackendOpts::default()
-            },
-        )
-        .into_iter()
-        .map(|b| ShardBackend {
-            kv: b.kv,
-            async_kv: b.async_kv,
-        })
-        .collect();
+    let opts = BackendOpts {
+        memory_budget: Some(64 << 10),
+        ..BackendOpts::default()
+    };
     let server = Server::start_with(
-        backends,
+        kind.build_shards_with(2, opts)
+            .into_iter()
+            .map(ShardBackend::from)
+            .collect(),
         Partitioner::from_splits(keys::range_splits(RECORDS, 2)),
         ServerConfig::default(),
     )
@@ -472,7 +428,7 @@ fn caching_store_serves_parked_misses_through_its_async_handle() {
         for (&id, t) in window.iter().zip(tickets) {
             match t.wait().unwrap() {
                 Response::Value(Some(v)) => assert_eq!(keys::parse_value(&v), Some((id, 1))),
-                other => panic!("read {id}: {other:?}"),
+                other => panic!("{}: read {id}: {other:?}", kind.name()),
             }
         }
     }
@@ -486,7 +442,8 @@ fn caching_store_serves_parked_misses_through_its_async_handle() {
         .collect();
     assert!(
         parked.iter().any(|&(misses, peak)| misses > 0 && peak > 0),
-        "no GET parked on the device: {parked:?}"
+        "{}: no GET parked on the device: {parked:?}",
+        kind.name()
     );
 }
 
@@ -495,7 +452,7 @@ fn caching_store_serves_parked_misses_through_its_async_handle() {
 #[test]
 fn workload_runner_drives_server_over_the_wire() {
     const RECORDS: u64 = 400;
-    let (server, _backends, _partitioner) = start_caching(2, RECORDS);
+    let (server, _partitioner) = start_caching(2, RECORDS);
     let client = Client::connect(
         server.addr(),
         ClientConfig {

@@ -12,9 +12,9 @@
 //! in the handoff, or a stale read served from the old owner after the
 //! install, shows up as a non-linearizable history here.
 
-use dcs_core::BackendKind;
+use dcs_core::{BackendKind, BackendOpts};
 use dcs_lin::{ConcurrentMap, Recorded, ScanSemantics};
-use dcs_server::{Client, ClientConfig, Partitioner, Server, ServerConfig};
+use dcs_server::{Client, ClientConfig, Partitioner, Server, ServerConfig, ShardBackend};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::sync::Arc;
 
@@ -60,10 +60,14 @@ const ROUNDS: usize = 8;
 /// range to the other shard and back. History checked per window.
 #[test]
 fn wire_ops_racing_range_moves_are_linearizable() {
-    let backends = BackendKind::Caching.build_shards(2);
+    let backends = BackendKind::Caching
+        .build_shards_with(2, BackendOpts::default())
+        .into_iter()
+        .map(ShardBackend::from)
+        .collect();
     // All window keys ("w…") sort above "m": they start on shard 1 and
     // ping-pong between the shards as the test migrates their range.
-    let server = Server::start(
+    let server = Server::start_with(
         backends,
         Partitioner::from_splits(vec![b"m".to_vec()]),
         ServerConfig::default(),

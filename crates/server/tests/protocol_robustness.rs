@@ -259,8 +259,12 @@ fn stats_frames_survive_bit_flips_and_oversize() {
 /// traffic that preceded it.
 #[test]
 fn stats_scrape_round_trips_through_a_live_server() {
-    let backends = dcs_core::BackendKind::Caching.build_shards(1);
-    let server = dcs_server::Server::start(
+    let backends = dcs_core::BackendKind::Caching
+        .build_shards_with(1, dcs_core::BackendOpts::default())
+        .into_iter()
+        .map(dcs_server::ShardBackend::from)
+        .collect();
+    let server = dcs_server::Server::start_with(
         backends,
         dcs_server::Partitioner::single(),
         dcs_server::ServerConfig {
@@ -439,8 +443,12 @@ fn kill_mid_pipeline_fails_all_unanswered_requests() {
 /// in flight resolves (answer or error) — nothing hangs.
 #[test]
 fn abort_resolves_every_inflight_ticket() {
-    let backends = dcs_core::BackendKind::Caching.build_shards(1);
-    let server = dcs_server::Server::start(
+    let backends = dcs_core::BackendKind::Caching
+        .build_shards_with(1, dcs_core::BackendOpts::default())
+        .into_iter()
+        .map(dcs_server::ShardBackend::from)
+        .collect();
+    let server = dcs_server::Server::start_with(
         backends,
         dcs_server::Partitioner::single(),
         dcs_server::ServerConfig {
