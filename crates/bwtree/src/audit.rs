@@ -11,17 +11,20 @@
 //!   in a leaf base, inner chains likewise; chain length stays within a
 //!   generous multiple of the consolidation threshold (a runaway chain
 //!   means consolidation can no longer win its CAS);
-//! * **mapping-table hygiene** — every PID referenced by a reachable page
-//!   is itself reachable and not on the free list, every allocated PID is
-//!   reachable from the root (no leaked pages), and no reachable slot is
-//!   empty.
+//! * **mapping-table hygiene** — every PID a reachable page still routes
+//!   to is itself reachable and not on the free list, every allocated PID
+//!   is reachable from the root (no leaked pages), and no reachable slot
+//!   is empty. "Still routes to" is worked out here, independently of the
+//!   descent code: in an inner chain the tightest split fence and the
+//!   newest index delta per separator win; in a leaf chain an absorb
+//!   delta supersedes the sibling links below it.
 //!
 //! The audit is compiled in every build (it has no checker dependency) and
 //! is intended to be called at *quiescence*: after worker threads joined in
 //! a test, or under the deterministic checker at the end of a scenario. It
 //! takes a guard so chain walks are safe against any straggling reclaim.
 
-use crate::delta::{chain_iter, Node};
+use crate::delta::{chain_iter, InnerBase, Node};
 use crate::mapping::PageId;
 use crate::tree::BwTree;
 use dcs_ebr::Guard;
@@ -88,6 +91,15 @@ impl BwTree {
             let mut chain_len = 0usize;
             let mut base_kind: Option<bool> = None; // Some(true) = leaf
             let mut delta_is_leaf: Option<bool> = None;
+            // An absorb delta supersedes the sibling links below it: the
+            // older ones name the page it absorbed.
+            let mut absorbed = false;
+            // Inner routing, gathered newest-first: the tightest split
+            // fence, and per separator the newest insert (`Some`) or
+            // delete (`None`), which shadows older deltas and the base.
+            let mut fence: Option<&bytes::Bytes> = None;
+            let mut decided: Vec<(&bytes::Bytes, Option<PageId>)> = Vec::new();
+            let mut inner_base: Option<&InnerBase> = None;
             // SAFETY: `head` was loaded from the mapping table under `guard`,
             // so the chain is live for the duration of this walk.
             for node in unsafe { chain_iter(head) } {
@@ -103,7 +115,9 @@ impl BwTree {
                     }
                     Node::LeafSplit { right, .. } => {
                         delta_is_leaf = Some(true);
-                        enqueue(*right, pid, &mut queue, &mut visited)?;
+                        if !absorbed {
+                            enqueue(*right, pid, &mut queue, &mut visited)?;
+                        }
                     }
                     Node::Absorb {
                         sep,
@@ -126,23 +140,32 @@ impl BwTree {
                                 }
                             }
                         }
-                        if let Some(r) = right {
+                        if let (Some(r), false) = (right, absorbed) {
                             enqueue(*r, pid, &mut queue, &mut visited)?;
                         }
+                        absorbed = true;
                     }
                     Node::FlushMarker { .. } => {}
                     Node::RemoveNode { left, .. } => {
                         enqueue(*left, pid, &mut queue, &mut visited)?;
                     }
-                    Node::IndexInsert { child, .. } => {
+                    Node::IndexInsert { sep, child, .. } => {
                         delta_is_leaf = Some(false);
-                        enqueue(*child, pid, &mut queue, &mut visited)?;
+                        if !decided.iter().any(|(s, _)| *s == sep) {
+                            decided.push((sep, Some(*child)));
+                        }
                     }
-                    Node::IndexDelete { .. } => {
+                    Node::IndexDelete { sep, .. } => {
                         delta_is_leaf = Some(false);
+                        if !decided.iter().any(|(s, _)| *s == sep) {
+                            decided.push((sep, None));
+                        }
                     }
-                    Node::InnerSplit { right, .. } => {
+                    Node::InnerSplit { sep, right, .. } => {
                         delta_is_leaf = Some(false);
+                        if fence.is_none_or(|f| sep < f) {
+                            fence = Some(sep);
+                        }
                         enqueue(*right, pid, &mut queue, &mut visited)?;
                     }
                     Node::LeafBase(base) => {
@@ -162,13 +185,13 @@ impl BwTree {
                             }
                         }
                         report.base_records += base.entries.len();
-                        if let Some(r) = base.right {
+                        if let (Some(r), false) = (base.right, absorbed) {
                             enqueue(r, pid, &mut queue, &mut visited)?;
                         }
                     }
                     Node::FlashBase { right, .. } => {
                         base_kind = Some(true);
-                        if let Some(r) = right {
+                        if let (Some(r), false) = (right, absorbed) {
                             enqueue(*r, pid, &mut queue, &mut visited)?;
                         }
                     }
@@ -179,13 +202,30 @@ impl BwTree {
                             "inner base",
                             base.entries.iter().map(|(k, _)| k),
                         )?;
-                        enqueue(base.first_child, pid, &mut queue, &mut visited)?;
-                        for (_, child) in &base.entries {
-                            enqueue(*child, pid, &mut queue, &mut visited)?;
-                        }
+                        inner_base = Some(base);
                         if let Some(r) = base.right {
                             enqueue(r, pid, &mut queue, &mut visited)?;
                         }
+                    }
+                }
+            }
+            // Follow only the children routing can still reach. Entries at
+            // or above the fence belong to the right sibling, already
+            // enqueued through the split delta.
+            if let Some(base) = inner_base {
+                let below_fence = |sep: &bytes::Bytes| fence.is_none_or(|f| sep < f);
+                let base_live = base
+                    .entries
+                    .iter()
+                    .filter(|(sep, _)| !decided.iter().any(|(s, _)| *s == sep))
+                    .map(|(sep, child)| (sep, *child));
+                let delta_live = decided
+                    .iter()
+                    .filter_map(|(sep, decision)| decision.map(|child| (*sep, child)));
+                enqueue(base.first_child, pid, &mut queue, &mut visited)?;
+                for (sep, child) in base_live.chain(delta_live) {
+                    if below_fence(sep) {
+                        enqueue(child, pid, &mut queue, &mut visited)?;
                     }
                 }
             }
@@ -283,5 +323,34 @@ mod tests {
         assert!(report.leaf_pages >= 1);
         assert!(report.inner_pages >= 1, "500 keys should split the root");
         assert!(report.max_chain_len >= 1);
+    }
+
+    /// Completed merges leave superseded links behind: the parent's base
+    /// still names the dead page until an `IndexDelete` shadows it, and
+    /// the absorbing page's base still points right at it until the next
+    /// consolidation. The audit must follow only what routing can reach,
+    /// so it runs after every delete, not just at the end.
+    #[test]
+    fn merged_tree_audits_clean() {
+        let key = |i: usize| format!("key{i:04}").into_bytes();
+        let value = |i: usize| format!("value{i:04}-{}", "x".repeat(32)).into_bytes();
+        let tree = BwTree::in_memory(BwTreeConfig::small_pages());
+        for i in 0..48 {
+            tree.put(key(i), value(i));
+        }
+        for _ in 0..2 {
+            for i in 12..30 {
+                tree.delete(key(i));
+                let guard = dcs_ebr::pin();
+                if let Err(e) = tree.audit(&guard) {
+                    panic!("audit after deleting key {i} failed: {e}");
+                }
+            }
+        }
+        assert!(tree.stats().leaf_merges > 0, "{:?}", tree.stats());
+        for i in 0..48 {
+            let want = (!(12..30).contains(&i)).then(|| value(i));
+            assert_eq!(tree.get(&key(i)).map(|v| v.to_vec()), want, "key {i}");
+        }
     }
 }

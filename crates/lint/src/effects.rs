@@ -71,17 +71,6 @@ impl Effect {
         1 << (self as u8)
     }
 
-    /// Display name (the `--effects` dump vocabulary).
-    pub fn label(self) -> &'static str {
-        match self {
-            Effect::Allocates => "Allocates",
-            Effect::MayPanic => "MayPanic",
-            Effect::BlocksOnIo => "BlocksOnIo",
-            Effect::WallClock => "WallClock",
-            Effect::SendsUnbounded => "SendsUnbounded",
-        }
-    }
-
     /// Waiver key: `LINT: allow(<this>): reason` at the intrinsic site
     /// suppresses the effect.
     pub fn waiver(self) -> &'static str {
@@ -250,48 +239,6 @@ impl<'a> Analysis<'a> {
     pub fn has_crate(&self, krate: &str) -> bool {
         self.graph.nodes.iter().any(|n| n.krate == krate)
     }
-
-    /// Nodes whose display name contains `pattern` (the `--effects`
-    /// query).
-    pub fn find(&self, pattern: &str) -> Vec<NodeId> {
-        (0..self.graph.nodes.len())
-            .filter(|&i| self.graph.nodes[i].display.contains(pattern))
-            .collect()
-    }
-
-    /// Render one node's summary for the `--effects` dump.
-    pub fn describe(&self, id: NodeId) -> String {
-        let node = &self.graph.nodes[id];
-        let s = &self.summaries[id];
-        let mut out = format!(
-            "{}  ({}:{})\n",
-            node.display, self.files[node.file].rel, node.line
-        );
-        if s.effects == 0 {
-            out.push_str("  effects: (none)\n");
-        } else {
-            let names: Vec<&str> = Effect::ALL
-                .iter()
-                .filter(|e| s.has(**e))
-                .map(|e| e.label())
-                .collect();
-            out.push_str(&format!("  effects: {}\n", names.join(" | ")));
-            for e in Effect::ALL {
-                if let Some(o) = s.origin(e) {
-                    out.push_str(&format!("    {}: {}\n", e.label(), o.describe()));
-                }
-            }
-        }
-        if s.locks.is_empty() {
-            out.push_str("  locks: (none)\n");
-        } else {
-            out.push_str("  locks:\n");
-            for (label, o) in &s.locks {
-                out.push_str(&format!("    {label}: {}\n", o.describe()));
-            }
-        }
-        out
-    }
 }
 
 /// Merge `callee`'s summary into `caller` through the call to `via`;
@@ -358,8 +305,7 @@ mod tests {
     }
 
     fn node_id(a: &Analysis, name: &str) -> NodeId {
-        a.find(name)
-            .into_iter()
+        (0..a.graph.nodes.len())
             .find(|&i| a.graph.nodes[i].name == name)
             .unwrap_or_else(|| panic!("no node `{name}`"))
     }
@@ -479,16 +425,5 @@ mod tests {
             .unwrap()
             .what
             .contains("declared"));
-    }
-
-    #[test]
-    fn describe_renders_effects_and_locks() {
-        let files = [file("fn f(s: &S) { let g = s.m.lock(); let b = vec![1]; }")];
-        let m = Manifest::default();
-        let a = Analysis::build(&files, &m);
-        let text = a.describe(node_id(&a, "f"));
-        assert!(text.contains("dcs-x::f"), "{text}");
-        assert!(text.contains("Allocates"), "{text}");
-        assert!(text.contains("x:s.m"), "{text}");
     }
 }

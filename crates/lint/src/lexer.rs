@@ -5,10 +5,8 @@
 //! itself. The lexer is deliberately small: it distinguishes exactly the
 //! classes the lints care about (identifiers, punctuation, the three
 //! literal families, comments, lifetimes) and never errors — unknown
-//! bytes become punctuation. Comments are *kept* in the stream because
-//! two lints ([`ordering`](crate::lints::ordering),
-//! [`span_cost`](crate::lints::span_cost)) treat adjacent comments as
-//! part of the discipline they enforce.
+//! bytes become punctuation. Comments are *kept* in the stream as their
+//! own tokens, so every pass can step over them exactly.
 
 /// One lexical class.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -3,7 +3,7 @@
 //! The dynamic checkers (dcs-check's seeded interleavings, dcs-lin's
 //! history search, miri/TSan) verify what a run *did*; this crate
 //! verifies what the source *can* do, on every commit, in milliseconds.
-//! Eight invariants the cost model and the latch-free design depend on
+//! Six invariants the cost model and the latch-free design depend on
 //! are enforced statically:
 //!
 //! | lint | invariant |
@@ -12,8 +12,6 @@
 //! | `hot-path-alloc` | manifest-registered hot paths reach no allocation/locks |
 //! | `virtual-clock` | `Instant`/`SystemTime` only at allowlisted clock boundaries |
 //! | `panic-path` | wire-path modules never unwrap/panic/index (transitively) |
-//! | `atomic-ordering` | every `Ordering::Relaxed` carries `// ORDERING:` |
-//! | `span-cost` | every cost-ledger emission sits inside an open span |
 //! | `async-shard` | nothing reachable from the async drain loop blocks |
 //! | `bounded-send` | wire-path channel sends are bounded (`BUSY`, never block) |
 //!
@@ -21,26 +19,25 @@
 //! engine** ([`callgraph`] + [`effects`]): one workspace call graph,
 //! per-function effect summaries inferred bottom-up over SCCs, so a
 //! blocking sleep three crates below the async drain loop is found at
-//! the call site that reaches it. `dcs-lint --effects <pattern>` dumps
-//! any function's inferred summary with origin chains.
+//! the call site that reaches it, and the finding's message carries the
+//! call chain.
 //!
-//! Policy lives in `lint-hotpaths.toml`; pre-existing debt is frozen in
-//! `lint-baseline.txt` so the gate fails only on *new* violations. Any
-//! single finding can be waived in place with an adjacent
-//! `// LINT: allow(<lint-name>): <reason>` comment — the reason is
-//! mandatory, mirroring the SAFETY/ORDERING comment regime. Intrinsic
-//! effects can additionally be waived at their *source* with
-//! `// LINT: allow(effect-<name>): <reason>` (see [`effects::Effect`]),
-//! which removes them from every transitive summary at once.
+//! Policy lives in `<root>/lint-hotpaths.toml`. The gate is "no
+//! unwaived violation"; the one escape hatch is an adjacent
+//! `// LINT: allow(<lint-name>): <reason>` comment on the finding — the
+//! reason is mandatory. Intrinsic effects can additionally be waived at
+//! their *source* with `// LINT: allow(effect-<name>): <reason>` (see
+//! [`effects::Effect`]), which removes them from every transitive
+//! summary at once.
 //!
-//! Std-only by design: the analyzer hand-rolls its lexer and item
-//! parser (no `syn`/rustc, consistent with the offline shimmed build),
-//! trading full grammar fidelity for zero dependencies. Ambiguity is
-//! resolved toward over-reporting plus explicit waivers; *call
-//! resolution* is the one place ambiguity resolves toward silence,
-//! because a wrong edge manufactures findings in unrelated crates.
+//! The analyzer hand-rolls its lexer and item parser (no `syn`/rustc,
+//! consistent with the offline shimmed build), trading full grammar
+//! fidelity for zero parser dependencies; its reports go through
+//! `dcs_telemetry::json`. Ambiguity is resolved toward over-reporting
+//! plus explicit waivers; *call resolution* is the one place ambiguity
+//! resolves toward silence, because a wrong edge manufactures findings
+//! in unrelated crates.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod effects;
 pub mod lexer;
@@ -50,7 +47,6 @@ pub mod report;
 pub mod sarif;
 pub mod source;
 
-use baseline::Baseline;
 use effects::Analysis;
 use lints::{all_lints, Violation};
 use manifest::Manifest;
@@ -58,101 +54,22 @@ use report::Report;
 use source::SourceFile;
 use std::path::{Path, PathBuf};
 
-/// Analyzer configuration (the CLI fills this from flags).
-pub struct Config {
-    /// Workspace root (the directory holding `crates/`).
-    pub root: PathBuf,
-    /// Manifest path; `None` means `<root>/lint-hotpaths.toml`.
-    pub manifest: Option<PathBuf>,
-    /// Baseline path; `None` means `<root>/lint-baseline.txt`.
-    pub baseline: Option<PathBuf>,
-    /// When set, keep only findings in files changed vs this git ref
-    /// (plus untracked files) — the fast pre-commit mode.
-    pub changed_only: Option<String>,
-}
-
-impl Config {
-    /// Configuration rooted at `root` with default file locations.
-    pub fn at_root(root: PathBuf) -> Config {
-        Config {
-            root,
-            manifest: None,
-            baseline: None,
-            changed_only: None,
-        }
-    }
-
-    fn manifest_path(&self) -> PathBuf {
-        self.manifest
-            .clone()
-            .unwrap_or_else(|| self.root.join("lint-hotpaths.toml"))
-    }
-
-    fn baseline_path(&self) -> PathBuf {
-        self.baseline
-            .clone()
-            .unwrap_or_else(|| self.root.join("lint-baseline.txt"))
-    }
-}
-
-/// Run every lint over the workspace. Violations come back sorted and
-/// baseline-marked; `Report::new_count` is the CI gate.
-pub fn run(config: &Config) -> Result<Report, String> {
-    let manifest_path = config.manifest_path();
+/// Run every lint over the workspace at `root` (the directory holding
+/// `crates/`) under `<root>/lint-hotpaths.toml`. The report's violations
+/// are the CI gate: any one fails it.
+pub fn run(root: &Path) -> Result<Report, String> {
+    let manifest_path = root.join("lint-hotpaths.toml");
     let manifest = if manifest_path.exists() {
         Manifest::load(&manifest_path)?
     } else {
         Manifest::default()
     };
-    let baseline = Baseline::load(&config.baseline_path())?;
-    let files = collect_files(&config.root)?;
-    let mut report = analyze(&files, &manifest);
-    if let Some(git_ref) = &config.changed_only {
-        let changed = changed_files(&config.root, git_ref)?;
-        // Manifest-anchored findings (file outside `crates/`) always
-        // apply: policy drift is never "out of diff".
-        report
-            .violations
-            .retain(|v| !v.file.starts_with("crates/") || changed.contains(&v.file));
-    }
-    report.new_count = baseline.apply(&mut report.violations);
-    Ok(report)
-}
-
-/// Workspace-relative paths changed vs `git_ref`, plus untracked files.
-fn changed_files(root: &Path, git_ref: &str) -> Result<std::collections::BTreeSet<String>, String> {
-    let run = |args: &[&str]| -> Result<String, String> {
-        let out = std::process::Command::new("git")
-            .arg("-C")
-            .arg(root)
-            .args(args)
-            .output()
-            .map_err(|e| format!("cannot run git: {e}"))?;
-        if !out.status.success() {
-            return Err(format!(
-                "git {} failed: {}",
-                args.join(" "),
-                String::from_utf8_lossy(&out.stderr).trim()
-            ));
-        }
-        Ok(String::from_utf8_lossy(&out.stdout).into_owned())
-    };
-    let mut set = std::collections::BTreeSet::new();
-    for line in run(&["diff", "--name-only", git_ref])?.lines() {
-        if !line.is_empty() {
-            set.insert(line.to_string());
-        }
-    }
-    for line in run(&["ls-files", "--others", "--exclude-standard"])?.lines() {
-        if !line.is_empty() {
-            set.insert(line.to_string());
-        }
-    }
-    Ok(set)
+    let files = collect_files(root)?;
+    Ok(analyze(&files, &manifest))
 }
 
 /// Run the lints over already-collected files (fixture tests call this
-/// directly; `run` adds file discovery and baseline handling).
+/// directly; `run` adds manifest loading and file discovery).
 pub fn analyze(files: &[SourceFile], manifest: &Manifest) -> Report {
     let analysis = Analysis::build(files, manifest);
     let mut lints = all_lints();
@@ -171,45 +88,10 @@ pub fn analyze(files: &[SourceFile], manifest: &Manifest) -> Report {
         (a.lint, &a.file, a.line, &a.message).cmp(&(b.lint, &b.file, b.line, &b.message))
     });
     Report {
-        new_count: violations.len(),
         violations,
         files_scanned: files.len(),
-        lints: all_lints()
-            .iter()
-            .map(|l| (l.name(), l.description()))
-            .collect(),
+        lints: lints.iter().map(|l| (l.name(), l.description())).collect(),
     }
-}
-
-/// Render the inferred effect summary of every function whose display
-/// name (`dcs-<crate>::<fn>`) contains `pattern` — the
-/// `dcs-lint --effects` debugging entry point.
-pub fn dump_effects(config: &Config, pattern: &str) -> Result<String, String> {
-    let manifest_path = config.manifest_path();
-    let manifest = if manifest_path.exists() {
-        Manifest::load(&manifest_path)?
-    } else {
-        Manifest::default()
-    };
-    let files = collect_files(&config.root)?;
-    let analysis = Analysis::build(&files, &manifest);
-    let matches = analysis.find(pattern);
-    if matches.is_empty() {
-        return Err(format!("no function matches `{pattern}`"));
-    }
-    let mut out = String::new();
-    for id in matches {
-        out.push_str(&analysis.describe(id));
-        out.push('\n');
-    }
-    Ok(out)
-}
-
-/// Update the baseline file to freeze the current violation set.
-pub fn update_baseline(config: &Config, report: &Report) -> Result<(), String> {
-    let path = config.baseline_path();
-    std::fs::write(&path, Baseline::render(&report.violations))
-        .map_err(|e| format!("cannot write baseline {}: {e}", path.display()))
 }
 
 /// Is this violation waived by an adjacent `LINT: allow(...)` comment?

@@ -57,7 +57,6 @@ impl Lint for AsyncShard {
                         "async-shard|manifest|{}::{}|missing-root",
                         hp.krate, hp.func
                     ),
-                    baselined: false,
                 });
                 continue;
             }

@@ -50,7 +50,6 @@ impl Lint for HotPathAlloc {
                     symbol: hp.func.clone(),
                     message: format!("hot-path crate `{}` not found in workspace", hp.krate),
                     fingerprint: format!("hot-path-alloc|manifest|{}|missing-crate", hp.krate),
-                    baselined: false,
                 });
                 continue;
             }
@@ -70,7 +69,6 @@ impl Lint for HotPathAlloc {
                         "hot-path-alloc|manifest|{}::{}|missing-fn",
                         hp.krate, hp.func
                     ),
-                    baselined: false,
                 });
                 continue;
             }

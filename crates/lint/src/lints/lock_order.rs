@@ -154,7 +154,6 @@ impl Lint for LockOrder {
                     names.join(" -> "),
                 ),
                 fingerprint: format!("lock-order|workspace|cycle|{}", key.join(",")),
-                baselined: false,
             });
         }
     }

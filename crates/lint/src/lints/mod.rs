@@ -18,9 +18,7 @@ pub mod bounded_send;
 pub mod clock;
 pub mod hotpath;
 pub mod lock_order;
-pub mod ordering;
 pub mod panic_path;
-pub mod span_cost;
 
 /// One finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,11 +33,10 @@ pub struct Violation {
     pub symbol: String,
     /// Human-readable description.
     pub message: String,
-    /// Line-number-free identity used for baselining, so frozen debt
-    /// stays frozen across unrelated edits: `lint|file|symbol|detail`.
+    /// Line-number-free identity (`lint|file|symbol|detail`), so a
+    /// finding keeps its SARIF `partialFingerprints` across unrelated
+    /// edits.
     pub fingerprint: String,
-    /// Set by the engine when the baseline absorbs this violation.
-    pub baselined: bool,
 }
 
 impl Violation {
@@ -60,7 +57,6 @@ impl Violation {
             fingerprint: format!("{lint}|{}|{symbol}|{detail}", sf.rel),
             symbol,
             message,
-            baselined: false,
         }
     }
 }
@@ -89,8 +85,6 @@ pub fn all_lints() -> Vec<Box<dyn Lint>> {
         Box::new(hotpath::HotPathAlloc),
         Box::new(clock::ClockDiscipline),
         Box::new(panic_path::PanicFree),
-        Box::new(ordering::OrderingJustified),
-        Box::new(span_cost::SpanCostCoverage),
         Box::new(async_shard::AsyncShard),
         Box::new(bounded_send::BoundedSend),
     ]

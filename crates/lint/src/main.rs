@@ -1,8 +1,7 @@
-//! `dcs-lint` CLI: run the workspace analyzer, gate on new violations.
+//! `dcs-lint` CLI: run the workspace analyzer, gate on violations.
 //!
-//! Exit codes: `0` clean (or all violations baselined), `1` new
-//! violations found, `2` usage or I/O error. `--update-baseline`
-//! rewrites `lint-baseline.txt` from the current tree and exits 0.
+//! Exit codes: `0` clean, `1` unwaived violations found, `2` usage or
+//! I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -15,13 +14,8 @@ USAGE:
 
 OPTIONS:
     --root <DIR>        workspace root (default: walk up from cwd)
-    --manifest <FILE>   policy manifest (default: <root>/lint-hotpaths.toml)
-    --baseline <FILE>   baseline file (default: <root>/lint-baseline.txt)
     --json [<FILE>]     also write the JSON report (default: lint-report.json)
     --sarif <FILE>      also write a SARIF 2.1.0 report (code-scanning upload)
-    --changed-only <REF> keep only findings in files changed vs this git ref
-    --effects <PATTERN> print inferred effect summaries for matching functions
-    --update-baseline   rewrite the baseline from the current tree, exit 0
     --list-lints        print the lint catalog and exit
     -h, --help          print this help
 ";
@@ -39,21 +33,14 @@ fn main() -> ExitCode {
 
 fn run_cli(args: &[String]) -> Result<ExitCode, String> {
     let mut root: Option<PathBuf> = None;
-    let mut manifest: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
     let mut json: Option<PathBuf> = None;
     let mut sarif: Option<PathBuf> = None;
-    let mut changed_only: Option<String> = None;
-    let mut effects: Option<String> = None;
-    let mut update = false;
     let mut list = false;
 
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--root" => root = Some(path_arg(&mut it, "--root")?),
-            "--manifest" => manifest = Some(path_arg(&mut it, "--manifest")?),
-            "--baseline" => baseline = Some(path_arg(&mut it, "--baseline")?),
             "--json" => {
                 // Optional value: a following non-flag token is the path.
                 json = Some(match it.peek() {
@@ -62,21 +49,6 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
                 });
             }
             "--sarif" => sarif = Some(path_arg(&mut it, "--sarif")?),
-            "--changed-only" => {
-                changed_only = Some(
-                    it.next()
-                        .cloned()
-                        .ok_or(format!("--changed-only needs a git ref\n{USAGE}"))?,
-                );
-            }
-            "--effects" => {
-                effects = Some(
-                    it.next()
-                        .cloned()
-                        .ok_or(format!("--effects needs a function pattern\n{USAGE}"))?,
-                );
-            }
-            "--update-baseline" => update = true,
             "--list-lints" => list = true,
             "-h" | "--help" => {
                 print!("{USAGE}");
@@ -101,39 +73,18 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
                 .ok_or("no workspace root found above cwd; pass --root")?
         }
     };
-    let config = dcs_lint::Config {
-        root,
-        manifest,
-        baseline,
-        changed_only,
-    };
-
-    if let Some(pattern) = effects {
-        print!("{}", dcs_lint::dump_effects(&config, &pattern)?);
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let report = dcs_lint::run(&config)?;
-
-    if update {
-        dcs_lint::update_baseline(&config, &report)?;
-        println!(
-            "dcs-lint: baseline updated ({} violation(s) frozen)",
-            report.violations.len()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
+    let report = dcs_lint::run(&root)?;
 
     if let Some(json_path) = json {
-        std::fs::write(&json_path, report.render_json())
+        std::fs::write(&json_path, report.to_json().to_string())
             .map_err(|e| format!("cannot write {}: {e}", json_path.display()))?;
     }
     if let Some(sarif_path) = sarif {
-        std::fs::write(&sarif_path, dcs_lint::sarif::render(&report))
+        std::fs::write(&sarif_path, dcs_lint::sarif::render(&report).to_string())
             .map_err(|e| format!("cannot write {}: {e}", sarif_path.display()))?;
     }
     print!("{}", report.render_text());
-    Ok(if report.new_count == 0 {
+    Ok(if report.violations.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -5,7 +5,7 @@
 //! offline, so no `toml` crate. The manifest carries everything that is
 //! *policy* rather than *code*: which functions are hot paths, which
 //! files may touch the real clock, which modules must be panic-free,
-//! and which crates owe `// ORDERING:` justifications.
+//! and how dynamic dispatch and blocking resolve for the effect engine.
 //!
 //! ```toml
 //! [hotpath]
@@ -18,9 +18,6 @@
 //! files = ["crates/server/src/protocol.rs"]
 //! send_files = ["crates/server/src/server.rs"]
 //! bounded_senders = ["mailbox", "outbox"]
-//!
-//! [ordering]
-//! crates = ["ebr", "bwtree", "llama"]
 //!
 //! [dispatch]
 //! kv_get = ["dcs-core::CachingStore::kv_get", "dcs-core::LsmBackend::kv_get"]
@@ -61,8 +58,6 @@ pub struct Manifest {
     pub clock_allow: Vec<String>,
     /// Wire-path files that must be panic-free.
     pub wire_files: Vec<String>,
-    /// Crates whose `Ordering::Relaxed` uses need `// ORDERING:`.
-    pub ordering_crates: Vec<String>,
     /// Dynamic-dispatch policy: bare method name → every workspace
     /// implementation a call through it may reach (the call graph takes
     /// the union).
@@ -146,13 +141,6 @@ impl Manifest {
             for f in t.get_array("blocking") {
                 m.declared_blocking.push(parse_fn_ref(&f, "effects")?);
             }
-        }
-        if let Some(t) = tables.get("ordering") {
-            m.ordering_crates = t
-                .get_array("crates")
-                .into_iter()
-                .map(|c| c.trim_start_matches("dcs-").to_string())
-                .collect();
         }
         Ok(m)
     }
@@ -312,9 +300,6 @@ allow = ["crates/flashsim/", "crates/telemetry/src/clock.rs"]
 
 [wire-path]
 files = ["crates/server/src/protocol.rs"]
-
-[ordering]
-crates = ["dcs-ebr", "bwtree"]
 "#,
         )
         .unwrap();
@@ -333,7 +318,6 @@ crates = ["dcs-ebr", "bwtree"]
         );
         assert_eq!(m.clock_allow.len(), 2);
         assert_eq!(m.wire_files, vec!["crates/server/src/protocol.rs"]);
-        assert_eq!(m.ordering_crates, vec!["ebr", "bwtree"]);
     }
 
     #[test]

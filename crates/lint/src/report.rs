@@ -1,28 +1,24 @@
-//! Report rendering: human text and machine-readable JSON.
+//! Report rendering: human text and the JSON artifact.
 //!
-//! The JSON shape is the CI artifact contract:
+//! The JSON shape (CI uploads it; nothing reads its keys back):
 //!
 //! ```json
 //! {
 //!   "files_scanned": 100,
-//!   "summary": { "new": 0, "baselined": 3,
-//!                "per_lint": { "lock-order": 0, … } },
+//!   "summary": { "violations": 0, "per_lint": { "lock-order": 0, … } },
 //!   "lints": [ { "name": "lock-order", "description": "…" }, … ],
-//!   "violations": [ { "lint": "…", "file": "…", "line": 1,
-//!                     "symbol": "…", "message": "…",
-//!                     "baselined": false }, … ]
+//!   "violations": [ { "lint": "…", "file": "…", "line": 1, "symbol": "…",
+//!                     "message": "…", "fingerprint": "…" }, … ]
 //! }
 //! ```
 
 use crate::lints::Violation;
-use std::collections::BTreeMap;
+use dcs_telemetry::{obj, Json};
 
 /// Everything one analyzer run produced.
 pub struct Report {
-    /// All violations, baselined ones included, in lint/file/line order.
+    /// Unwaived violations, in lint/file/line order.
     pub violations: Vec<Violation>,
-    /// Count of violations the baseline did not absorb.
-    pub new_count: usize,
     /// Files analyzed.
     pub files_scanned: usize,
     /// Registered lints: `(name, description)`.
@@ -30,105 +26,54 @@ pub struct Report {
 }
 
 impl Report {
-    /// Human-readable summary for stderr/stdout.
+    /// Human-readable summary for stdout.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for v in &self.violations {
-            if v.baselined {
-                continue;
-            }
             out.push_str(&format!(
                 "{}:{}: [{}] {} (in {})\n",
                 v.file, v.line, v.lint, v.message, v.symbol
             ));
         }
-        let baselined = self.violations.len() - self.new_count;
         out.push_str(&format!(
-            "dcs-lint: {} file(s), {} lint(s): {} new violation(s), {} baselined\n",
+            "dcs-lint: {} file(s), {} lint(s): {} violation(s)\n",
             self.files_scanned,
             self.lints.len(),
-            self.new_count,
-            baselined
+            self.violations.len()
         ));
         out
     }
 
     /// The JSON artifact.
-    pub fn render_json(&self) -> String {
-        let mut per_lint: BTreeMap<&str, usize> = self.lints.iter().map(|(n, _)| (*n, 0)).collect();
-        for v in &self.violations {
-            if !v.baselined {
-                *per_lint.entry(v.lint).or_default() += 1;
+    pub fn to_json(&self) -> Json {
+        let per_lint = self.lints.iter().map(|(name, _)| {
+            let n = self.violations.iter().filter(|v| v.lint == *name).count();
+            (*name, Json::from(n))
+        });
+        let lints = self
+            .lints
+            .iter()
+            .map(|(name, desc)| obj! { "name": *name, "description": *desc });
+        let violations = self.violations.iter().map(|v| {
+            obj! {
+                "lint": v.lint,
+                "file": v.file.as_str(),
+                "line": v.line,
+                "symbol": v.symbol.as_str(),
+                "message": v.message.as_str(),
+                "fingerprint": v.fingerprint.as_str(),
             }
-        }
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        s.push_str("  \"summary\": {\n");
-        s.push_str(&format!("    \"new\": {},\n", self.new_count));
-        s.push_str(&format!(
-            "    \"baselined\": {},\n",
-            self.violations.len() - self.new_count
-        ));
-        s.push_str("    \"per_lint\": {");
-        let mut first = true;
-        for (name, n) in &per_lint {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!(" \"{}\": {}", esc(name), n));
-        }
-        s.push_str(" }\n  },\n");
-        s.push_str("  \"lints\": [\n");
-        for (i, (name, desc)) in self.lints.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{ \"name\": \"{}\", \"description\": \"{}\" }}{}\n",
-                esc(name),
-                esc(desc),
-                if i + 1 < self.lints.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"violations\": [\n");
-        for (i, v) in self.violations.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{ \"lint\": \"{}\", \"file\": \"{}\", \"line\": {}, \
-                 \"symbol\": \"{}\", \"message\": \"{}\", \"fingerprint\": \"{}\", \
-                 \"baselined\": {} }}{}\n",
-                esc(v.lint),
-                esc(&v.file),
-                v.line,
-                esc(&v.symbol),
-                esc(&v.message),
-                esc(&v.fingerprint),
-                v.baselined,
-                if i + 1 < self.violations.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-}
-
-/// Minimal JSON string escaping.
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+        });
+        obj! {
+            "files_scanned": self.files_scanned,
+            "summary": obj! {
+                "violations": self.violations.len(),
+                "per_lint": Json::obj(per_lint),
+            },
+            "lints": Json::arr(lints),
+            "violations": Json::arr(violations),
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -137,27 +82,14 @@ mod tests {
 
     fn sample() -> Report {
         Report {
-            violations: vec![
-                Violation {
-                    lint: "virtual-clock",
-                    file: "crates/x/src/a.rs".into(),
-                    line: 3,
-                    symbol: "f".into(),
-                    message: "bad \"clock\"".into(),
-                    fingerprint: "virtual-clock|crates/x/src/a.rs|f|Instant".into(),
-                    baselined: false,
-                },
-                Violation {
-                    lint: "lock-order",
-                    file: "crates/x/src/b.rs".into(),
-                    line: 9,
-                    symbol: "g".into(),
-                    message: "frozen".into(),
-                    fingerprint: "lock-order|x|cycle|a,b".into(),
-                    baselined: true,
-                },
-            ],
-            new_count: 1,
+            violations: vec![Violation {
+                lint: "virtual-clock",
+                file: "crates/x/src/a.rs".into(),
+                line: 3,
+                symbol: "f".into(),
+                message: "bad \"clock\"".into(),
+                fingerprint: "virtual-clock|crates/x/src/a.rs|f|Instant".into(),
+            }],
             files_scanned: 2,
             lints: vec![("virtual-clock", "desc"), ("lock-order", "desc2")],
         }
@@ -166,19 +98,24 @@ mod tests {
     #[test]
     fn text_lists_only_new() {
         let t = sample().render_text();
-        assert!(t.contains("crates/x/src/a.rs:3"));
-        assert!(!t.contains("crates/x/src/b.rs"));
-        assert!(t.contains("1 new violation(s), 1 baselined"));
+        assert!(t.contains("crates/x/src/a.rs:3: [virtual-clock]"), "{t}");
+        assert!(t.contains("2 file(s), 2 lint(s): 1 violation(s)"), "{t}");
     }
 
     #[test]
     fn json_escapes_and_counts() {
-        let j = sample().render_json();
-        assert!(j.contains("\\\"clock\\\""));
-        assert!(j.contains("\"new\": 1"));
-        assert!(j.contains("\"baselined\": 1"));
-        assert!(j.contains("\"virtual-clock\": 1"));
-        assert!(j.contains("\"lock-order\": 0"));
-        assert!(j.contains("\"baselined\": true"));
+        let text = sample().to_json().to_string();
+        assert!(text.contains(r#"bad \"clock\""#), "{text}");
+        let j = Json::parse(&text).unwrap();
+        assert_eq!(j.at(&["summary", "violations"]), Some(&Json::UInt(1)));
+        let per_lint = |lint| j.at(&["summary", "per_lint", lint]).and_then(Json::as_u64);
+        assert_eq!(per_lint("virtual-clock"), Some(1));
+        assert_eq!(per_lint("lock-order"), Some(0));
+        let v = &j.get("violations").unwrap().items()[0];
+        assert_eq!(
+            v.get("message").and_then(Json::as_str),
+            Some("bad \"clock\"")
+        );
+        assert_eq!(v.get("line").and_then(Json::as_u64), Some(3));
     }
 }

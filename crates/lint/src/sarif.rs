@@ -1,62 +1,48 @@
 //! SARIF 2.1.0 rendering, so CI can upload findings as GitHub
 //! code-scanning annotations.
 //!
-//! Hand-assembled JSON like [`crate::report`] (std-only crate). Only
-//! non-baselined findings are emitted — frozen debt is invisible to the
-//! gate and should be invisible to annotations too. Violation
-//! fingerprints ride in `partialFingerprints` under the
-//! `dcsLint/v1` key, giving GitHub the same line-churn-stable identity
-//! the baseline file uses. Manifest-anchored findings report line 0
-//! internally; SARIF regions are 1-based, so those clamp to 1.
+//! Violation fingerprints ride in `partialFingerprints` under the
+//! `dcsLint/v1` key, giving GitHub a line-churn-stable identity for each
+//! finding. Manifest-anchored findings report line 0 internally; SARIF
+//! regions are 1-based, so those clamp to 1.
 
-use crate::report::{esc, Report};
+use crate::report::Report;
+use dcs_telemetry::{obj, Json};
 
-/// Render the report as a SARIF 2.1.0 document.
-pub fn render(report: &Report) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"$schema\": \"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",\n");
-    s.push_str("  \"version\": \"2.1.0\",\n");
-    s.push_str("  \"runs\": [\n    {\n");
-    s.push_str("      \"tool\": {\n        \"driver\": {\n");
-    s.push_str("          \"name\": \"dcs-lint\",\n");
-    s.push_str("          \"informationUri\": \"https://example.invalid/dcs-lint\",\n");
-    s.push_str("          \"rules\": [\n");
-    let rules: Vec<String> = report
-        .lints
-        .iter()
-        .map(|(name, desc)| {
-            format!(
-                "            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}}}",
-                esc(name),
-                esc(desc)
-            )
-        })
-        .collect();
-    s.push_str(&rules.join(",\n"));
-    s.push_str("\n          ]\n        }\n      },\n");
-    s.push_str("      \"results\": [\n");
-    let results: Vec<String> = report
-        .violations
-        .iter()
-        .filter(|v| !v.baselined)
-        .map(|v| {
-            format!(
-                "        {{\n          \"ruleId\": \"{}\",\n          \"level\": \"error\",\n          \"message\": {{\"text\": \"{}\"}},\n          \"locations\": [\n            {{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \"region\": {{\"startLine\": {}}}}}}}\n          ],\n          \"partialFingerprints\": {{\"dcsLint/v1\": \"{}\"}}\n        }}",
-                esc(v.lint),
-                esc(&v.message),
-                esc(&v.file),
-                v.line.max(1),
-                esc(&v.fingerprint),
-            )
-        })
-        .collect();
-    s.push_str(&results.join(",\n"));
-    if !results.is_empty() {
-        s.push('\n');
+/// The report as a SARIF 2.1.0 document.
+pub fn render(report: &Report) -> Json {
+    let rules = report.lints.iter().map(|(name, desc)| {
+        obj! { "id": *name, "shortDescription": obj! { "text": *desc } }
+    });
+    let results = report.violations.iter().map(|v| {
+        let region = obj! { "startLine": v.line.max(1) };
+        let location = obj! {
+            "physicalLocation": obj! {
+                "artifactLocation": obj! { "uri": v.file.as_str() },
+                "region": region,
+            },
+        };
+        obj! {
+            "ruleId": v.lint,
+            "level": "error",
+            "message": obj! { "text": v.message.as_str() },
+            "locations": Json::arr([location]),
+            "partialFingerprints": obj! { "dcsLint/v1": v.fingerprint.as_str() },
+        }
+    });
+    let driver = obj! {
+        "name": "dcs-lint",
+        "informationUri": "https://example.invalid/dcs-lint",
+        "rules": Json::arr(rules),
+    };
+    obj! {
+        "$schema": "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json",
+        "version": "2.1.0",
+        "runs": Json::arr([obj! {
+            "tool": obj! { "driver": driver },
+            "results": Json::arr(results),
+        }]),
     }
-    s.push_str("      ]\n    }\n  ]\n}\n");
-    s
 }
 
 #[cfg(test)]
@@ -64,47 +50,54 @@ mod tests {
     use super::*;
     use crate::lints::Violation;
 
-    fn report_with(violations: Vec<Violation>) -> Report {
-        Report {
-            new_count: violations.iter().filter(|v| !v.baselined).count(),
-            violations,
+    fn report_with(line: u32) -> Json {
+        let report = Report {
+            violations: vec![Violation {
+                lint: "lock-order",
+                file: "crates/x/src/m.rs".into(),
+                line,
+                symbol: "f".into(),
+                message: "cycle: \"a\" -> b".into(),
+                fingerprint: "lock-order|crates/x/src/m.rs|f|cycle".into(),
+            }],
             files_scanned: 1,
             lints: vec![("lock-order", "graph must be acyclic")],
-        }
+        };
+        Json::parse(&render(&report).to_string()).unwrap()
     }
 
-    fn violation(line: u32, baselined: bool) -> Violation {
-        Violation {
-            lint: "lock-order",
-            file: "crates/x/src/m.rs".into(),
-            line,
-            symbol: "f".into(),
-            message: "cycle: \"a\" -> b".into(),
-            fingerprint: "lock-order|crates/x/src/m.rs|f|cycle".into(),
-            baselined,
-        }
+    fn result(sarif: &Json) -> &Json {
+        &sarif.get("runs").unwrap().items()[0]
+            .get("results")
+            .unwrap()
+            .items()[0]
+    }
+
+    fn start_line(sarif: &Json) -> Option<u64> {
+        let location = &result(sarif).get("locations").unwrap().items()[0];
+        location
+            .at(&["physicalLocation", "region", "startLine"])
+            .and_then(Json::as_u64)
     }
 
     #[test]
     fn renders_rule_result_and_fingerprint() {
-        let s = render(&report_with(vec![violation(7, false)]));
-        assert!(s.contains("\"version\": \"2.1.0\""));
-        assert!(s.contains("\"ruleId\": \"lock-order\""));
-        assert!(s.contains("\"startLine\": 7"));
-        assert!(s.contains("dcsLint/v1"));
-        assert!(s.contains("cycle: \\\"a\\\" -> b")); // message escaped
-    }
-
-    #[test]
-    fn baselined_findings_are_omitted() {
-        let s = render(&report_with(vec![violation(7, true)]));
-        assert!(!s.contains("ruleId\": \"lock-order\"") || !s.contains("startLine"));
-        assert!(s.contains("\"results\": ["));
+        let s = report_with(7);
+        assert_eq!(s.get("version").and_then(Json::as_str), Some("2.1.0"));
+        let r = result(&s);
+        assert_eq!(r.get("ruleId").and_then(Json::as_str), Some("lock-order"));
+        assert_eq!(start_line(&s), Some(7));
+        let fp = r.at(&["partialFingerprints", "dcsLint/v1"]);
+        assert_eq!(
+            fp.and_then(Json::as_str),
+            Some("lock-order|crates/x/src/m.rs|f|cycle")
+        );
+        let text = r.at(&["message", "text"]).and_then(Json::as_str);
+        assert_eq!(text, Some("cycle: \"a\" -> b"));
     }
 
     #[test]
     fn line_zero_clamps_to_one() {
-        let s = render(&report_with(vec![violation(0, false)]));
-        assert!(s.contains("\"startLine\": 1"));
+        assert_eq!(start_line(&report_with(0)), Some(1));
     }
 }

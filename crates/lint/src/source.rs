@@ -10,7 +10,7 @@
 //! more conservative (a violation is attributed to the enclosing
 //! function, or to the file when there is none).
 
-use crate::lexer::{lex, Tok, Token};
+use crate::lexer::{lex, Token};
 use std::path::{Path, PathBuf};
 
 /// A function item (free function, method, or trait default method).
@@ -34,7 +34,7 @@ pub struct SourceFile {
     /// Absolute path on disk.
     pub path: PathBuf,
     /// Workspace-relative path with forward slashes (stable across
-    /// machines: the report/baseline key).
+    /// machines: the report key).
     pub rel: String,
     /// Owning crate's directory name under `crates/`.
     pub crate_name: String,
@@ -48,7 +48,7 @@ pub struct SourceFile {
     attr_ranges: Vec<(usize, usize)>,
     /// Sorted token-index ranges lying inside `#[cfg(test)]` items.
     test_ranges: Vec<(usize, usize)>,
-    /// Raw line text, for same-line comment lookups.
+    /// Raw line text, for waiver lookups.
     lines: Vec<String>,
 }
 
@@ -115,42 +115,6 @@ impl SourceFile {
             .get(line as usize - 1)
             .map(|s| s.as_str())
             .unwrap_or("")
-    }
-
-    /// True when `line` carries a trailing `//` comment containing
-    /// `marker`, or the contiguous comment block immediately above the
-    /// statement containing `line` does. `stmt_first_line` is the first
-    /// line of the enclosing statement (the block above is looked up
-    /// there, so one comment covers a multi-line statement).
-    pub fn has_adjacent_marker(&self, line: u32, stmt_first_line: u32, marker: &str) -> bool {
-        if let Some(text) = self.trailing_comment(line) {
-            if text.contains(marker) {
-                return true;
-            }
-        }
-        // Walk contiguous comment-only lines above the statement.
-        let mut l = stmt_first_line.saturating_sub(1);
-        while l >= 1 {
-            let t = self.line_text(l).trim();
-            if let Some(c) = t.strip_prefix("//") {
-                if c.contains(marker) {
-                    return true;
-                }
-                l -= 1;
-            } else {
-                break;
-            }
-        }
-        false
-    }
-
-    /// The trailing `//` comment on `line`, if any (from the token
-    /// stream, so comment-looking text inside strings does not count).
-    pub fn trailing_comment(&self, line: u32) -> Option<&str> {
-        self.tokens.iter().find_map(|t| match &t.tok {
-            Tok::LineComment(s) if t.line == line => Some(s.as_str()),
-            _ => None,
-        })
     }
 
     /// First line of the statement containing token `i`: the line of the
@@ -501,25 +465,6 @@ mod tests {
         );
         assert_eq!(sf.fns.len(), 1);
         assert_eq!(sf.fns[0].name, "f");
-    }
-
-    #[test]
-    fn adjacent_marker_same_line_and_block_above() {
-        let sf = parse(
-            "fn f() {\n\
-                 a.store(1, Ordering::Relaxed); // ORDERING: counter\n\
-                 // ORDERING: stat only,\n\
-                 // approximate is fine.\n\
-                 b.store(\n\
-                     2, Ordering::Relaxed);\n\
-                 c.store(3, Ordering::Relaxed);\n\
-             }",
-        );
-        assert!(sf.has_adjacent_marker(2, 2, "ORDERING:"));
-        // Multi-line statement: comment block above line 5 covers line 6.
-        assert!(sf.has_adjacent_marker(6, 5, "ORDERING:"));
-        // Line 7 has neither a trailing comment nor a block above it.
-        assert!(!sf.has_adjacent_marker(7, 7, "ORDERING:"));
     }
 
     #[test]

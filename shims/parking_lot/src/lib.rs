@@ -1,5 +1,5 @@
-//! Vendored shim of `parking_lot`: [`Mutex`], [`RwLock`], and [`Condvar`]
-//! with the non-poisoning API, implemented over `std::sync`.
+//! Vendored shim of `parking_lot`: [`Mutex`] and [`RwLock`] with the
+//! non-poisoning API, implemented over `std::sync`.
 //!
 //! The real parking_lot wins on speed and size; this shim only needs to win
 //! on API compatibility. Poisoning is translated into propagating the inner
@@ -7,7 +7,6 @@
 //! semantics of ignoring panics in critical sections.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A mutual exclusion primitive (non-poisoning `lock()` API).
 #[derive(Default)]
@@ -204,68 +203,6 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
     }
 }
 
-/// A condition variable usable with this module's [`Mutex`].
-#[derive(Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-    /// Tracks whether a notification raced a `wait` (std's API is proof
-    /// against this; flag kept for `notify_one` parity on empty waiters).
-    _pending: AtomicBool,
-}
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub const fn new() -> Self {
-        Condvar {
-            inner: std::sync::Condvar::new(),
-            _pending: AtomicBool::new(false),
-        }
-    }
-
-    /// Blocks until notified. Spurious wakeups possible, as with std.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        self._pending.store(false, Ordering::Relaxed);
-        // Replace the inner std guard by waiting on it; std's wait takes the
-        // guard by value, so temporarily swap it out through a raw dance is
-        // not possible safely — instead wait via the public API below.
-        take_mut_guard(guard, |g| match self.inner.wait(g) {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        });
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self._pending.store(true, Ordering::Relaxed);
-        self.inner.notify_one();
-    }
-
-    /// Wakes all waiters.
-    pub fn notify_all(&self) {
-        self._pending.store(true, Ordering::Relaxed);
-        self.inner.notify_all();
-    }
-}
-
-/// Applies `f` to the std guard inside `guard` by value.
-///
-/// Uses `Option`-free ManuallyDrop plumbing: read the guard out, feed it to
-/// `f`, write the result back. A panic in `f` (only possible from a poisoned
-/// mutex, which we unwrap anyway) would abort via double-panic, which is
-/// acceptable for a test-support shim.
-fn take_mut_guard<'a, T>(
-    guard: &mut MutexGuard<'a, T>,
-    f: impl FnOnce(std::sync::MutexGuard<'a, T>) -> std::sync::MutexGuard<'a, T>,
-) {
-    // SAFETY: `inner` is read out and immediately replaced before any unwind
-    // can observe the hole; `f` cannot panic in practice (poison unwrapped).
-    unsafe {
-        let inner = std::ptr::read(&guard.inner);
-        let new = f(inner);
-        std::ptr::write(&mut guard.inner, new);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,24 +239,5 @@ mod tests {
             j.join().unwrap();
         }
         assert_eq!(*m.lock(), 4000);
-    }
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = pair.clone();
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut done = m.lock();
-            while !*done {
-                cv.wait(&mut done);
-            }
-        });
-        {
-            let (m, cv) = &*pair;
-            *m.lock() = true;
-            cv.notify_all();
-        }
-        t.join().unwrap();
     }
 }
