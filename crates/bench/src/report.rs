@@ -1,6 +1,6 @@
-//! Reading `BENCH_server.json` back: the slices of the load generator's
-//! report (`dcs_server::BenchReport::to_json`) the figure bins consume,
-//! navigated by key path through [`Json::parse`].
+//! Reading `BENCH_server.json` back: the slices of the `loadgen` binary's
+//! report the figure bins consume, navigated by key path through
+//! [`Json::parse`].
 
 use dcs_costmodel::miss_service::MissServiceMeasurement;
 use dcs_costmodel::mrc_cost::{MrcCurvePoint, MrcMeasured};
@@ -75,8 +75,8 @@ pub fn parse_bench_mrc(json: &str) -> Option<Vec<MrcMeasured>> {
 mod tests {
     use super::*;
 
-    /// A trimmed-down report with the key names and nesting
-    /// `BenchReport::to_json` emits. `ops` comes *before* the top-level
+    /// A trimmed-down report with the key names and nesting `loadgen`
+    /// writes. `ops` comes *before* the top-level
     /// blocks and carries its own `latency`/`mean_us` keys: the reader
     /// navigates by path, so key order and repeated key names are
     /// irrelevant.

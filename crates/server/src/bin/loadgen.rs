@@ -6,7 +6,9 @@
 //! from `dcs_workload::Arrivals`, latency measured from the *scheduled*
 //! arrival so coordinated omission is not hidden), then performs a
 //! drain-and-flush shutdown and verifies that every acknowledged write is
-//! still readable from the backends. Emits `BENCH_server.json`.
+//! still readable from the backends. Writes one JSON report (`--out`),
+//! built where its numbers are measured; CI's gates and the figure bins
+//! read it by key path.
 //!
 //! ```text
 //! cargo run --release -p dcs-server --bin loadgen -- \
@@ -14,20 +16,17 @@
 //! ```
 
 use dcs_core::{BackendKind, BackendOpts};
-use dcs_costmodel::accounting::{price_run, RunProfile};
+use dcs_costmodel::accounting::{price_run, RunCost, RunProfile};
 use dcs_costmodel::mrc_cost::{marginal_at, recommended_bytes, MrcCurvePoint};
 use dcs_costmodel::HardwareCatalog;
-use dcs_rebalance::{PartitionMap, PolicyConfig};
+use dcs_rebalance::PolicyConfig;
 use dcs_server::mailbox::Mailbox;
 use dcs_server::metrics::LatencyHistogram;
 use dcs_server::protocol::{Request, Response};
-use dcs_server::report::{
-    BenchReport, CostTerms, IoDepthReport, MissServiceReport, MrcConsumerReport, MrcReport,
-    OpReport, PlacementReport, TelemetryReport,
-};
 use dcs_server::{
     Client, ClientConfig, Partitioner, RebalanceConfig, Server, ServerConfig, ShardBackend, Ticket,
 };
+use dcs_telemetry::{obj, HistogramSnapshot, Json};
 use dcs_workload::{keys, Arrivals, KeyDist, OpKind, OpMix, WorkloadSpec};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,9 +98,7 @@ fn parse_args() -> Args {
             eprintln!(
                 "loadgen: wire-level load generator for dcs-server\n\
                  --backend caching|bwtree|masstree|lsm   (default caching)\n\
-                 --mode closed|open|inproc               (default closed;\n\
-                    inproc skips the wire and drives the backends directly\n\
-                    for the wire-overhead comparison)\n\
+                 --mode closed|open                      (default closed)\n\
                  --rate OPS_PER_SEC                      (open loop; default 50000)\n\
                  --ops N                                 (default 100000)\n\
                  --records N                             (default 20000)\n\
@@ -196,8 +193,8 @@ fn parse_args() -> Args {
     }
     assert!(args.shards > 0 && args.conns > 0 && args.threads > 0);
     assert!(
-        args.mode == "open" || args.mode == "closed" || args.mode == "inproc",
-        "--mode must be open, closed, or inproc"
+        args.mode == "open" || args.mode == "closed",
+        "--mode must be open or closed"
     );
     assert!(
         matches!(args.key_dist.as_str(), "default" | "uniform" | "zipfian"),
@@ -235,7 +232,9 @@ impl Harness {
         }
     }
 
-    /// Account one finished request.
+    /// Account one finished request. Only the answer kind the op expects
+    /// counts as done; any other (`MOVED` included: the request was not
+    /// executed) is an error, records no latency and acks nothing.
     fn settle(
         &self,
         kind: usize,
@@ -244,20 +243,24 @@ impl Harness {
         latency: Duration,
     ) {
         let s = &self.stats[kind];
-        match outcome {
+        let executed = match outcome {
             Ok(Response::Busy) => {
                 s.busy.fetch_add(1, Ordering::Relaxed);
+                return;
             }
-            Ok(Response::Err(_)) | Err(_) => {
-                s.errors.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(_) => {
-                s.count.fetch_add(1, Ordering::Relaxed);
-                s.hist.record(latency.as_nanos() as u64);
-                if kind == K_PUT || kind == K_RMW {
-                    self.acked.lock().unwrap().insert(key_id);
-                }
-            }
+            Ok(Response::Value(_)) => kind == K_GET,
+            Ok(Response::Ok) => kind == K_PUT || kind == K_RMW,
+            Ok(Response::Count(_)) => kind == K_SCAN,
+            _ => false,
+        };
+        if !executed {
+            s.errors.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        s.count.fetch_add(1, Ordering::Relaxed);
+        s.hist.record(latency.as_nanos() as u64);
+        if kind == K_PUT || kind == K_RMW {
+            self.acked.lock().unwrap().insert(key_id);
         }
     }
 }
@@ -451,58 +454,134 @@ fn run_open(args: &Args, client: &Arc<Client>, spec: &WorkloadSpec, harness: &Ar
     args.ops
 }
 
-/// The in-process baseline for the wire-overhead comparison: the same
-/// generator and closed-loop thread structure, but operations call the
-/// shard-routed backends directly — no protocol, sockets, mailboxes, or
-/// group commit.
-fn run_inproc(
+/// A latency histogram as the report's `{count, mean_us, p50_us, ...}`.
+fn latency_json(h: &HistogramSnapshot) -> Json {
+    let l = h.summary();
+    obj! {
+        "count": l.count,
+        "mean_us": l.mean_nanos / 1000.0,
+        "p50_us": l.p50_nanos / 1000.0,
+        "p95_us": l.p95_nanos / 1000.0,
+        "p99_us": l.p99_nanos / 1000.0,
+        "max_us": l.max_nanos as f64 / 1000.0,
+    }
+}
+
+/// `[[a, b], ...]`: how the report encodes curve points and histogram
+/// buckets.
+fn pairs<T: Copy + Into<Json>>(items: &[(T, T)]) -> Json {
+    Json::arr(items.iter().map(|&(a, b)| Json::arr([a, b])))
+}
+
+/// One per-term cost breakdown in the paper's algebra (rent + execution).
+fn cost_terms_json(t: &RunCost) -> Json {
+    obj! {
+        "dram_rent": t.dram_rent,
+        "flash_rent": t.flash_rent,
+        "mm_exec": t.mm_exec,
+        "ss_exec": t.ss_exec,
+        "total": t.total(),
+    }
+}
+
+/// True when every term of `a` and `b` agrees within `tol` relative, with
+/// a small absolute floor so two near-zero terms (e.g. flash rent on an
+/// in-memory backend) always reconcile.
+fn reconciles(a: &RunCost, b: &RunCost, tol: f64) -> bool {
+    let close = |x: f64, y: f64| (x - y).abs() <= tol * x.abs().max(y.abs()) + 1e-15;
+    close(a.dram_rent, b.dram_rent)
+        && close(a.flash_rent, b.flash_rent)
+        && close(a.mm_exec, b.mm_exec)
+        && close(a.ss_exec, b.ss_exec)
+}
+
+/// Hottest/coldest shard op ratio (coldest clamped to 1 op). 1.0 is a
+/// perfect spread; a Zipfian skew without rebalancing runs ~10x.
+fn spread_of(ops: &[u64]) -> f64 {
+    let max = ops.iter().max().copied().unwrap_or(0);
+    let min = ops.iter().min().copied().unwrap_or(0);
+    max as f64 / min.max(1) as f64
+}
+
+/// The `mrc` block: fire the flight recorder on post-run anomalies, write
+/// its dump, and fuse each consumer's measured miss-ratio curve with the
+/// cost catalog.
+fn mrc_json(
     args: &Args,
-    backends: &[Arc<dyn dcs_workload::KvStore + Send + Sync>],
-    partitioner: &Partitioner,
-    spec: &WorkloadSpec,
-    harness: &Arc<Harness>,
-) -> u64 {
-    let per_thread = args.ops / args.threads as u64;
-    std::thread::scope(|scope| {
-        for t in 0..args.threads {
-            let harness = harness.clone();
-            let mut spec = spec.clone();
-            spec.seed = spec.seed.wrapping_add(t as u64).wrapping_mul(0x9E37_79B9);
-            scope.spawn(move || {
-                let mut gen = spec.generator();
-                for _ in 0..per_thread {
-                    let op = gen.next_op();
-                    let key = keys::encode(op.key_id).to_vec();
-                    let store = &backends[partitioner.shard_of(&key)];
-                    let start = Instant::now();
-                    let (kind, outcome) = match op.kind {
-                        OpKind::Read => (K_GET, store.kv_get(&key).map(Response::Value)),
-                        OpKind::Update | OpKind::Insert | OpKind::BlindUpdate => {
-                            (K_PUT, store.kv_put(key, op.value).map(|()| Response::Ok))
-                        }
-                        OpKind::ReadModifyWrite => (
-                            K_RMW,
-                            store.kv_get(&key).and_then(|cur| {
-                                let mut v = cur.unwrap_or_default();
-                                v.extend_from_slice(&op.value);
-                                store.kv_put(key, v).map(|()| Response::Ok)
-                            }),
-                        ),
-                        OpKind::Scan { limit } => (
-                            K_SCAN,
-                            store
-                                .kv_scan(&key, limit as usize)
-                                .map(|n| Response::Count(n as u64)),
-                        ),
-                    };
-                    let outcome =
-                        outcome.map_err(|e| dcs_server::ClientError::Server(e.to_string()));
-                    harness.settle(kind, op.key_id, &outcome, start.elapsed());
-                }
-            });
+    hw: &HardwareCatalog,
+    harness: &Harness,
+    issued: u64,
+    reconciled: bool,
+    elapsed_secs: f64,
+) -> Json {
+    // The dump's final frame lands at the moment of detection; the ring
+    // is written unconditionally (CI ships it as an artifact whether or
+    // not anything tripped).
+    let flight = dcs_telemetry::flight();
+    let total_busy: u64 = harness
+        .stats
+        .iter()
+        .map(|s| s.busy.load(Ordering::Relaxed))
+        .sum();
+    if total_busy.saturating_mul(100) > issued.max(1) {
+        flight.trigger("busy spike");
+    }
+    let get = harness.stats[K_GET].hist.summary();
+    if get.count > 0 && get.p95_nanos > 10.0 * get.p50_nanos.max(1.0) {
+        flight.trigger("p95 regression");
+    }
+    if !reconciled {
+        flight.trigger("cost reconciliation failure");
+    }
+    std::fs::write(&args.flight_out, flight.dump_json()).expect("write flight dump");
+    eprintln!("loadgen: wrote flight-recorder dump -> {}", args.flight_out);
+
+    // The access rate spans the whole process (load + run): the profilers
+    // count from process start, so dividing by the run window alone would
+    // overstate the rent the cache saves.
+    let budget = args.memory_budget.map_or(0.0, |b| b as f64);
+    let consumers = dcs_telemetry::mrc().snapshots();
+    let consumers = consumers.iter().map(|s| {
+        let curve: Vec<MrcCurvePoint> = s
+            .points
+            .iter()
+            .map(|p| MrcCurvePoint {
+                bytes: p.bytes,
+                miss_ratio: p.miss_ratio,
+            })
+            .collect();
+        let access_rate = s.accesses as f64 / elapsed_secs.max(1e-9);
+        // Price the marginal byte at the configured budget, or at the
+        // full measured working set when none was given.
+        let eval_budget = if budget > 0.0 {
+            budget
+        } else {
+            curve.last().map_or(0.0, |p| p.bytes)
+        };
+        let at = marginal_at(hw, access_rate, &curve, eval_budget);
+        let points: Vec<(f64, f64)> = s.points.iter().map(|p| (p.bytes, p.miss_ratio)).collect();
+        obj! {
+            "consumer": s.consumer.as_str(),
+            "accesses": s.accesses,
+            "sampled": s.sampled,
+            "sample_rate": s.sample_rate,
+            "mean_entity_bytes": s.mean_entity_bytes,
+            "points": pairs(&points),
+            "marginal": obj! {
+                "value_per_byte": at.map_or(0.0, |p| p.marginal_value_per_byte),
+                "dram_price_per_byte": hw.dram_per_byte,
+                "net_per_byte": at.map_or(0.0, |p| p.net_per_byte()),
+            },
+            "recommended_bytes": recommended_bytes(hw, access_rate, &curve),
         }
     });
-    per_thread * args.threads as u64
+    obj! {
+        "enabled": true,
+        "budget_bytes": budget,
+        "flight_out": args.flight_out.as_str(),
+        "triggers": Json::arr(flight.triggers().iter().map(String::as_str)),
+        "consumers": Json::arr(consumers),
+    }
 }
 
 fn main() {
@@ -553,76 +632,52 @@ fn main() {
         })
     });
 
-    let (issued, duration, shard_snapshots, cost_before, final_map) = if args.mode == "inproc" {
-        // In-process baseline: same workload, no wire. Load directly.
-        for (key, value) in spec.load_set() {
-            let id = keys::decode(&key).expect("load key");
-            backends[partitioner.shard_of(&key)]
-                .kv_put(key, value)
-                .expect("load put");
-            harness.acked.lock().unwrap().insert(id);
-        }
-        eprintln!("loadgen: loaded {} records (in-process)", args.records);
-        let cost_before = dcs_telemetry::ledger().totals();
-        let run_start = Instant::now();
-        let issued = run_inproc(&args, &backends, &partitioner, &spec, &harness);
-        let map: Option<Arc<PartitionMap>> = None;
-        (issued, run_start.elapsed(), Vec::new(), cost_before, map)
-    } else {
-        let config = ServerConfig {
-            rebalance: RebalanceConfig {
-                enabled: args.rebalance,
-                tick_ms: args.rebalance_tick_ms,
-                policy: PolicyConfig {
-                    est_records: args.records,
-                    ..PolicyConfig::default()
-                },
-                ..RebalanceConfig::default()
+    let config = ServerConfig {
+        rebalance: RebalanceConfig {
+            enabled: args.rebalance,
+            tick_ms: args.rebalance_tick_ms,
+            policy: PolicyConfig {
+                est_records: args.records,
+                ..PolicyConfig::default()
             },
-            ..ServerConfig::default()
-        };
-        let server = Server::start_with(
-            built.into_iter().map(ShardBackend::from).collect(),
-            partitioner.clone(),
-            config,
-        )
-        .expect("start server");
-        let client = Arc::new(
-            Client::connect(
-                server.addr(),
-                ClientConfig {
-                    connections: args.conns,
-                    ..ClientConfig::default()
-                },
-            )
-            .expect("connect"),
-        );
-
-        load_phase(&client, &spec, &harness);
-        eprintln!("loadgen: loaded {} records", args.records);
-
-        let cost_before = dcs_telemetry::ledger().totals();
-        let run_start = Instant::now();
-        let issued = match args.mode.as_str() {
-            "open" => run_open(&args, &client, &spec, &harness),
-            _ => run_closed(&args, &client, &spec, &harness),
-        };
-        let duration = run_start.elapsed();
-
-        client.close();
-        // Snapshot placement before teardown: post-run verification must
-        // look up each key through the *final* map, since the rebalancer
-        // may have migrated ranges off their seed shard mid-run.
-        let final_map = server.router().map().load();
-        let report = server.shutdown();
-        (
-            issued,
-            duration,
-            report.shards,
-            cost_before,
-            Some(final_map),
-        )
+            ..RebalanceConfig::default()
+        },
+        ..ServerConfig::default()
     };
+    let server = Server::start_with(
+        built.into_iter().map(ShardBackend::from).collect(),
+        partitioner,
+        config,
+    )
+    .expect("start server");
+    let client = Arc::new(
+        Client::connect(
+            server.addr(),
+            ClientConfig {
+                connections: args.conns,
+                ..ClientConfig::default()
+            },
+        )
+        .expect("connect"),
+    );
+
+    load_phase(&client, &spec, &harness);
+    eprintln!("loadgen: loaded {} records", args.records);
+
+    let cost_before = dcs_telemetry::ledger().totals();
+    let run_start = Instant::now();
+    let issued = match args.mode.as_str() {
+        "open" => run_open(&args, &client, &spec, &harness),
+        _ => run_closed(&args, &client, &spec, &harness),
+    };
+    let duration = run_start.elapsed();
+
+    client.close();
+    // Snapshot placement before teardown: post-run verification must look
+    // up each key through the *final* map, since the rebalancer may have
+    // migrated ranges off their seed shard mid-run.
+    let final_map = server.router().map().load();
+    let shards = server.shutdown().shards;
     flight_stop.store(true, Ordering::Relaxed);
     if let Some(h) = flight_ticker {
         h.join().expect("flight ticker");
@@ -634,18 +689,13 @@ fn main() {
     // Verification: after the drain-and-flush shutdown, every write the
     // server acknowledged must still be readable from the backends.
     let acked = harness.acked.lock().unwrap();
-    let mut missing = 0u64;
-    for &id in acked.iter() {
-        let key = keys::encode(id);
-        let shard = match &final_map {
-            Some(map) => map.shard_of(&key),
-            None => partitioner.shard_of(&key),
-        };
-        match backends[shard].kv_get(&key) {
-            Ok(Some(_)) => {}
-            _ => missing += 1,
-        }
-    }
+    let missing = acked
+        .iter()
+        .filter(|&&id| {
+            let key = keys::encode(id);
+            !matches!(backends[final_map.shard_of(&key)].kv_get(&key), Ok(Some(_)))
+        })
+        .count() as u64;
 
     let completed: u64 = harness
         .stats
@@ -653,19 +703,17 @@ fn main() {
         .map(|s| s.count.load(Ordering::Relaxed))
         .sum();
     let throughput = completed as f64 / duration.as_secs_f64().max(1e-9);
-    // Aggregate the achieved-io-depth histograms across shard devices
-    // (the in-memory comparators have no device and report zeros).
-    let mut depth = dcs_telemetry::HistogramSnapshot::default();
+    // Achieved io depth across shard devices (the in-memory comparators
+    // have no device and report zeros), and miss service across shards:
+    // both merged bucket-wise, then summarized once.
+    let mut depth = HistogramSnapshot::default();
     for device in &devices {
         depth.merge(&device.stats().io_depth);
     }
-    let io_depth = IoDepthReport {
-        samples: depth.count,
-        mean: depth.mean(),
-        max: depth.max,
-        buckets: depth.nonzero_buckets(),
-    };
-    let miss_service = MissServiceReport::from_snapshots(&shard_snapshots);
+    let mut miss = HistogramSnapshot::default();
+    for s in &shards {
+        miss.merge(&s.miss_latency);
+    }
 
     // Export the sampled-span timeline before summarizing it, so the
     // trace stats in the report describe what the file contains.
@@ -677,183 +725,149 @@ fn main() {
 
     // Price the measured run twice: per-term directly from the ledger
     // counts, and through the cost model's own `price_run` over the same
-    // profile. Agreement (the `reconciled` flag, 10% per-term) certifies
-    // the attribution funnel feeds `dcs_costmodel::accounting` without
-    // drift — every bump site accounted once, none double-counted.
+    // profile. Agreement (10% per-term) certifies the attribution funnel
+    // feeds `dcs_costmodel::accounting` without drift — every bump site
+    // accounted once, none double-counted.
     let hw = HardwareCatalog::paper();
     let secs = duration.as_secs_f64();
-    let measured = CostTerms {
+    let measured = RunCost {
         dram_rent: cost.dram_bytes as f64 * hw.dram_per_byte * secs,
         flash_rent: cost.flash_bytes as f64 * hw.flash_per_byte * secs,
         mm_exec: cost.mm_ops as f64 * hw.mm_exec_cost(),
         ss_exec: cost.ss_ops() as f64 * hw.ss_exec_cost(),
     };
-    let profile = RunProfile {
-        duration_secs: secs,
-        avg_dram_bytes: cost.dram_bytes as f64,
-        avg_flash_bytes: cost.flash_bytes as f64,
-        mm_ops: cost.mm_ops,
-        ss_ops: cost.ss_ops(),
-    };
-    let priced = price_run(&hw, &profile);
-    let modeled = CostTerms {
-        dram_rent: priced.dram_rent,
-        flash_rent: priced.flash_rent,
-        mm_exec: priced.mm_exec,
-        ss_exec: priced.ss_exec,
-    };
-    let telemetry = TelemetryReport {
-        sampling_permille: dcs_telemetry::sampling_permille(),
-        roots_seen: tstats.roots_seen,
-        roots_sampled: tstats.roots_sampled,
-        events_dropped: tstats.dropped,
-        trace_out: args.trace_out.clone().unwrap_or_default(),
-        mm_ops: cost.mm_ops,
-        ss_reads: cost.ss_reads,
-        ss_writes: cost.ss_writes,
-        wal_barriers: cost.wal_barriers,
-        maintenance_ops: cost.maintenance_ops,
-        avg_dram_bytes: cost.dram_bytes as f64,
-        avg_flash_bytes: cost.flash_bytes as f64,
-        measured,
-        modeled,
-        reconciled: measured.reconciles_with(&modeled, 0.10),
-        trace_dropped_spans: dcs_telemetry::global()
-            .counter("trace.dropped_spans")
-            .value(),
-    };
-    let registry = dcs_telemetry::global();
-    let shard_ops: Vec<u64> = shard_snapshots.iter().map(|s| s.total_ops()).collect();
-    let placement = PlacementReport {
-        rebalance_enabled: args.rebalance,
-        map_epoch: final_map.as_ref().map_or(0, |m| m.epoch()),
-        map_ranges: final_map.as_ref().map_or(0, |m| m.ranges()),
-        moves: registry.counter("rebalance.moves").value(),
-        splits: registry.counter("rebalance.splits").value(),
-        merges: registry.counter("rebalance.merges").value(),
-        migrated_records: registry.counter("rebalance.migrated_records").value(),
-        moved_redirects: shard_snapshots.iter().map(|s| s.moved_redirects).sum(),
-        shard_op_spread: PlacementReport::spread_of(&shard_ops),
-        shard_ops,
-    };
-    let mrc_report = if args.mrc {
-        // Post-run anomaly detection: fire the flight recorder so the
-        // dump's final frame lands at the moment of detection, then
-        // write the ring unconditionally (CI ships it as an artifact
-        // whether or not anything tripped).
-        let flight = dcs_telemetry::flight();
-        let total_busy: u64 = harness
-            .stats
-            .iter()
-            .map(|s| s.busy.load(Ordering::Relaxed))
-            .sum();
-        if total_busy.saturating_mul(100) > issued.max(1) {
-            flight.trigger("busy spike");
-        }
-        let get = harness.stats[K_GET].hist.summary();
-        if get.count > 0 && get.p95_nanos > 10.0 * get.p50_nanos.max(1.0) {
-            flight.trigger("p95 regression");
-        }
-        if !telemetry.reconciled {
-            flight.trigger("cost reconciliation failure");
-        }
-        std::fs::write(&args.flight_out, flight.dump_json()).expect("write flight dump");
-        eprintln!("loadgen: wrote flight-recorder dump -> {}", args.flight_out);
-
-        // Fuse each consumer's measured curve with the cost catalog.
-        // The access rate spans the whole process (load + run): the
-        // profilers count from process start, so dividing by the run
-        // window alone would overstate the rent the cache saves.
-        let elapsed = t_main.elapsed().as_secs_f64().max(1e-9);
-        let budget = args.memory_budget.map_or(0.0, |b| b as f64);
-        let consumers = dcs_telemetry::mrc()
-            .snapshots()
-            .iter()
-            .map(|s| {
-                let curve: Vec<MrcCurvePoint> = s
-                    .points
-                    .iter()
-                    .map(|p| MrcCurvePoint {
-                        bytes: p.bytes,
-                        miss_ratio: p.miss_ratio,
-                    })
-                    .collect();
-                let access_rate = s.accesses as f64 / elapsed;
-                // Price the marginal byte at the configured budget, or at
-                // the full measured working set when none was given.
-                let eval_budget = if budget > 0.0 {
-                    budget
-                } else {
-                    curve.last().map_or(0.0, |p| p.bytes)
-                };
-                let at = marginal_at(&hw, access_rate, &curve, eval_budget);
-                MrcConsumerReport {
-                    consumer: s.consumer.clone(),
-                    accesses: s.accesses,
-                    sampled: s.sampled,
-                    sample_rate: s.sample_rate,
-                    mean_entity_bytes: s.mean_entity_bytes,
-                    points: s.points.iter().map(|p| (p.bytes, p.miss_ratio)).collect(),
-                    marginal_value_per_byte: at.map_or(0.0, |p| p.marginal_value_per_byte),
-                    dram_price_per_byte: hw.dram_per_byte,
-                    net_per_byte: at.map_or(0.0, |p| p.net_per_byte()),
-                    recommended_bytes: recommended_bytes(&hw, access_rate, &curve),
-                }
-            })
-            .collect();
-        MrcReport {
-            enabled: true,
-            budget_bytes: budget,
-            flight_out: args.flight_out.clone(),
-            triggers: flight.triggers(),
-            consumers,
-        }
+    let modeled = price_run(
+        &hw,
+        &RunProfile {
+            duration_secs: secs,
+            avg_dram_bytes: cost.dram_bytes as f64,
+            avg_flash_bytes: cost.flash_bytes as f64,
+            mm_ops: cost.mm_ops,
+            ss_ops: cost.ss_ops(),
+        },
+    );
+    let reconciled = reconciles(&measured, &modeled, 0.10);
+    let mrc = if args.mrc {
+        let elapsed = t_main.elapsed().as_secs_f64();
+        mrc_json(&args, &hw, &harness, issued, reconciled, elapsed)
     } else {
-        MrcReport::default()
+        obj! {
+            "enabled": false,
+            "budget_bytes": 0.0,
+            "flight_out": "",
+            "triggers": Json::Arr(Vec::new()),
+            "consumers": Json::Arr(Vec::new()),
+        }
     };
-    let bench = BenchReport {
-        backend: args.backend.name().into(),
-        mode: args.mode.clone(),
-        device_latency_nanos: args.device_latency,
-        shards: args.shards,
-        connections: args.conns,
-        records: args.records,
-        value_len: args.value_len,
-        target_rate: if args.mode == "open" { args.rate } else { 0.0 },
-        ops_issued: issued,
-        ops_completed: completed,
-        duration_secs: duration.as_secs_f64(),
-        throughput_ops_per_sec: throughput,
-        ops: KINDS
-            .iter()
-            .zip(harness.stats.iter())
-            .map(|(name, s)| OpReport {
-                kind: (*name).into(),
-                count: s.count.load(Ordering::Relaxed),
-                busy: s.busy.load(Ordering::Relaxed),
-                errors: s.errors.load(Ordering::Relaxed),
-                latency: s.hist.summary(),
-            })
-            .collect(),
-        shard_snapshots,
-        io_depth,
-        miss_service,
-        placement,
-        telemetry,
-        mrc: mrc_report,
-        acked_writes: acked.len() as u64,
-        verified_keys: acked.len() as u64 - missing,
-        missing_keys: missing,
-    };
-    std::fs::write(&args.out, bench.to_json()).expect("write report");
 
-    let p99_get = bench.ops[K_GET].latency.p99_nanos / 1000.0;
-    let p99_put = bench.ops[K_PUT].latency.p99_nanos / 1000.0;
+    let registry = dcs_telemetry::global();
+    let shard_ops: Vec<u64> = shards.iter().map(|s| s.total_ops()).collect();
+    let ops = KINDS.iter().zip(&harness.stats).map(|(&kind, s)| {
+        obj! {
+            "kind": kind,
+            "count": s.count.load(Ordering::Relaxed),
+            "busy": s.busy.load(Ordering::Relaxed),
+            "errors": s.errors.load(Ordering::Relaxed),
+            "latency": latency_json(&s.hist.snapshot()),
+        }
+    });
+    let shards_detail = shards.iter().enumerate().map(|(i, s)| {
+        obj! {
+            "shard": i,
+            "ops": s.total_ops(),
+            "busy_rejections": s.busy_rejections,
+            "batches": s.batches,
+            "mean_batch": s.batched_ops as f64 / s.batches.max(1) as f64,
+            "max_batch": s.max_batch,
+            "queue_depth_high_water": s.depth_high_water,
+            "group_commits": s.group_commits,
+            "group_committed_records": s.group_committed_records,
+            "misses": s.misses,
+            "parked_peak": s.parked_peak,
+            "read_latency": latency_json(&s.read_latency),
+            "write_latency": latency_json(&s.write_latency),
+            "miss_service": latency_json(&s.miss_latency),
+        }
+    });
+    let report = obj! {
+        "bench": "server",
+        "backend": args.backend.name(),
+        "mode": args.mode.as_str(),
+        "device_latency_nanos": args.device_latency,
+        "shards": args.shards,
+        "connections": args.conns,
+        "records": args.records,
+        "value_len": args.value_len,
+        "target_rate": if args.mode == "open" { args.rate } else { 0.0 },
+        "ops_issued": issued,
+        "ops_completed": completed,
+        "duration_secs": secs,
+        "throughput_ops_per_sec": throughput,
+        "io_depth": obj! {
+            "samples": depth.count,
+            "mean": depth.mean(),
+            "max": depth.max,
+            "buckets": pairs(&depth.nonzero_buckets()),
+        },
+        "miss_service": obj! {
+            "misses": shards.iter().map(|s| s.misses).sum::<u64>(),
+            "parked_peak": shards.iter().map(|s| s.parked_peak).max().unwrap_or(0),
+            "latency": latency_json(&miss),
+        },
+        "placement": obj! {
+            "rebalance_enabled": args.rebalance,
+            "map_epoch": final_map.epoch(),
+            "map_ranges": final_map.ranges(),
+            "moves": registry.counter("rebalance.moves").value(),
+            "splits": registry.counter("rebalance.splits").value(),
+            "merges": registry.counter("rebalance.merges").value(),
+            "migrated_records": registry.counter("rebalance.migrated_records").value(),
+            "moved_redirects": shards.iter().map(|s| s.moved_redirects).sum::<u64>(),
+            "shard_ops": Json::arr(shard_ops.iter().copied()),
+            "shard_op_spread": spread_of(&shard_ops),
+        },
+        "telemetry": obj! {
+            "sampling_permille": dcs_telemetry::sampling_permille(),
+            "spans": obj! {
+                "roots_seen": tstats.roots_seen,
+                "roots_sampled": tstats.roots_sampled,
+                "events_dropped": tstats.dropped,
+            },
+            "trace_dropped_spans": registry.counter("trace.dropped_spans").value(),
+            "trace_out": args.trace_out.as_deref().unwrap_or(""),
+            "cost_counts": obj! {
+                "mm_ops": cost.mm_ops,
+                "ss_reads": cost.ss_reads,
+                "ss_writes": cost.ss_writes,
+                "wal_barriers": cost.wal_barriers,
+                "maintenance_ops": cost.maintenance_ops,
+            },
+            "avg_dram_bytes": cost.dram_bytes as f64,
+            "avg_flash_bytes": cost.flash_bytes as f64,
+            "cost_attribution": obj! {
+                "measured": cost_terms_json(&measured),
+                "modeled": cost_terms_json(&modeled),
+                "reconciled_within_10pct": reconciled,
+            },
+        },
+        "mrc": mrc,
+        "ops": Json::arr(ops),
+        "shards_detail": Json::arr(shards_detail),
+        "verification": obj! {
+            "acked_writes": acked.len(),
+            "verified_keys": acked.len() as u64 - missing,
+            "missing_keys": missing,
+        },
+    };
+    std::fs::write(&args.out, format!("{report}\n")).expect("write report");
+
+    let p99_us = |kind: usize| harness.stats[kind].hist.quantile(0.99) / 1000.0;
     eprintln!(
-        "loadgen: {completed}/{issued} ops in {:.2}s = {throughput:.0} ops/s \
-         (get p99 {p99_get:.0}us, put p99 {p99_put:.0}us); \
+        "loadgen: {completed}/{issued} ops in {secs:.2}s = {throughput:.0} ops/s \
+         (get p99 {:.0}us, put p99 {:.0}us); \
          acked {} verified {} missing {missing} -> {}",
-        duration.as_secs_f64(),
+        p99_us(K_GET),
+        p99_us(K_PUT),
         acked.len(),
         acked.len() as u64 - missing,
         args.out
@@ -866,5 +880,65 @@ fn main() {
     if completed == 0 || throughput <= 0.0 {
         eprintln!("loadgen: FAIL — no completed operations");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn settle_counts_only_the_expected_answer() {
+        let h = Harness::new();
+        let moved = Ok(Response::Moved { epoch: 2, shard: 1 });
+        h.settle(K_PUT, 7, &moved, Duration::from_micros(5));
+        let put = &h.stats[K_PUT];
+        assert_eq!(put.count.load(Ordering::Relaxed), 0);
+        assert_eq!(put.errors.load(Ordering::Relaxed), 1);
+        assert_eq!(put.hist.count(), 0);
+        assert!(h.acked.lock().unwrap().is_empty());
+        // A well-formed answer of the wrong kind is an error too.
+        h.settle(K_GET, 8, &Ok(Response::Ok), Duration::from_micros(5));
+        assert_eq!(h.stats[K_GET].errors.load(Ordering::Relaxed), 1);
+        h.settle(K_PUT, 7, &Ok(Response::Ok), Duration::from_micros(5));
+        assert_eq!(put.count.load(Ordering::Relaxed), 1);
+        assert!(h.acked.lock().unwrap().contains(&7));
+    }
+
+    #[test]
+    fn spread_handles_degenerate_shard_counts() {
+        assert_eq!(spread_of(&[]), 0.0);
+        assert_eq!(spread_of(&[10, 10]), 1.0);
+        assert_eq!(spread_of(&[100, 10]), 10.0);
+        // A completely idle shard clamps to 1 op instead of dividing by 0.
+        assert_eq!(spread_of(&[50, 0]), 50.0);
+    }
+
+    #[test]
+    fn cost_terms_reconcile_within_tolerance() {
+        let a = RunCost {
+            dram_rent: 1.0,
+            flash_rent: 0.0,
+            mm_exec: 10.0,
+            ss_exec: 100.0,
+        };
+        // 5% off on every nonzero term: reconciles at 10%, not at 1%.
+        let b = RunCost {
+            dram_rent: 1.05,
+            flash_rent: 0.0,
+            mm_exec: 10.5,
+            ss_exec: 105.0,
+        };
+        assert!(reconciles(&a, &b, 0.10));
+        assert!(!reconciles(&a, &b, 0.01));
+        // Two zero terms always reconcile (absolute floor).
+        let z = RunCost {
+            dram_rent: 0.0,
+            flash_rent: 0.0,
+            mm_exec: 0.0,
+            ss_exec: 0.0,
+        };
+        assert!(reconciles(&z, &z, 0.10));
+        assert!((a.total() - 111.0).abs() < 1e-12);
     }
 }

@@ -303,30 +303,12 @@ impl Client {
         })
     }
 
-    /// Scrape the server's telemetry snapshot, merged to one JSON
-    /// document (`{"stats_epoch": N, "registry": {...}, "mrc": {...}}`).
-    /// Answered on the connection itself, so it works even when every
-    /// shard is BUSY. A scrape whose sub-blocks straddle a partition-map
-    /// epoch (it raced a rebalance commit) is retried once; a second
-    /// skewed capture is returned as-is — the caller sees the freshest
-    /// epoch's honest pieces rather than an error during heavy churn.
+    /// Scrape the server's telemetry snapshot: one JSON document,
+    /// `{"stats_epoch": N, "registry": {...}, "mrc": {...}}`. Answered on
+    /// the connection itself, so it works even when every shard is BUSY.
     pub fn stats(&self) -> Result<String, ClientError> {
-        let mut payload = self.stats_payload()?;
-        if payload.epoch_skew() {
-            payload = self.stats_payload()?;
-        }
-        Ok(payload.merged_json())
-    }
-
-    /// One raw STATS scrape, sub-blocks unmerged.
-    pub fn stats_payload(&self) -> Result<crate::statsblock::StatsPayload, ClientError> {
-        match self
-            .submit(Request::Stats {
-                version: crate::protocol::STATS_VERSION,
-            })?
-            .wait()?
-        {
-            Response::Stats(payload) => Ok(payload),
+        match self.submit(Request::Stats)?.wait()? {
+            Response::Stats(doc) => Ok(doc),
             other => Self::unexpected(other),
         }
     }

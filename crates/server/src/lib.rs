@@ -19,8 +19,8 @@
 //! * [`client`] — a pooled, pipelined client that is itself a
 //!   [`dcs_workload::KvStore`], so every existing harness can drive a
 //!   server over the wire unchanged;
-//! * [`metrics`] / [`report`] — per-shard op/batch/latency accounting and
-//!   the `BENCH_server.json` report emitted by the `loadgen` binary.
+//! * [`metrics`] — per-shard op/batch/latency accounting, which the
+//!   `loadgen` binary folds into its JSON report.
 //!
 //! Under the `check` feature the mailbox's synchronization routes through
 //! `dcs-check`'s instrumented shims so the enqueue/drain/close protocol can
@@ -31,17 +31,14 @@ pub mod mailbox;
 pub mod metrics;
 pub mod protocol;
 pub mod rebalance;
-pub mod report;
 pub mod server;
 pub mod shard;
-pub mod statsblock;
 mod sync;
 
 pub use client::{Client, ClientConfig, ClientError, Ticket};
 pub use mailbox::{Mailbox, MailboxStats, SendError};
-pub use metrics::{LatencyHistogram, LatencySummary, ShardMetrics, ShardSnapshot};
+pub use metrics::{LatencyHistogram, ShardMetrics, ShardSnapshot};
 pub use protocol::{Frame, ProtoError, Request, Response};
 pub use rebalance::{migrate_range, MigrationStats, RebalanceConfig};
-pub use report::{BenchReport, IoDepthReport, MissServiceReport, OpReport, PlacementReport};
 pub use server::{Server, ServerConfig, ServerReport, ShardBackend};
 pub use shard::{Mail, Partitioner, ReplySink, Shard, ShardConfig};

@@ -9,12 +9,11 @@
 //! (the bias fix lives in the shared crate, pinned there against an
 //! exact-sorted reference).
 
+use dcs_telemetry::HistogramSnapshot;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// The shared histogram, recording nanoseconds here.
 pub use dcs_telemetry::Histogram as LatencyHistogram;
-/// Percentile summary extracted from a [`LatencyHistogram`].
-pub use dcs_telemetry::HistogramSummary as LatencySummary;
 
 /// Live counters for one shard. All fields are updated by the shard worker
 /// and its feeding connections; `snapshot` is safe any time.
@@ -62,7 +61,8 @@ pub struct ShardMetrics {
     pub miss_latency: LatencyHistogram,
 }
 
-/// Point-in-time copy of a shard's counters, with latency summaries.
+/// Point-in-time copy of a shard's counters and latency histograms
+/// (mergeable across shards before summarizing).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardSnapshot {
     /// GETs served.
@@ -95,12 +95,12 @@ pub struct ShardSnapshot {
     pub misses: u64,
     /// Most misses parked concurrently.
     pub parked_peak: usize,
-    /// Read-class latency summary (memory-served requests only).
-    pub read_latency: LatencySummary,
-    /// Write-class latency summary.
-    pub write_latency: LatencySummary,
-    /// Miss-service latency summary (device-served GETs).
-    pub miss_latency: LatencySummary,
+    /// Read-class latency (memory-served requests only).
+    pub read_latency: HistogramSnapshot,
+    /// Write-class latency.
+    pub write_latency: HistogramSnapshot,
+    /// Miss-service latency (device-served GETs).
+    pub miss_latency: HistogramSnapshot,
 }
 
 impl ShardMetrics {
@@ -132,9 +132,9 @@ impl ShardMetrics {
             group_committed_records: self.group_committed_records.load(Ordering::Relaxed),
             misses: self.misses_submitted.load(Ordering::Relaxed),
             parked_peak: self.parked_peak.load(Ordering::Relaxed),
-            read_latency: self.read_latency.summary(),
-            write_latency: self.write_latency.summary(),
-            miss_latency: self.miss_latency.summary(),
+            read_latency: self.read_latency.snapshot(),
+            write_latency: self.write_latency.snapshot(),
+            miss_latency: self.miss_latency.snapshot(),
         }
     }
 }

@@ -25,7 +25,6 @@
 //! `Ok(None)` on a partial buffer and only consumes whole frames, so a TCP
 //! reader can append bytes and re-poll without framing state of its own.
 
-use crate::statsblock::StatsPayload;
 use dcs_flashsim::fnv64;
 
 /// Frame magic: `b"DCS1"`.
@@ -75,20 +74,11 @@ pub enum Request {
         value: Vec<u8>,
     },
     /// Scrape the server's telemetry: answered with a
-    /// [`Response::Stats`] JSON registry snapshot. Handled at the
-    /// connection (never routed to a shard), so a live server can be
-    /// observed even when every shard mailbox is saturated.
-    Stats {
-        /// Snapshot-format version the client speaks; the server
-        /// rejects versions it does not know ([`STATS_VERSION`]).
-        version: u8,
-    },
+    /// [`Response::Stats`] JSON document. Handled at the connection
+    /// (never routed to a shard), so a live server can be observed even
+    /// when every shard mailbox is saturated.
+    Stats,
 }
-
-/// The STATS snapshot-format version this build speaks. v2 framed the
-/// response as tagged, epoch-stamped sub-blocks (see
-/// [`crate::statsblock`]); v1's single opaque JSON string is gone.
-pub const STATS_VERSION: u8 = 2;
 
 impl Request {
     /// The key that routes this request to a shard.
@@ -100,7 +90,7 @@ impl Request {
             | Request::Rmw { key, .. } => key,
             Request::Scan { start, .. } => start,
             // STATS is connection-level; it never routes to a shard.
-            Request::Stats { .. } => &[],
+            Request::Stats => &[],
         }
     }
 
@@ -121,7 +111,7 @@ impl Request {
             Request::Delete { .. } => "delete",
             Request::Scan { .. } => "scan",
             Request::Rmw { .. } => "rmw",
-            Request::Stats { .. } => "stats",
+            Request::Stats => "stats",
         }
     }
 }
@@ -141,10 +131,10 @@ pub enum Response {
     Busy,
     /// The server failed to execute the request.
     Err(String),
-    /// Telemetry snapshot: tagged sub-blocks (registry, MRC, ...), each
-    /// stamped with the partition-map epoch it was captured under. See
-    /// [`crate::statsblock`].
-    Stats(StatsPayload),
+    /// Telemetry snapshot: one JSON document,
+    /// `{"stats_epoch": N, "registry": {...}, "mrc": {...}}`, captured
+    /// under a single partition-map epoch.
+    Stats(String),
     /// The key's range no longer lives on the shard this request reached
     /// — it moved under a newer partition-map epoch (or is mid-handoff).
     /// The request was **not** executed; resubmit it and the server will
@@ -190,9 +180,6 @@ pub enum ProtoError {
     },
     /// Unknown `kind` byte.
     UnknownKind(u8),
-    /// A STATS request speaking a snapshot-format version this build
-    /// does not know.
-    UnknownStatsVersion(u8),
     /// The payload was shorter than its own internal length prefixes claim.
     Truncated,
 }
@@ -206,12 +193,6 @@ impl std::fmt::Display for ProtoError {
                 write!(f, "payload checksum {actual:#x} != header {expected:#x}")
             }
             ProtoError::UnknownKind(k) => write!(f, "unknown frame kind {k:#04x}"),
-            ProtoError::UnknownStatsVersion(v) => {
-                write!(
-                    f,
-                    "unknown STATS version {v} (this build speaks {STATS_VERSION})"
-                )
-            }
             ProtoError::Truncated => write!(f, "payload truncated mid-field"),
         }
     }
@@ -244,20 +225,18 @@ fn put_key(out: &mut Vec<u8>, key: &[u8]) {
     out.extend_from_slice(key);
 }
 
-pub(crate) fn put_val(out: &mut Vec<u8>, val: &[u8]) {
+fn put_val(out: &mut Vec<u8>, val: &[u8]) {
     out.extend_from_slice(&(val.len() as u32).to_le_bytes());
     out.extend_from_slice(val);
 }
 
-pub(crate) struct Cursor<'a> {
+struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    /// A cursor over a raw payload (sub-block codecs decode through the
-    /// same bounds-checked reader the frame decoder uses).
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
+    fn new(buf: &'a [u8]) -> Self {
         Cursor { buf, pos: 0 }
     }
     fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
@@ -268,7 +247,7 @@ impl<'a> Cursor<'a> {
         self.pos += n;
         Ok(s)
     }
-    pub(crate) fn u8(&mut self) -> Result<u8, ProtoError> {
+    fn u8(&mut self) -> Result<u8, ProtoError> {
         match self.take(1)? {
             &[b] => Ok(b),
             _ => Err(ProtoError::Truncated),
@@ -286,7 +265,7 @@ impl<'a> Cursor<'a> {
             _ => Err(ProtoError::Truncated),
         }
     }
-    pub(crate) fn u64(&mut self) -> Result<u64, ProtoError> {
+    fn u64(&mut self) -> Result<u64, ProtoError> {
         match self.take(8)? {
             &[a, b, c, d, e, f, g, h] => Ok(u64::from_le_bytes([a, b, c, d, e, f, g, h])),
             _ => Err(ProtoError::Truncated),
@@ -296,14 +275,14 @@ impl<'a> Cursor<'a> {
         let n = self.u16()? as usize;
         Ok(self.take(n)?.to_vec())
     }
-    pub(crate) fn val(&mut self) -> Result<Vec<u8>, ProtoError> {
+    fn val(&mut self) -> Result<Vec<u8>, ProtoError> {
         let n = self.u32()? as usize;
         if n > MAX_PAYLOAD {
             return Err(ProtoError::Oversized(n as u32));
         }
         Ok(self.take(n)?.to_vec())
     }
-    pub(crate) fn done(&self) -> Result<(), ProtoError> {
+    fn done(&self) -> Result<(), ProtoError> {
         // Trailing garbage means the peer and we disagree about the layout;
         // treat it like truncation (framing is unreliable either way).
         if self.pos == self.buf.len() {
@@ -324,7 +303,7 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
                 Request::Delete { .. } => OP_DELETE,
                 Request::Scan { .. } => OP_SCAN,
                 Request::Rmw { .. } => OP_RMW,
-                Request::Stats { .. } => OP_STATS,
+                Request::Stats => OP_STATS,
             },
             *id,
         ),
@@ -353,7 +332,7 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
                 put_key(&mut payload, start);
                 payload.extend_from_slice(&limit.to_le_bytes());
             }
-            Request::Stats { version } => payload.push(*version),
+            Request::Stats => {}
         },
         Frame::Response { resp, .. } => match resp {
             Response::Value(v) => match v {
@@ -365,8 +344,7 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
             },
             Response::Ok | Response::Busy => {}
             Response::Count(n) => payload.extend_from_slice(&n.to_le_bytes()),
-            Response::Err(msg) => put_val(&mut payload, msg.as_bytes()),
-            Response::Stats(blocks) => blocks.encode(&mut payload),
+            Response::Err(msg) | Response::Stats(msg) => put_val(&mut payload, msg.as_bytes()),
             Response::Moved { epoch, shard } => {
                 payload.extend_from_slice(&epoch.to_le_bytes());
                 payload.extend_from_slice(&shard.to_le_bytes());
@@ -469,16 +447,10 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, ProtoError> {
                 value: c.val()?,
             },
         },
-        OP_STATS => {
-            let version = c.u8()?;
-            if version != STATS_VERSION {
-                return Err(ProtoError::UnknownStatsVersion(version));
-            }
-            Frame::Request {
-                id,
-                req: Request::Stats { version },
-            }
-        }
+        OP_STATS => Frame::Request {
+            id,
+            req: Request::Stats,
+        },
         RE_VALUE => {
             let present = c.u8()?;
             let v = match present {
@@ -509,7 +481,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, ProtoError> {
         },
         RE_STATS => Frame::Response {
             id,
-            resp: Response::Stats(StatsPayload::decode(&mut c)?),
+            resp: Response::Stats(String::from_utf8_lossy(&c.val()?).into_owned()),
         },
         RE_MOVED => Frame::Response {
             id,
@@ -527,7 +499,6 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, ProtoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::statsblock::{StatsBlock, BLOCK_VERSION, SB_MRC, SB_REGISTRY};
 
     fn all_frames() -> Vec<Frame> {
         vec![
@@ -586,28 +557,11 @@ mod tests {
             },
             Frame::Request {
                 id: 12,
-                req: Request::Stats {
-                    version: STATS_VERSION,
-                },
+                req: Request::Stats,
             },
             Frame::Response {
                 id: 13,
-                resp: Response::Stats(StatsPayload {
-                    blocks: vec![
-                        StatsBlock {
-                            tag: SB_REGISTRY,
-                            version: BLOCK_VERSION,
-                            epoch: 3,
-                            json: "{\"counters\":{}}".into(),
-                        },
-                        StatsBlock {
-                            tag: SB_MRC,
-                            version: BLOCK_VERSION,
-                            epoch: 3,
-                            json: "{\"consumers\":[]}".into(),
-                        },
-                    ],
-                }),
+                resp: Response::Stats("{\"stats_epoch\":3,\"mrc\":{\"consumers\":[]}}".into()),
             },
             Frame::Response {
                 id: 14,
@@ -720,29 +674,8 @@ mod tests {
     }
 
     #[test]
-    fn stats_unknown_version_rejected() {
-        // An otherwise well-formed STATS frame speaking version 9: the
-        // frame layer (magic, length, checksum) is intact, so the
-        // rejection is the version check itself.
-        let payload = vec![9u8];
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC.to_le_bytes());
-        bytes.push(0x06);
-        bytes.extend_from_slice(&21u64.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&fnv64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        assert_eq!(
-            decode_frame(&bytes),
-            Err(ProtoError::UnknownStatsVersion(9))
-        );
-    }
-
-    #[test]
     fn stats_requests_route_nowhere_and_do_not_write() {
-        let req = Request::Stats {
-            version: STATS_VERSION,
-        };
+        let req = Request::Stats;
         assert!(req.routing_key().is_empty());
         assert!(!req.is_write());
         assert_eq!(req.kind_name(), "stats");

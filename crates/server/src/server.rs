@@ -22,9 +22,9 @@ use crate::metrics::ShardSnapshot;
 use crate::protocol::{decode_frame, encode_to_vec, Frame, ProtoError, Request, Response};
 use crate::rebalance::{MigrationStats, RebalanceConfig, Rebalancer};
 use crate::shard::{Mail, Partitioner, ReplySink, Shard, ShardConfig};
-use crate::statsblock::{StatsBlock, StatsPayload, BLOCK_VERSION, SB_MRC, SB_REGISTRY};
 use dcs_rebalance::{PartitionMap, Router};
 use dcs_tc::RecoveryLog;
+use dcs_telemetry::{obj, Json};
 use dcs_workload::{AsyncKvStore, KvStore};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -33,25 +33,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Server-wide configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
     /// Per-shard tunables (mailbox capacity, batch size).
     pub shard: ShardConfig,
-    /// Give each shard a flash-device-backed WAL (in-memory otherwise).
-    pub durable_wal: bool,
     /// Background rebalancer (disabled by default: static placement is
     /// the baseline the on/off CI comparison measures against).
     pub rebalance: RebalanceConfig,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            shard: ShardConfig::default(),
-            durable_wal: true,
-            rebalance: RebalanceConfig::default(),
-        }
-    }
 }
 
 /// One shard's store handles: the blocking [`KvStore`] plus, when the
@@ -146,7 +134,6 @@ pub struct Server {
     listener_addr: std::net::SocketAddr,
     shards: Vec<Arc<Shard>>,
     backends: Arc<Vec<Arc<dyn KvStore + Send + Sync>>>,
-    partitioner: Arc<Partitioner>,
     /// The shared placement surface: versioned partition map, per-shard
     /// write gates, per-range heat. All shards and the connection
     /// readers route through it.
@@ -192,15 +179,11 @@ impl Server {
         let mut shards = Vec::with_capacity(backends.len());
         let mut shard_threads = Vec::with_capacity(backends.len());
         for (i, async_kv) in async_handles.into_iter().enumerate() {
-            let wal = if config.durable_wal {
-                let device = dcs_flashsim::FlashDevice::new(dcs_flashsim::DeviceConfig {
-                    segment_count: 4096,
-                    ..dcs_flashsim::DeviceConfig::small_test()
-                });
-                Arc::new(RecoveryLog::on_device(Arc::new(device)))
-            } else {
-                Arc::new(RecoveryLog::in_memory())
-            };
+            let device = dcs_flashsim::FlashDevice::new(dcs_flashsim::DeviceConfig {
+                segment_count: 4096,
+                ..dcs_flashsim::DeviceConfig::small_test()
+            });
+            let wal = Arc::new(RecoveryLog::on_device(Arc::new(device)));
             let shard = Arc::new(
                 Shard::new(i, &config.shard, backends.clone(), partitioner.clone(), wal)
                     .with_async_backend(async_kv)
@@ -281,7 +264,6 @@ impl Server {
             listener_addr,
             shards,
             backends,
-            partitioner,
             router,
             rebalancer,
             stop,
@@ -300,12 +282,6 @@ impl Server {
     /// The per-shard backend stores (e.g. for post-shutdown verification).
     pub fn backends(&self) -> Arc<Vec<Arc<dyn KvStore + Send + Sync>>> {
         self.backends.clone()
-    }
-
-    /// The range partitioner the server started from (epoch 0; the live
-    /// placement is [`Server::router`]'s map).
-    pub fn partitioner(&self) -> Arc<Partitioner> {
-        self.partitioner.clone()
     }
 
     /// The live placement surface: versioned map, write gates, heat.
@@ -433,8 +409,8 @@ fn read_loop(
                             // STATS is answered here on the connection: a
                             // scrape must work even when every shard
                             // mailbox is refusing with BUSY.
-                            if matches!(req, Request::Stats { .. }) {
-                                state.deliver(id, Response::Stats(stats_payload(shards, router)));
+                            if req == Request::Stats {
+                                state.deliver(id, Response::Stats(stats_doc(shards, router)));
                                 continue;
                             }
                             // Route by the live map (not the static
@@ -482,39 +458,32 @@ fn read_loop(
     state.reader_done();
 }
 
-/// The STATS response: one sub-block per telemetry domain, each stamped
-/// with the partition-map epoch current when *that* block was captured.
-/// A rebalance committing between the two captures shows up as epoch
-/// skew in the payload — the client rescrapes — instead of a silently
-/// inconsistent merge.
-pub(crate) fn stats_payload(shards: &[Arc<Shard>], router: &Router) -> StatsPayload {
-    let registry_epoch = router.map().load().epoch();
-    let registry_json = stats_json(shards, router);
-    let mrc_epoch = router.map().load().epoch();
-    let mrc_json = dcs_telemetry::mrc().to_json();
-    StatsPayload {
-        blocks: vec![
-            StatsBlock {
-                tag: SB_REGISTRY,
-                version: BLOCK_VERSION,
-                epoch: registry_epoch,
-                json: registry_json,
-            },
-            StatsBlock {
-                tag: SB_MRC,
-                version: BLOCK_VERSION,
-                epoch: mrc_epoch,
-                json: mrc_json,
-            },
-        ],
+/// The STATS response: `{"stats_epoch", "registry", "mrc"}`. The map
+/// epoch is read before and after the capture; if a rebalance committed
+/// in between, the pieces may disagree, so the capture is taken once
+/// more under the newer epoch.
+fn stats_doc(shards: &[Arc<Shard>], router: &Router) -> String {
+    let capture = || {
+        let epoch = router.map().load().epoch();
+        let doc = obj! {
+            "stats_epoch": epoch,
+            "registry": registry_json(shards, router),
+            "mrc": dcs_telemetry::mrc().json(),
+        };
+        (epoch, doc)
+    };
+    let (epoch, mut doc) = capture();
+    if router.map().load().epoch() != epoch {
+        doc = capture().1;
     }
+    doc.to_string()
 }
 
-/// The registry block body: the process-global telemetry registry plus
-/// the serving layer's own metrics, folded in under `server.*` names so
-/// one scrape shows the whole stack (storage counters arrive via the
-/// global registry's `cost.*` terms and crate counters).
-pub(crate) fn stats_json(shards: &[Arc<Shard>], router: &Router) -> String {
+/// The registry body: the process-global telemetry registry plus the
+/// serving layer's own metrics, folded in under `server.*` names so one
+/// scrape shows the whole stack (storage counters arrive via the global
+/// registry's `cost.*` terms and crate counters).
+fn registry_json(shards: &[Arc<Shard>], router: &Router) -> Json {
     let mut snap = dcs_telemetry::global().snapshot();
     let mut read = dcs_telemetry::HistogramSnapshot::default();
     let mut write = dcs_telemetry::HistogramSnapshot::default();
@@ -553,7 +522,7 @@ pub(crate) fn stats_json(shards: &[Arc<Shard>], router: &Router) -> String {
     snap.counters
         .insert("server.misses_submitted".into(), misses);
     snap.counters.insert("server.busy_rejections".into(), busy);
-    snap.to_json()
+    snap.json()
 }
 
 fn report_proto_error(state: &ConnState, e: &ProtoError) {

@@ -396,7 +396,7 @@ impl Shard {
                 }
                 // STATS never reaches a shard (the connection reader
                 // answers it); a stray one is harmless to refuse.
-                Request::Stats { .. } => {
+                Request::Stats => {
                     self.reply_read(mail, Response::Err("stats not routable".into()));
                 }
                 Request::Rmw { key, value } => {
@@ -508,7 +508,7 @@ impl Shard {
             Request::Put { .. } => "server.put",
             Request::Delete { .. } => "server.delete",
             Request::Rmw { .. } => "server.rmw",
-            Request::Stats { .. } => "server.stats",
+            Request::Stats => "server.stats",
         };
         dcs_telemetry::span_at(
             name,

@@ -165,7 +165,6 @@ fn flood_gets_busy_not_hangs_and_accepted_ops_all_answered() {
                 mailbox_capacity: 4,
                 batch_max: 2,
             },
-            durable_wal: false,
             ..ServerConfig::default()
         },
     )
@@ -310,10 +309,7 @@ fn start_cold_key_server(delay: Duration) -> (Server, Arc<ColdKeyStore>) {
             async_kv: Some(store.clone()),
         }],
         Partitioner::single(),
-        ServerConfig {
-            durable_wal: false,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .unwrap();
     (server, store)

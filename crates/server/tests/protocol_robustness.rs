@@ -7,9 +7,7 @@
 
 use dcs_server::protocol::{
     decode_frame, encode_to_vec, Frame, ProtoError, Request, Response, HEADER_LEN, MAX_PAYLOAD,
-    STATS_VERSION,
 };
-use dcs_server::statsblock::{StatsBlock, StatsPayload, BLOCK_VERSION, SB_MRC, SB_REGISTRY};
 use dcs_server::{Client, ClientConfig, ClientError};
 use dcs_telemetry::Json;
 use rand::rngs::SmallRng;
@@ -71,25 +69,16 @@ fn sample_frames(rng: &mut SmallRng) -> Vec<Frame> {
         },
         Frame::Request {
             id: rng.gen(),
-            req: Request::Stats {
-                version: STATS_VERSION,
-            },
+            req: Request::Stats,
         },
         Frame::Response {
             id: rng.gen(),
-            resp: Response::Stats(StatsPayload {
-                blocks: vec![StatsBlock {
-                    tag: SB_REGISTRY,
-                    version: BLOCK_VERSION,
-                    epoch: rng.gen(),
-                    // A block body is arbitrary UTF-8 to the wire layer;
-                    // include escapes and length variety.
-                    json: format!(
-                        "{{\"counters\":{{\"cost.mm_ops\": {}}},\"gauges\":{{}},\"x\":\"\\\"\\n\"}}",
-                        rng.gen::<u64>()
-                    ),
-                }],
-            }),
+            // A STATS body is arbitrary UTF-8 to the wire layer; include
+            // escapes and length variety.
+            resp: Response::Stats(format!(
+                "{{\"stats_epoch\":{},\"registry\":{{\"counters\":{{}}}},\"x\":\"\\\"\\n\"}}",
+                rng.gen::<u64>()
+            )),
         },
     ]
 }
@@ -173,63 +162,18 @@ fn oversized_length_rejected_before_allocation() {
 }
 
 #[test]
-fn stats_unknown_version_rejected_not_panicked() {
-    // The encoder happily writes any version; the decoder must refuse the
-    // ones this build does not speak with a typed error, not a panic and
-    // not a silently-wrong snapshot.
-    for v in [0u8, 1, 7, 255] {
-        let bytes = encode_to_vec(&Frame::Request {
-            id: 42,
-            req: Request::Stats { version: v },
-        });
-        assert_eq!(
-            decode_frame(&bytes),
-            Err(ProtoError::UnknownStatsVersion(v)),
-            "version {v}"
-        );
-        // Every truncation of the same frame stays "incomplete".
-        for cut in 0..bytes.len() {
-            assert!(matches!(decode_frame(&bytes[..cut]), Ok(None)));
-        }
-    }
-    // The version this build speaks round-trips.
-    let bytes = encode_to_vec(&Frame::Request {
-        id: 42,
-        req: Request::Stats {
-            version: STATS_VERSION,
-        },
-    });
-    assert!(matches!(decode_frame(&bytes), Ok(Some(_))));
-}
-
-#[test]
 fn stats_frames_survive_bit_flips_and_oversize() {
     let mut rng = SmallRng::seed_from_u64(0x57A75);
     let frames = [
         Frame::Request {
             id: 1,
-            req: Request::Stats {
-                version: STATS_VERSION,
-            },
+            req: Request::Stats,
         },
         Frame::Response {
             id: 1,
-            resp: Response::Stats(StatsPayload {
-                blocks: vec![
-                    StatsBlock {
-                        tag: SB_REGISTRY,
-                        version: BLOCK_VERSION,
-                        epoch: 5,
-                        json: "{\"counters\":{\"cost.ss_reads\": 3}}".into(),
-                    },
-                    StatsBlock {
-                        tag: SB_MRC,
-                        version: BLOCK_VERSION,
-                        epoch: 5,
-                        json: "{\"consumers\": []}".into(),
-                    },
-                ],
-            }),
+            resp: Response::Stats(
+                "{\"stats_epoch\":5,\"registry\":{\"counters\":{\"cost.ss_reads\":3}},\"mrc\":{\"consumers\":[]}}".into(),
+            ),
         },
     ];
     for frame in &frames {
@@ -254,9 +198,9 @@ fn stats_frames_survive_bit_flips_and_oversize() {
     }
 }
 
-/// End-to-end STATS scrape against a real server: the reply is the JSON
-/// registry snapshot, served at the connection level, and it reflects the
-/// traffic that preceded it.
+/// End-to-end STATS scrape against a real server: the reply is one JSON
+/// document, served at the connection level, and it reflects the traffic
+/// that preceded it.
 #[test]
 fn stats_scrape_round_trips_through_a_live_server() {
     let backends = dcs_core::BackendKind::Caching
@@ -267,10 +211,7 @@ fn stats_scrape_round_trips_through_a_live_server() {
     let server = dcs_server::Server::start_with(
         backends,
         dcs_server::Partitioner::single(),
-        dcs_server::ServerConfig {
-            durable_wal: false,
-            ..dcs_server::ServerConfig::default()
-        },
+        dcs_server::ServerConfig::default(),
     )
     .unwrap();
     let client = Client::connect(
@@ -283,7 +224,7 @@ fn stats_scrape_round_trips_through_a_live_server() {
     .unwrap();
     client.put(b"k", b"v").unwrap();
     assert_eq!(client.get(b"k").unwrap().as_deref(), Some(&b"v"[..]));
-    let doc = Json::parse(&client.stats().unwrap()).expect("merged STATS is valid JSON");
+    let doc = Json::parse(&client.stats().unwrap()).expect("STATS is valid JSON");
     assert!(doc.get("stats_epoch").and_then(Json::as_u64).is_some());
     assert_eq!(
         doc.at(&["registry", "counters", "server.puts"]),
@@ -297,11 +238,6 @@ fn stats_scrape_round_trips_through_a_live_server() {
         );
     }
     assert!(matches!(doc.at(&["mrc", "consumers"]), Some(Json::Arr(_))));
-    // The raw payload exposes the per-block epoch framing.
-    let payload = client.stats_payload().unwrap();
-    assert!(payload.block(SB_REGISTRY).is_some());
-    assert!(payload.block(SB_MRC).is_some());
-    assert!(!payload.epoch_skew());
     client.close();
     server.shutdown();
 }
@@ -451,10 +387,7 @@ fn abort_resolves_every_inflight_ticket() {
     let server = dcs_server::Server::start_with(
         backends,
         dcs_server::Partitioner::single(),
-        dcs_server::ServerConfig {
-            durable_wal: false,
-            ..dcs_server::ServerConfig::default()
-        },
+        dcs_server::ServerConfig::default(),
     )
     .unwrap();
     let client = Client::connect(

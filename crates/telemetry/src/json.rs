@@ -1,11 +1,11 @@
 //! The workspace's JSON: one value type, one writer, one reader.
 //!
 //! Every exported document — the `BENCH_server.json` report, the STATS
-//! registry and MRC blocks, the flight-recorder dump, the Perfetto trace —
+//! document, the flight-recorder dump, the Perfetto trace —
 //! is built as a [`Json`] value and rendered by its `Display`, so there is
 //! exactly one string-escape routine and one float rule. [`Json::parse`]
 //! is the matching reader: the figure bins read reports back through it
-//! and the client feeds it STATS bodies a peer produced, so it is strict
+//! and scrapers feed it STATS bodies a peer produced, so it is strict
 //! (RFC 8259, no extensions), depth-bounded, and returns `Err` on
 //! anything malformed — it never panics.
 //!

@@ -471,7 +471,7 @@ impl std::fmt::Debug for MrcProfiler {
 }
 
 /// The process-global set of per-consumer profilers, scraped by the
-/// server's STATS `mrc` sub-block and the loadgen `--mrc` report.
+/// server's STATS `mrc` key and the loadgen `--mrc` report.
 pub struct MrcRegistry {
     profilers: Mutex<BTreeMap<String, Arc<MrcProfiler>>>,
 }
@@ -499,10 +499,10 @@ impl MrcRegistry {
     }
 
     /// All snapshots as one JSON object: `{"consumers": [...]}` — the
-    /// `STATS` opcode's MRC block.
-    pub fn to_json(&self) -> String {
+    /// `mrc` key of a `STATS` answer.
+    pub fn json(&self) -> Json {
         let consumers = self.snapshots();
-        obj! { "consumers": Json::arr(consumers.iter().map(MrcSnapshot::json)) }.to_string()
+        obj! { "consumers": Json::arr(consumers.iter().map(MrcSnapshot::json)) }
     }
 }
 
@@ -722,7 +722,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         a.record_key(b"k1", 32);
         a.record_key(b"k1", 32);
-        let doc = Json::parse(&mrc().to_json()).unwrap();
+        let doc = mrc().json();
         let mine = doc
             .get("consumers")
             .map(Json::items)

@@ -249,12 +249,6 @@ impl RegistrySnapshot {
             "histograms": Json::obj(histograms),
         }
     }
-
-    /// [`RegistrySnapshot::json`] rendered to text. This is the `STATS`
-    /// opcode's registry block.
-    pub fn to_json(&self) -> String {
-        self.json().to_string()
-    }
 }
 
 #[cfg(test)]
@@ -321,7 +315,7 @@ mod tests {
         r.counter("a").add(1);
         r.gauge("g").set(-3);
         r.histogram("h").record(7);
-        let doc = Json::parse(&r.snapshot().to_json()).unwrap();
+        let doc = r.snapshot().json();
         // BTreeMap ordering: "a" before "b".
         assert_eq!(
             doc.get("counters"),
