@@ -11,6 +11,8 @@
 //!   in a leaf base, inner chains likewise; chain length stays within a
 //!   generous multiple of the consolidation threshold (a runaway chain
 //!   means consolidation can no longer win its CAS);
+//! * **cached sizes** — every leaf and inner base's size, computed once at
+//!   construction, still equals the size of its entries;
 //! * **mapping-table hygiene** — every PID a reachable page still routes
 //!   to is itself reachable and not on the free list, every allocated PID
 //!   is reachable from the root (no leaked pages), and no reachable slot
@@ -24,7 +26,7 @@
 //! a test, or under the deterministic checker at the end of a scenario. It
 //! takes a guard so chain walks are safe against any straggling reclaim.
 
-use crate::delta::{chain_iter, InnerBase, Node};
+use crate::delta::{chain_iter, InnerBase, LeafBase, Node};
 use crate::mapping::PageId;
 use crate::tree::BwTree;
 use dcs_ebr::Guard;
@@ -44,6 +46,11 @@ pub struct AuditReport {
     /// Total records in consolidated leaf bases (excludes un-consolidated
     /// put/del deltas — a structural count, not a logical one).
     pub base_records: usize,
+    /// Approximate bytes of every reachable chain, summed over this walk
+    /// after each base's cached size was checked against its entries. At
+    /// quiescence, [`BwTree::footprint_bytes`] is this plus the mapping
+    /// table's 16 B per slot.
+    pub chain_bytes: usize,
 }
 
 impl BwTree {
@@ -104,6 +111,7 @@ impl BwTree {
             // so the chain is live for the duration of this walk.
             for node in unsafe { chain_iter(head) } {
                 chain_len += 1;
+                report.chain_bytes += node.approx_bytes();
                 if chain_len > chain_limit {
                     return Err(format!(
                         "pid {pid}: delta chain exceeds {chain_limit} nodes — runaway chain"
@@ -170,6 +178,12 @@ impl BwTree {
                     }
                     Node::LeafBase(base) => {
                         base_kind = Some(true);
+                        check_size(
+                            pid,
+                            "leaf base payload",
+                            base.payload_bytes(),
+                            LeafBase::payload_of(&base.entries),
+                        )?;
                         check_sorted_in_fence(
                             pid,
                             "leaf base",
@@ -197,6 +211,12 @@ impl BwTree {
                     }
                     Node::InnerBase(base) => {
                         base_kind = Some(false);
+                        check_size(
+                            pid,
+                            "inner base separator",
+                            base.separator_bytes(),
+                            InnerBase::separator_bytes_of(&base.entries),
+                        )?;
                         check_sorted_in_fence(
                             pid,
                             "inner base",
@@ -272,6 +292,15 @@ impl BwTree {
         }
         Ok(report)
     }
+}
+
+fn check_size(pid: PageId, what: &str, cached: usize, entries: usize) -> Result<(), String> {
+    if cached != entries {
+        return Err(format!(
+            "pid {pid}: {what} size cached as {cached} B, its entries hold {entries} B"
+        ));
+    }
+    Ok(())
 }
 
 fn check_sorted_in_fence<'a>(

@@ -119,7 +119,9 @@ pub(crate) enum Node {
     InnerBase(InnerBase),
 }
 
-/// Consolidated, sorted leaf page.
+/// Consolidated, sorted leaf page. Built only through [`LeafBase::new`],
+/// which sizes it once: a published base is immutable, so the size never
+/// has to be summed again.
 pub(crate) struct LeafBase {
     /// Sorted `(key, value)` records.
     pub entries: Vec<(Bytes, Bytes)>,
@@ -129,17 +131,41 @@ pub(crate) struct LeafBase {
     pub right: Option<PageId>,
     /// Token of an identical flash copy, if one exists (page is "clean").
     pub stored: Option<u64>,
+    /// `payload_of(&entries)`, computed at construction.
+    payload: usize,
 }
 
 impl LeafBase {
-    /// Approximate payload bytes (keys + values).
+    /// A base over sorted `entries`.
+    pub fn new(
+        entries: Vec<(Bytes, Bytes)>,
+        high_key: Option<Bytes>,
+        right: Option<PageId>,
+        stored: Option<u64>,
+    ) -> Self {
+        LeafBase {
+            payload: Self::payload_of(&entries),
+            entries,
+            high_key,
+            right,
+            stored,
+        }
+    }
+
+    /// Payload bytes (keys + values), as summed at construction.
     pub fn payload_bytes(&self) -> usize {
-        self.entries.iter().map(|(k, v)| k.len() + v.len()).sum()
+        self.payload
+    }
+
+    /// Payload bytes (keys + values) of `entries`, summed now.
+    pub fn payload_of(entries: &[(Bytes, Bytes)]) -> usize {
+        entries.iter().map(|(k, v)| k.len() + v.len()).sum()
     }
 }
 
 /// Consolidated inner page: `first_child` routes keys below the first
-/// separator; `entries[i]` routes keys in `[sep_i, sep_{i+1})`.
+/// separator; `entries[i]` routes keys in `[sep_i, sep_{i+1})`. Built only
+/// through [`InnerBase::new`], which sizes it once.
 pub(crate) struct InnerBase {
     /// Child for keys below `entries[0].0`.
     pub first_child: PageId,
@@ -149,12 +175,40 @@ pub(crate) struct InnerBase {
     pub high_key: Option<Bytes>,
     /// Right sibling inner page.
     pub right: Option<PageId>,
+    /// `separator_bytes_of(&entries)`, computed at construction.
+    separator_bytes: usize,
 }
 
 impl InnerBase {
+    /// A base over sorted routing `entries`.
+    pub fn new(
+        first_child: PageId,
+        entries: Vec<(Bytes, PageId)>,
+        high_key: Option<Bytes>,
+        right: Option<PageId>,
+    ) -> Self {
+        InnerBase {
+            separator_bytes: Self::separator_bytes_of(&entries),
+            first_child,
+            entries,
+            high_key,
+            right,
+        }
+    }
+
     /// Number of children routed.
     pub fn child_count(&self) -> usize {
         1 + self.entries.len()
+    }
+
+    /// Separator bytes, as summed at construction.
+    pub fn separator_bytes(&self) -> usize {
+        self.separator_bytes
+    }
+
+    /// Separator bytes of `entries`, summed now.
+    pub fn separator_bytes_of(entries: &[(Bytes, PageId)]) -> usize {
+        entries.iter().map(|(s, _)| s.len()).sum()
     }
 }
 
@@ -175,11 +229,6 @@ impl Node {
         }
     }
 
-    /// Whether this node terminates a chain.
-    pub fn is_base(&self) -> bool {
-        self.next().is_none()
-    }
-
     /// True for nodes that can appear in inner-page chains.
     pub fn is_inner(&self) -> bool {
         matches!(
@@ -191,7 +240,8 @@ impl Node {
         )
     }
 
-    /// Approximate heap bytes attributable to this node.
+    /// Approximate heap bytes attributable to this node. O(1) for every
+    /// kind but the (rare) absorb delta: bases carry their sizes.
     pub fn approx_bytes(&self) -> usize {
         let body = match self {
             Node::Put { key, value, .. } => key.len() + value.len(),
@@ -206,13 +256,10 @@ impl Node {
             Node::FlashBase { high_key, .. } => high_key.as_ref().map(|k| k.len()).unwrap_or(0),
             Node::FlushMarker { .. } => 0,
             Node::RemoveNode { .. } => 0,
-            Node::Absorb { entries, .. } => entries
-                .iter()
-                .map(|(k, v)| k.len() + v.len() + 8)
-                .sum::<usize>(),
+            Node::Absorb { entries, .. } => LeafBase::payload_of(entries) + entries.len() * 8,
             Node::IndexDelete { sep, .. } => sep.len(),
             Node::IndexInsert { sep, .. } => sep.len() + 8,
-            Node::InnerBase(b) => b.entries.iter().map(|(s, _)| s.len() + 8).sum::<usize>() + 8,
+            Node::InnerBase(b) => b.separator_bytes() + b.entries.len() * 8 + 8,
         };
         body + std::mem::size_of::<Node>()
     }
@@ -264,39 +311,84 @@ impl<'g> Iterator for ChainIter<'g> {
     }
 }
 
-/// Statistics of a chain walk.
-pub(crate) struct ChainShape {
+/// Everything one walk of a chain tells: its size and length, and for a
+/// leaf, what of it the page store does not hold yet.
+pub(crate) struct ChainShape<'g> {
     /// Number of delta nodes above the base.
     pub deltas: usize,
     /// Total approximate bytes of all nodes.
     pub bytes: usize,
-    /// Whether the chain bottom is a flash-resident base.
-    pub flash_base: bool,
+    /// The node that terminates the chain.
+    pub base: &'g Node,
+    /// Record deltas (puts and deletes) anywhere in the chain.
+    pub records: usize,
+    /// Record deltas above the topmost flush marker: not yet durable.
+    pub unflushed: usize,
+    /// Deltas that change the leaf's state: records, splits and absorbs.
+    pub leaf_deltas: usize,
+    /// Whether a split or absorb delta is in the chain (structural: a flush
+    /// must write a full image).
+    pub has_split: bool,
+    /// Token of the topmost flush marker.
+    pub marker: Option<u64>,
+    /// Whether a merge froze the page (a remove-node delta).
+    pub frozen: bool,
 }
 
-/// Measure a chain.
+impl ChainShape<'_> {
+    /// Whether the chain bottom is a flash-resident base.
+    pub fn flash_base(&self) -> bool {
+        matches!(self.base, Node::FlashBase { .. })
+    }
+}
+
+/// Measure and classify a chain in one walk.
 ///
 /// # Safety
 /// Same contract as [`chain_iter`].
-pub(crate) unsafe fn chain_shape(head: *const Node) -> ChainShape {
-    let mut deltas = 0;
+pub(crate) unsafe fn chain_shape<'g>(head: *const Node) -> ChainShape<'g> {
     let mut bytes = 0;
-    let mut flash_base = false;
+    let mut records = 0;
+    let mut unflushed = 0;
+    let mut leaf_deltas = 0;
+    let mut has_split = false;
+    let mut marker = None;
+    let mut frozen = false;
     // SAFETY: forwarding this function's own contract — same as
     // [`chain_iter`]'s.
-    for node in unsafe { chain_iter(head) } {
+    for (deltas, node) in unsafe { chain_iter(head) }.enumerate() {
         bytes += node.approx_bytes();
-        if node.is_base() {
-            flash_base = matches!(node, Node::FlashBase { .. });
-        } else {
-            deltas += 1;
+        match node {
+            Node::Put { .. } | Node::Del { .. } => {
+                records += 1;
+                leaf_deltas += 1;
+                if marker.is_none() {
+                    unflushed += 1;
+                }
+            }
+            Node::LeafSplit { .. } | Node::Absorb { .. } => {
+                leaf_deltas += 1;
+                has_split = true;
+            }
+            Node::FlushMarker { token, .. } => marker = marker.or(Some(*token)),
+            Node::RemoveNode { .. } => frozen = true,
+            Node::IndexInsert { .. } | Node::IndexDelete { .. } | Node::InnerSplit { .. } => {}
+            Node::LeafBase(_) | Node::FlashBase { .. } | Node::InnerBase(_) => {
+                return ChainShape {
+                    deltas,
+                    bytes,
+                    base: node,
+                    records,
+                    unflushed,
+                    leaf_deltas,
+                    has_split,
+                    marker,
+                    frozen,
+                };
+            }
         }
     }
-    ChainShape {
-        deltas,
-        bytes,
-        flash_base,
-    }
+    unreachable!("chain without a base");
 }
 
 /// Retire every node of a detached chain through the guard's collector.
@@ -381,16 +473,23 @@ mod tests {
     use super::*;
 
     fn leaf_base(entries: Vec<(&str, &str)>) -> *mut Node {
-        Node::LeafBase(LeafBase {
-            entries: entries
+        Node::LeafBase(LeafBase::new(
+            entries
                 .into_iter()
                 .map(|(k, v)| (Bytes::from(k.to_owned()), Bytes::from(v.to_owned())))
                 .collect(),
-            high_key: None,
-            right: None,
-            stored: None,
-        })
+            None,
+            None,
+            None,
+        ))
         .into_raw()
+    }
+
+    /// Every node is charged `size_of::<Node>()`; a variant that outgrew
+    /// the absorb delta would move every footprint and eviction counter.
+    #[test]
+    fn node_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<Node>(), 112);
     }
 
     #[test]
@@ -431,8 +530,9 @@ mod tests {
         // SAFETY: `d1` heads a chain this test just built and owns.
         let shape = unsafe { chain_shape(d1) };
         assert_eq!(shape.deltas, 1);
-        assert!(!shape.flash_base);
-        assert!(shape.bytes > 0);
+        assert!(!shape.flash_base());
+        let n = std::mem::size_of::<Node>();
+        assert_eq!(shape.bytes, (n + 2) + (n + 4 + 2 * 8));
         // SAFETY: never published; this test is the only owner.
         unsafe { free_chain_now(d1) };
     }
@@ -447,7 +547,7 @@ mod tests {
         .into_raw();
         // SAFETY: `fb` is a single-node chain this test just built and owns.
         let shape = unsafe { chain_shape(fb) };
-        assert!(shape.flash_base);
+        assert!(shape.flash_base());
         assert_eq!(shape.deltas, 0);
         // SAFETY: never published; this test is the only owner.
         unsafe { free_chain_now(fb) };
@@ -479,31 +579,26 @@ mod tests {
 
     #[test]
     fn inner_base_child_count() {
-        let b = InnerBase {
-            first_child: 1,
-            entries: vec![(Bytes::from("m"), 2), (Bytes::from("t"), 3)],
-            high_key: None,
-            right: None,
-        };
+        let b = InnerBase::new(
+            1,
+            vec![(Bytes::from("m"), 2), (Bytes::from("t"), 3)],
+            None,
+            None,
+        );
         assert_eq!(b.child_count(), 3);
     }
 
     #[test]
     fn node_kind_predicates() {
-        let ib = Node::InnerBase(InnerBase {
-            first_child: 0,
-            entries: vec![],
-            high_key: None,
-            right: None,
-        });
-        assert!(ib.is_base());
+        let ib = Node::InnerBase(InnerBase::new(0, vec![], None, None));
+        assert!(ib.next().is_none());
         assert!(ib.is_inner());
         let lb = Node::FlashBase {
             token: 0,
             high_key: None,
             right: None,
         };
-        assert!(lb.is_base());
+        assert!(lb.next().is_none());
         assert!(!lb.is_inner());
         drop(ib);
         drop(lb);

@@ -99,8 +99,11 @@ impl MappingTable {
     }
 
     /// Unconditionally publish a chain at an unpublished PID (fresh
-    /// allocations only: no concurrent reader can hold the PID yet).
-    pub(crate) fn store_new(&self, pid: PageId, head: *mut Node) {
+    /// allocations only: no concurrent reader can hold the PID yet),
+    /// stamped as accessed at `vtime`. A new page is as young as the write
+    /// that made it, not as old as its slot's previous occupant.
+    pub(crate) fn store_new(&self, pid: PageId, head: *mut Node, vtime: u64) {
+        self.touch(pid, vtime);
         self.slots[pid as usize].head.store(head, Ordering::SeqCst);
     }
 
@@ -188,13 +191,7 @@ mod tests {
     use crate::delta::{LeafBase, Node};
 
     fn empty_leaf() -> *mut Node {
-        Node::LeafBase(LeafBase {
-            entries: vec![],
-            high_key: None,
-            right: None,
-            stored: None,
-        })
-        .into_raw()
+        Node::LeafBase(LeafBase::new(vec![], None, None, None)).into_raw()
     }
 
     #[test]
@@ -214,7 +211,7 @@ mod tests {
         let pid = t.allocate();
         let a = empty_leaf();
         let b = empty_leaf();
-        t.store_new(pid, a);
+        t.store_new(pid, a, 0);
         assert!(!t.cas(pid, b, a));
         assert!(t.cas(pid, a, b));
         assert_eq!(t.load(pid), b);
@@ -236,11 +233,22 @@ mod tests {
     }
 
     #[test]
+    fn store_new_restamps_a_recycled_slot() {
+        let t = MappingTable::new(4);
+        let pid = t.allocate();
+        t.touch(pid, 42);
+        t.free(pid);
+        assert_eq!(t.allocate(), pid);
+        t.store_new(pid, empty_leaf(), 7);
+        assert_eq!(t.last_access(pid), 7);
+    }
+
+    #[test]
     fn allocation_state_tracking() {
         let t = MappingTable::new(4);
         let pid = t.allocate();
         assert!(!t.is_allocated(pid));
-        t.store_new(pid, empty_leaf());
+        t.store_new(pid, empty_leaf(), 0);
         assert!(t.is_allocated(pid));
         assert_eq!(t.high_water(), 1);
     }
@@ -260,7 +268,7 @@ mod tests {
         // leak checks in CI; mainly ensures drop doesn't crash on chains.
         let t = MappingTable::new(4);
         let pid = t.allocate();
-        t.store_new(pid, empty_leaf());
+        t.store_new(pid, empty_leaf(), 0);
         drop(t);
     }
 

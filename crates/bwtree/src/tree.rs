@@ -3,7 +3,8 @@
 
 use crate::config::BwTreeConfig;
 use crate::delta::{
-    chain_iter, chain_shape, free_chain_now, retire_chain, retire_node, InnerBase, LeafBase, Node,
+    chain_iter, chain_shape, free_chain_now, retire_chain, retire_node, ChainShape, InnerBase,
+    LeafBase, Node,
 };
 use crate::mapping::{MappingTable, PageId};
 use crate::page::{DeltaOp, PageImage};
@@ -180,13 +181,8 @@ impl BwTree {
         let root = mapping.allocate();
         mapping.store_new(
             root,
-            Node::LeafBase(LeafBase {
-                entries: Vec::new(),
-                high_key: None,
-                right: None,
-                stored: None,
-            })
-            .into_raw(),
+            Node::LeafBase(LeafBase::new(Vec::new(), None, None, None)).into_raw(),
+            0,
         );
         BwTree {
             config,
@@ -281,6 +277,7 @@ impl BwTree {
                     right: page.right,
                 }
                 .into_raw(),
+                0,
             );
             max_pid = max_pid.max(page.pid);
         }
@@ -304,13 +301,14 @@ impl BwTree {
                 let right = pids.get(ci + 1).copied();
                 mapping.store_new(
                     pids[ci],
-                    Node::InnerBase(InnerBase {
+                    Node::InnerBase(InnerBase::new(
                         first_child,
                         entries,
-                        high_key: high_key.clone(),
+                        high_key.clone(),
                         right,
-                    })
+                    ))
                     .into_raw(),
+                    0,
                 );
                 next.push((high_key, pids[ci]));
             }
@@ -643,12 +641,12 @@ impl BwTree {
         {
             return false;
         }
-        let mut new_head = Node::LeafBase(LeafBase {
-            entries: img.entries,
-            high_key: img.high_key,
-            right: img.right,
-            stored: Some(token),
-        })
+        let mut new_head = Node::LeafBase(LeafBase::new(
+            img.entries,
+            img.high_key,
+            img.right,
+            Some(token),
+        ))
         .into_raw();
         // Re-hang the unflushed deltas (those above the topmost marker);
         // everything at or below the marker is contained in the image.
@@ -765,7 +763,7 @@ impl BwTree {
         }
         // SAFETY: guard held.
         let shape = unsafe { chain_shape(head) };
-        if shape.flash_base {
+        if shape.flash_base() {
             // Blind updates have been accumulating above an evicted base.
             // Past the healing threshold, fault the base in so the chain
             // can consolidate (and split): unbounded partial chains would
@@ -820,12 +818,12 @@ impl BwTree {
             "bwtree.consolidate_leaf",
             dcs_telemetry::CostClass::Maintenance,
         );
-        let new_base = Node::LeafBase(LeafBase {
-            entries: merged.entries,
-            high_key: merged.high_key,
-            right: merged.right,
-            stored: None,
-        })
+        let new_base = Node::LeafBase(LeafBase::new(
+            merged.entries,
+            merged.high_key,
+            merged.right,
+            None,
+        ))
         .into_raw();
         // SAFETY: `head` was loaded under `guard`; `new_base` is unpublished.
         if unsafe { self.replace_chain(pid, head, new_base, guard) } {
@@ -865,14 +863,14 @@ impl BwTree {
         idx = idx.clamp(1, base.entries.len() - 1);
         let sep = base.entries[idx].0.clone();
         let qid = self.mapping.allocate();
-        let right_base = Node::LeafBase(LeafBase {
-            entries: base.entries[idx..].to_vec(),
-            high_key: base.high_key.clone(),
-            right: base.right,
-            stored: None,
-        })
+        let right_base = Node::LeafBase(LeafBase::new(
+            base.entries[idx..].to_vec(),
+            base.high_key.clone(),
+            base.right,
+            None,
+        ))
         .into_raw();
-        self.mapping.store_new(qid, right_base);
+        self.mapping.store_new(qid, right_base, self.vtime());
         let split = Node::LeafSplit {
             sep: sep.clone(),
             right: qid,
@@ -880,13 +878,10 @@ impl BwTree {
         }
         .into_raw();
         if !self.mapping.cas(pid, base_ptr, split) {
-            // Lost a race; undo the unpublished right page.
-            // SAFETY: qid never reachable from the tree.
-            unsafe {
-                free_chain_now(right_base);
-                drop(Box::from_raw(split));
-            }
-            self.mapping.free(qid);
+            // Lost a race; take the right page back.
+            self.unpublish_new(qid, right_base, guard);
+            // SAFETY: never published; `next` is raw so the drop is shallow.
+            unsafe { drop(Box::from_raw(split)) };
             return;
         }
         bump!(self.stats, leaf_splits);
@@ -1032,6 +1027,17 @@ impl BwTree {
         unsafe { retire_node(guard, remove) };
     }
 
+    /// Take back a page published at the fresh `pid` that no link in the
+    /// tree ever named: its split or root swap lost a race. A walk over
+    /// the mapping table (`pages()`) may have loaded it meanwhile, so it is
+    /// retired through `guard`, not freed.
+    fn unpublish_new(&self, pid: PageId, head: *mut Node, guard: &Guard) {
+        self.mapping.free(pid);
+        // SAFETY: `free` unlinked `head` from its slot, the only link to
+        // it, and it is retired once, here.
+        unsafe { retire_chain(guard, head) };
+    }
+
     /// Whether some inner page holds an explicit routing entry
     /// `(sep → child)` for `child` (as opposed to reaching it through a
     /// first-child slot or sibling links).
@@ -1137,14 +1143,14 @@ impl BwTree {
                 ParentSearch::AlreadyPosted => return,
                 ParentSearch::SplitPageIsRoot => {
                     let rid = self.mapping.allocate();
-                    let new_root = Node::InnerBase(InnerBase {
-                        first_child: split_pid,
-                        entries: vec![(sep.clone(), qid)],
-                        high_key: None,
-                        right: None,
-                    })
+                    let new_root = Node::InnerBase(InnerBase::new(
+                        split_pid,
+                        vec![(sep.clone(), qid)],
+                        None,
+                        None,
+                    ))
                     .into_raw();
-                    self.mapping.store_new(rid, new_root);
+                    self.mapping.store_new(rid, new_root, self.vtime());
                     if self
                         .root
                         .compare_exchange(split_pid, rid, Ordering::SeqCst, Ordering::SeqCst)
@@ -1153,9 +1159,7 @@ impl BwTree {
                         return;
                     }
                     // Someone else grew the tree first; retry via descent.
-                    // SAFETY: rid never published.
-                    unsafe { free_chain_now(new_root) };
-                    self.mapping.free(rid);
+                    self.unpublish_new(rid, new_root, guard);
                 }
                 ParentSearch::Parent(ppid) => {
                     let head = self.mapping.load(ppid);
@@ -1278,12 +1282,12 @@ impl BwTree {
         let Some(merged) = (unsafe { merge_inner_chain(head) }) else {
             return;
         };
-        let new_base = Node::InnerBase(InnerBase {
-            first_child: merged.first_child,
-            entries: merged.entries,
-            high_key: merged.high_key,
-            right: merged.right,
-        })
+        let new_base = Node::InnerBase(InnerBase::new(
+            merged.first_child,
+            merged.entries,
+            merged.high_key,
+            merged.right,
+        ))
         .into_raw();
         // SAFETY: `head` was loaded under `guard`; `new_base` is unpublished.
         if unsafe { self.replace_chain(pid, head, new_base, guard) } {
@@ -1307,14 +1311,14 @@ impl BwTree {
         let m = base.entries.len() / 2;
         let sep = base.entries[m].0.clone();
         let qid = self.mapping.allocate();
-        let right_base = Node::InnerBase(InnerBase {
-            first_child: base.entries[m].1,
-            entries: base.entries[m + 1..].to_vec(),
-            high_key: base.high_key.clone(),
-            right: base.right,
-        })
+        let right_base = Node::InnerBase(InnerBase::new(
+            base.entries[m].1,
+            base.entries[m + 1..].to_vec(),
+            base.high_key.clone(),
+            base.right,
+        ))
         .into_raw();
-        self.mapping.store_new(qid, right_base);
+        self.mapping.store_new(qid, right_base, self.vtime());
         let split = Node::InnerSplit {
             sep: sep.clone(),
             right: qid,
@@ -1322,12 +1326,9 @@ impl BwTree {
         }
         .into_raw();
         if !self.mapping.cas(pid, base_ptr, split) {
-            // SAFETY: unpublished.
-            unsafe {
-                free_chain_now(right_base);
-                drop(Box::from_raw(split));
-            }
-            self.mapping.free(qid);
+            self.unpublish_new(qid, right_base, guard);
+            // SAFETY: never published; `next` is raw so the drop is shallow.
+            unsafe { drop(Box::from_raw(split)) };
             return;
         }
         bump!(self.stats, inner_splits);
@@ -1381,9 +1382,30 @@ impl BwTree {
                 return Err(TreeError::PageNotFound(pid));
             }
             LeafChainInfo::MemBase {
+                deltas: 0,
+                stored: Some(token),
+                base,
+                ..
+            } if kind != FlushKind::FlushOnly => {
+                // Clean: the store holds exactly this base, so an eviction
+                // writes nothing and folds nothing; only its fences stay.
+                let (high_key, right) = (base.high_key.clone(), base.right);
+                let new_head = match kind {
+                    FlushKind::EvictAll => Node::FlashBase {
+                        token,
+                        high_key,
+                        right,
+                    }
+                    .into_raw(),
+                    _ => record_cache_over_flash(token, high_key, right, &[]),
+                };
+                (token, new_head)
+            }
+            LeafChainInfo::MemBase {
                 deltas,
                 has_split,
                 stored,
+                ..
             } => {
                 // SAFETY: guard held (merge re-walks the same chain).
                 let merged = unsafe { merge_leaf_chain(head) }.expect("mem base merges");
@@ -1408,12 +1430,12 @@ impl BwTree {
                     }
                 };
                 let new_head = match kind {
-                    FlushKind::FlushOnly => Node::LeafBase(LeafBase {
-                        entries: merged.entries,
-                        high_key: merged.high_key,
-                        right: merged.right,
-                        stored: Some(token),
-                    })
+                    FlushKind::FlushOnly => Node::LeafBase(LeafBase::new(
+                        merged.entries,
+                        merged.high_key,
+                        merged.right,
+                        Some(token),
+                    ))
                     .into_raw(),
                     FlushKind::EvictAll => Node::FlashBase {
                         token,
@@ -1451,7 +1473,7 @@ impl BwTree {
                 let new_head = match kind {
                     FlushKind::EvictAll => Node::FlashBase {
                         token,
-                        high_key,
+                        high_key: high_key.clone(),
                         right,
                     }
                     .into_raw(),
@@ -1459,7 +1481,7 @@ impl BwTree {
                         // Only the just-flushed deltas stay cached.
                         // SAFETY: guard held.
                         let nodes = unsafe { collect_nodes_above_marker(head) };
-                        record_cache_over_flash(token, high_key, right, &nodes)
+                        record_cache_over_flash(token, high_key.clone(), right, &nodes)
                     }
                 };
                 (token, new_head)
@@ -1502,54 +1524,40 @@ impl BwTree {
         if pid >= self.mapping.high_water() {
             return None;
         }
+        self.describe(pid, &dcs_ebr::pin())
+    }
+
+    /// Describe every allocated page, under one guard for the whole walk.
+    pub fn pages(&self) -> Vec<PageInfo> {
         let guard = dcs_ebr::pin();
+        (0..self.mapping.high_water())
+            .filter_map(|pid| self.describe(pid, &guard))
+            .collect()
+    }
+
+    /// Describe `pid` from one walk of its chain.
+    fn describe(&self, pid: PageId, _guard: &Guard) -> Option<PageInfo> {
         let head = self.mapping.load(pid);
         if head.is_null() {
             return None;
         }
-        let _ = &guard;
         // SAFETY: guard held since before the load.
-        let (is_leaf, residency, chain_len, mem_bytes, dirty) = unsafe {
-            let is_leaf = !self.head_is_inner(head);
-            let shape = chain_shape(head);
-            let residency = if !is_leaf || !shape.flash_base {
-                ResidencyState::Resident
-            } else {
-                let has_record_delta =
-                    chain_iter(head).any(|n| matches!(n, Node::Put { .. } | Node::Del { .. }));
-                if has_record_delta {
-                    ResidencyState::Partial
-                } else {
-                    ResidencyState::Evicted
-                }
-            };
-            let dirty = if !is_leaf {
-                false // index pages are rebuilt, not flushed
-            } else {
-                match analyze_leaf_chain(head) {
-                    LeafChainInfo::MemBase { deltas, stored, .. } => deltas > 0 || stored.is_none(),
-                    LeafChainInfo::FlashBase { unflushed, .. } => unflushed > 0,
-                    LeafChainInfo::Frozen => false, // disappearing into its sibling
-                }
-            };
-            (is_leaf, residency, shape.deltas, shape.bytes, dirty)
+        let (is_leaf, shape) = unsafe { (!self.head_is_inner(head), chain_shape(head)) };
+        let residency = match shape.base {
+            Node::FlashBase { .. } if shape.records > 0 => ResidencyState::Partial,
+            Node::FlashBase { .. } => ResidencyState::Evicted,
+            _ => ResidencyState::Resident,
         };
         Some(PageInfo {
             pid,
             is_leaf,
             residency,
-            chain_len,
-            mem_bytes,
+            chain_len: shape.deltas,
+            mem_bytes: shape.bytes,
             last_access: self.mapping.last_access(pid),
-            dirty,
+            // Index pages are rebuilt, not flushed.
+            dirty: is_leaf && LeafChainInfo::of(&shape).dirty(),
         })
-    }
-
-    /// Describe every allocated page.
-    pub fn pages(&self) -> Vec<PageInfo> {
-        (0..self.mapping.high_water())
-            .filter_map(|pid| self.page_info(pid))
-            .collect()
     }
 
     /// Approximate total in-memory footprint: page chains plus the mapping
@@ -1929,12 +1937,13 @@ unsafe fn merge_inner_chain(head: *const Node) -> Option<MergedInner> {
     })
 }
 
-enum LeafChainInfo {
+enum LeafChainInfo<'g> {
     /// Base page in memory.
     MemBase {
         deltas: usize,
         has_split: bool,
         stored: Option<u64>,
+        base: &'g LeafBase,
     },
     /// The page is frozen by an in-flight merge (RemoveNode on top).
     Frozen,
@@ -1942,66 +1951,55 @@ enum LeafChainInfo {
     FlashBase {
         durable_token: u64,
         unflushed: usize,
-        high_key: Option<Bytes>,
+        high_key: &'g Option<Bytes>,
         right: Option<PageId>,
     },
+}
+
+impl<'g> LeafChainInfo<'g> {
+    /// Classify a measured leaf chain for the flush paths.
+    fn of(shape: &ChainShape<'g>) -> Self {
+        if shape.frozen {
+            return LeafChainInfo::Frozen;
+        }
+        match shape.base {
+            Node::LeafBase(b) => LeafChainInfo::MemBase {
+                deltas: shape.leaf_deltas,
+                has_split: shape.has_split,
+                stored: b.stored,
+                base: b,
+            },
+            Node::FlashBase {
+                token,
+                high_key,
+                right,
+            } => LeafChainInfo::FlashBase {
+                durable_token: shape.marker.unwrap_or(*token),
+                unflushed: shape.unflushed,
+                high_key,
+                right: *right,
+            },
+            _ => unreachable!("inner node in leaf chain"),
+        }
+    }
+
+    /// Whether the page holds state the page store does not.
+    fn dirty(&self) -> bool {
+        match self {
+            LeafChainInfo::MemBase { deltas, stored, .. } => *deltas > 0 || stored.is_none(),
+            LeafChainInfo::FlashBase { unflushed, .. } => *unflushed > 0,
+            LeafChainInfo::Frozen => false, // disappearing into its sibling
+        }
+    }
 }
 
 /// Classify a leaf chain for the flush paths.
 ///
 /// # Safety: live chain under a guard.
-unsafe fn analyze_leaf_chain(head: *const Node) -> LeafChainInfo {
-    let mut deltas = 0usize;
-    let mut has_split = false;
-    let mut unflushed = 0usize;
-    let mut seen_marker: Option<u64> = None;
+unsafe fn analyze_leaf_chain<'g>(head: *const Node) -> LeafChainInfo<'g> {
     // SAFETY: forwarding this function's own contract — `head` is a live
     // chain protected by the caller's guard.
-    for node in unsafe { chain_iter(head) } {
-        match node {
-            Node::Put { .. } | Node::Del { .. } => {
-                deltas += 1;
-                if seen_marker.is_none() {
-                    unflushed += 1;
-                }
-            }
-            Node::LeafSplit { .. } => {
-                deltas += 1;
-                has_split = true;
-            }
-            Node::Absorb { .. } => {
-                deltas += 1;
-                has_split = true; // structural: flush must be a full image
-            }
-            Node::RemoveNode { .. } => return LeafChainInfo::Frozen,
-            Node::FlushMarker { token, .. } => {
-                if seen_marker.is_none() {
-                    seen_marker = Some(*token);
-                }
-            }
-            Node::LeafBase(b) => {
-                return LeafChainInfo::MemBase {
-                    deltas,
-                    has_split,
-                    stored: b.stored,
-                };
-            }
-            Node::FlashBase {
-                token,
-                high_key,
-                right,
-            } => {
-                return LeafChainInfo::FlashBase {
-                    durable_token: seen_marker.unwrap_or(*token),
-                    unflushed,
-                    high_key: high_key.clone(),
-                    right: *right,
-                };
-            }
-            _ => unreachable!("inner node in leaf chain"),
-        }
-    }
-    unreachable!("leaf chain without a base");
+    LeafChainInfo::of(&unsafe { chain_shape(head) })
 }
 
 /// Collect record ops above the topmost flush marker (or the whole delta
@@ -2568,6 +2566,107 @@ mod tests {
         t.get(b"k");
         let leaf = t.pages().into_iter().find(|p| p.is_leaf).unwrap();
         assert_eq!(leaf.last_access, 123_456);
+    }
+
+    /// `page_info` classifies a chain in one walk. Each shape's residency,
+    /// dirtiness, length and size, worked out by hand.
+    #[test]
+    fn page_info_classifies_every_chain_shape() {
+        use ResidencyState::{Evicted, Partial, Resident};
+        let t = BwTree::in_memory(BwTreeConfig::default());
+        let n = std::mem::size_of::<Node>();
+        let base = |stored| {
+            let entries = vec![(b("a"), b("1")), (b("bb"), b("22"))];
+            Node::LeafBase(LeafBase::new(entries, None, None, stored)).into_raw()
+        };
+        let base_bytes = n + 6 + 2 * 8;
+        let put = |key: &str, value: &str, next: *mut Node| {
+            let (key, value) = (b(key), b(value));
+            Node::Put { key, value, next }.into_raw()
+        };
+        let del = |key: &str, next: *mut Node| Node::Del { key: b(key), next }.into_raw();
+        let marker = |next: *mut Node| Node::FlushMarker { token: 7, next }.into_raw();
+        let flash = || {
+            let (high_key, right) = (Some(b("zz")), Some(4));
+            Node::FlashBase {
+                token: 3,
+                high_key,
+                right,
+            }
+            .into_raw()
+        };
+        let split = Node::LeafSplit {
+            sep: b("b"),
+            right: 99,
+            next: base(Some(5)),
+        };
+        let absorb = Node::Absorb {
+            sep: b("m"),
+            entries: vec![(b("m"), b("9")), (b("n"), b("10"))],
+            high_key: None,
+            right: None,
+            next: base(Some(5)),
+        };
+        let frozen = Node::RemoveNode {
+            left: 0,
+            next: put("x", "1", base(None)),
+        };
+        let inner = Node::IndexInsert {
+            sep: b("q"),
+            child: 5,
+            next: Node::InnerBase(InnerBase::new(1, vec![(b("g"), 2)], None, None)).into_raw(),
+        };
+        // (is_leaf, residency, dirty, chain_len, mem_bytes)
+        let cases = [
+            (
+                "clean base",
+                base(Some(5)),
+                (true, Resident, false, 0, base_bytes),
+            ),
+            (
+                "dirty base",
+                base(None),
+                (true, Resident, true, 0, base_bytes),
+            ),
+            (
+                "split over a base",
+                split.into_raw(),
+                (true, Resident, true, 1, (n + 1) + base_bytes),
+            ),
+            (
+                "absorb over a base",
+                absorb.into_raw(),
+                (true, Resident, true, 1, (n + 5 + 2 * 8) + base_bytes),
+            ),
+            (
+                "records above and below a marker",
+                put("k", "vv", marker(del("d", flash()))),
+                (true, Partial, true, 3, (n + 3) + n + (n + 1) + (n + 2)),
+            ),
+            (
+                "records below a marker only",
+                marker(del("d", flash())),
+                (true, Partial, false, 2, n + (n + 1) + (n + 2)),
+            ),
+            ("bare flash base", flash(), (true, Evicted, false, 0, n + 2)),
+            (
+                "frozen",
+                frozen.into_raw(),
+                (true, Resident, false, 2, n + (n + 2) + base_bytes),
+            ),
+            (
+                "inner chain",
+                inner.into_raw(),
+                (false, Resident, false, 1, (n + 1 + 8) + (n + 1 + 8 + 8)),
+            ),
+        ];
+        for (name, head, want) in cases {
+            let pid = t.mapping.allocate();
+            t.mapping.store_new(pid, head, 0);
+            let p = t.page_info(pid).unwrap();
+            let got = (p.is_leaf, p.residency, p.dirty, p.chain_len, p.mem_bytes);
+            assert_eq!(got, want, "{name}");
+        }
     }
 
     #[test]

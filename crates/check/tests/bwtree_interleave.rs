@@ -88,6 +88,53 @@ fn split_consolidate_race() {
     );
 }
 
+/// A page-table walk races splits that lose their CAS. A split publishes
+/// its right half at a fresh PID before it CASes the split delta in, so a
+/// walk over the mapping table (the cache sweep's `pages()`) can load that
+/// half before a concurrent write makes the CAS lose. The abandoned half
+/// must then be retired through the epoch, not freed: the shadow heap
+/// reports a use-after-free otherwise.
+#[test]
+fn page_walk_split_abort_race() {
+    explore_with(
+        "bwtree-page-walk-split-abort",
+        Config {
+            seeds: 0..200,
+            ..Config::default()
+        },
+        || {
+            let tree = Arc::new(BwTree::in_memory(BwTreeConfig::small_pages()));
+            for i in 0..8 {
+                tree.put(key(i * 3), fat_value(i * 3));
+            }
+            let mut workers = Vec::new();
+            for t in 0..2 {
+                let tree = tree.clone();
+                workers.push(dcs_check::thread::spawn(move || {
+                    for i in 0..5 {
+                        let k = i * 3 + t + 1;
+                        tree.put(key(k), fat_value(k));
+                    }
+                }));
+            }
+            let walker = {
+                let tree = tree.clone();
+                dcs_check::thread::spawn(move || {
+                    for _ in 0..4 {
+                        std::hint::black_box(tree.pages());
+                    }
+                })
+            };
+            for w in workers {
+                w.join().unwrap();
+            }
+            walker.join().unwrap();
+            let guard = dcs_ebr::pin();
+            tree.audit(&guard).expect("structural audit");
+        },
+    );
+}
+
 /// A range scan races leaf merges: one thread deletes the middle of the key
 /// space (consolidation shrinks those leaves under `min_leaf_bytes`, which
 /// triggers freeze/absorb/index-delete merges), while a scanner repeatedly

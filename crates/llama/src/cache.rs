@@ -331,6 +331,32 @@ mod tests {
         assert_eq!(tree.stats().fetches, hot_hits_before, "hot page evicted");
     }
 
+    /// A split publishes the right half at a fresh PID; it is as young as
+    /// the write that split the leaf, not T_i-cold from birth.
+    #[test]
+    fn split_pages_are_born_young() {
+        let (tree, _store, clock) = setup();
+        let ti = dcs_flashsim::secs(45.0);
+        clock.advance(ti * 2);
+        tree.set_vtime(clock.now());
+        let mut i = 0;
+        while tree.stats().leaf_splits == 0 {
+            let (k, v) = kv(i);
+            tree.put(k, v);
+            i += 1;
+        }
+        assert_eq!(tree.stats().leaf_splits, 1);
+        let mgr = CacheManager::new(
+            CacheManagerConfig {
+                memory_budget: usize::MAX,
+                policy: EvictionPolicy::CostModel { ti_nanos: ti },
+                keep_record_cache: false,
+            },
+            clock,
+        );
+        assert_eq!(mgr.sweep(&tree).unwrap().0, 0, "a fresh page was T_i-cold");
+    }
+
     #[test]
     fn record_cache_mode_keeps_deltas() {
         let (tree, _store, clock) = setup();
