@@ -51,6 +51,10 @@ pub struct AuditReport {
     /// quiescence, [`BwTree::footprint_bytes`] is this plus the mapping
     /// table's 16 B per slot.
     pub chain_bytes: usize,
+    /// Delta nodes above every reachable inner base. Index pages fold each
+    /// SMO delta when it is posted, so at quiescence this is 0 unless a
+    /// fold lost its CAS (the page's next SMO folds it).
+    pub inner_deltas: usize,
 }
 
 impl BwTree {
@@ -268,6 +272,7 @@ impl BwTree {
                 report.leaf_pages += 1;
             } else {
                 report.inner_pages += 1;
+                report.inner_deltas += chain_len - 1;
             }
             report.max_chain_len = report.max_chain_len.max(chain_len);
         }

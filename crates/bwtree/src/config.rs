@@ -3,7 +3,8 @@
 /// Tuning knobs for a [`crate::BwTree`].
 #[derive(Debug, Clone)]
 pub struct BwTreeConfig {
-    /// Consolidate a page once its delta chain exceeds this length.
+    /// Consolidate a leaf once its delta chain reaches this length. Leaves
+    /// only: an index page folds every SMO delta as soon as it is posted.
     pub consolidate_threshold: usize,
     /// Split a leaf whose consolidated payload exceeds this many bytes.
     ///

@@ -9,8 +9,12 @@
 //!   All page updates install with a single compare-and-swap on the PID's
 //!   slot — no latches anywhere.
 //! * **Delta updates**: updates *prepend* a delta record to the page's chain
-//!   rather than modifying the page. Chains are folded into a fresh
-//!   consolidated base page once they grow past a threshold.
+//!   rather than modifying the page. A leaf's chain is folded into a fresh
+//!   consolidated base page once it reaches
+//!   [`BwTreeConfig::consolidate_threshold`]. Index pages get deltas only
+//!   from structure modifications, so they fold each one as soon as it is
+//!   posted: a descent nearly always routes through a bare base, with one
+//!   binary search per level and no allocation.
 //! * **Structure modification operations**: page splits are decomposed into
 //!   atomic steps (child split delta, then parent index-entry delta), each a
 //!   single CAS, with readers helping lagging steps along.

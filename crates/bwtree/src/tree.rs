@@ -163,6 +163,7 @@ enum LeafSearch {
 pub(crate) type LeafSnapshot = (Vec<(Bytes, Bytes)>, Option<Bytes>);
 
 /// Routing decision inside an inner chain.
+#[derive(Debug, PartialEq, Eq)]
 enum Route {
     Child(PageId),
     Sibling(PageId),
@@ -363,12 +364,31 @@ impl BwTree {
     // Descent
     // ------------------------------------------------------------------
 
-    /// Route within an inner chain. Collects the (short) chain first so
-    /// split fences apply to deltas regardless of their position.
+    /// Route within an inner chain. Index pages fold every SMO delta as it
+    /// is posted, so the head is nearly always a bare base: one fence check
+    /// and one binary search, with no allocation. A chain caught between a
+    /// post and its fold takes [`BwTree::route_inner_chain`].
     ///
     /// # Safety
     /// `head` must be a live inner chain protected by `_guard`.
     unsafe fn route_inner(&self, head: *const Node, key: &[u8], _guard: &Guard) -> Route {
+        // SAFETY: forwarding this function's own contract — `head` is a live
+        // chain protected by the caller's guard. The head is read through
+        // `chain_iter` so the checker sees the access.
+        match unsafe { chain_iter(head) }.next() {
+            Some(Node::InnerBase(ib)) => route_base(ib, key),
+            // SAFETY: as above.
+            _ => unsafe { self.route_inner_chain(head, key) },
+        }
+    }
+
+    /// Route within an inner chain that carries deltas. Collects the (short)
+    /// chain first so split fences apply to deltas regardless of their
+    /// position.
+    ///
+    /// # Safety
+    /// `head` must be a live inner chain protected by a guard.
+    unsafe fn route_inner_chain(&self, head: *const Node, key: &[u8]) -> Route {
         // SAFETY: forwarding this function's own contract — `head` is a live
         // chain protected by the caller's guard.
         let nodes: Vec<&Node> = unsafe { chain_iter(head) }.collect();
@@ -1268,14 +1288,18 @@ impl BwTree {
         }
     }
 
+    /// Fold an index page's deltas into a fresh base. Index pages get
+    /// deltas only from SMOs, so this runs right after each post rather
+    /// than at `consolidate_threshold`: under a threshold the chain would
+    /// never fold, and every descent would route through it. A fold that
+    /// loses its CAS leaves the chain for the page's next SMO.
     fn maybe_consolidate_inner(&self, pid: PageId, guard: &Guard) {
         let head = self.mapping.load(pid);
         if head.is_null() {
             return;
         }
         // SAFETY: guard held.
-        let shape = unsafe { chain_shape(head) };
-        if shape.deltas < self.config.consolidate_threshold {
+        if unsafe { chain_shape(head) }.deltas == 0 {
             return;
         }
         // SAFETY: guard held.
@@ -1336,6 +1360,9 @@ impl BwTree {
         let _span =
             dcs_telemetry::span("bwtree.inner_split", dcs_telemetry::CostClass::Maintenance);
         self.post_index_entry(pid, sep, qid, guard);
+        // Fold the split delta into a base whose fence and right link
+        // carry it.
+        self.maybe_consolidate_inner(pid, guard);
     }
 
     // ------------------------------------------------------------------
@@ -1632,6 +1659,20 @@ enum ParentSearch {
 // ----------------------------------------------------------------------
 // Chain analysis helpers (free functions; all require a held guard)
 // ----------------------------------------------------------------------
+
+/// Route within a bare inner base: past the fence to the right sibling,
+/// else to the child of the rightmost separator ≤ `key`.
+fn route_base(ib: &InnerBase, key: &[u8]) -> Route {
+    if let (Some(hk), Some(r)) = (&ib.high_key, ib.right) {
+        if key >= hk.as_ref() {
+            return Route::Sibling(r);
+        }
+    }
+    match ib.entries.partition_point(|(s, _)| s.as_ref() <= key) {
+        0 => Route::Child(ib.first_child),
+        idx => Route::Child(ib.entries[idx - 1].1),
+    }
+}
 
 /// If `key` is fenced out of this leaf, the sibling to chase.
 ///
@@ -2219,6 +2260,84 @@ mod tests {
             } else {
                 assert_eq!(t.get(&k), Some(v), "key {i} lost");
             }
+        }
+    }
+
+    /// Index pages fold every SMO delta when it is posted, so after a run
+    /// of splits and merges no inner page carries a chain.
+    #[test]
+    fn index_pages_are_bare_at_quiescence() {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(33);
+        let mut ids: Vec<u32> = (0..5000).collect();
+        ids.shuffle(&mut rng);
+        let t = BwTree::in_memory(BwTreeConfig::small_pages());
+        for &i in &ids {
+            let (k, v) = kv(i);
+            t.put(k, v);
+        }
+        ids.shuffle(&mut rng);
+        for &i in ids.iter().filter(|&&i| i % 10 != 0) {
+            t.delete(kv(i).0);
+        }
+        let s = t.stats();
+        assert!(s.inner_splits > 0 && s.leaf_merges > 0, "{s:?}");
+        let guard = dcs_ebr::pin();
+        let report = t.audit(&guard).unwrap();
+        assert_eq!(report.inner_deltas, 0, "{report:?}");
+        drop(guard);
+        for i in 0..5000u32 {
+            let (k, v) = kv(i);
+            assert_eq!(t.get(&k), (i % 10 == 0).then_some(v), "key {i}");
+        }
+    }
+
+    /// On a bare base, the allocation-free fast path and the general chain
+    /// path route every key the same way.
+    #[test]
+    fn bare_base_routes_the_same_on_both_paths() {
+        let t = BwTree::in_memory(BwTreeConfig::default());
+        let guard = dcs_ebr::pin();
+        // (key, child below the fence): below the first separator, on and
+        // between separators, and at or beyond the high key "h".
+        let keys = [
+            ("", 1),
+            ("a", 1),
+            ("b", 2),
+            ("c", 2),
+            ("d", 3),
+            ("e", 3),
+            ("f", 4),
+            ("g", 4),
+            ("h", 4),
+            ("z", 4),
+        ];
+        for (high_key, right) in [(None, None), (Some(b("h")), None), (Some(b("h")), Some(9))] {
+            let entries = vec![(b("b"), 2), (b("d"), 3), (b("f"), 4)];
+            let base = Node::InnerBase(InnerBase::new(1, entries, high_key.clone(), right));
+            let head = base.into_raw();
+            for (key, child) in keys {
+                let fenced = high_key
+                    .as_ref()
+                    .is_some_and(|h| key.as_bytes() >= h.as_ref());
+                let want = match right {
+                    Some(r) if fenced => Route::Sibling(r),
+                    _ => Route::Child(child),
+                };
+                // SAFETY: `head` is a live chain this test owns.
+                let (fast, chain) = unsafe {
+                    (
+                        t.route_inner(head, key.as_bytes(), &guard),
+                        t.route_inner_chain(head, key.as_bytes()),
+                    )
+                };
+                let case = format!("key {key:?}, high key {high_key:?}, right {right:?}");
+                assert_eq!(fast, want, "fast path, {case}");
+                assert_eq!(chain, want, "chain path, {case}");
+            }
+            // SAFETY: never published; this test holds the only pointer.
+            unsafe { drop(Box::from_raw(head)) };
         }
     }
 

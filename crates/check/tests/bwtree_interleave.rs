@@ -216,7 +216,7 @@ fn scan_merge_race() {
 
 /// Point reads race merges whose freeze rolls back. Forty-eight keys
 /// settle into leaves of four under small pages, and the leaf holding
-/// keys 28..32 is the first child of its inner page. Emptying the leaf to
+/// keys 24..28 is the first child of its inner page. Emptying the leaf to
 /// its left makes that leaf try to absorb it; a merge may not cross a
 /// parent boundary, so every attempt freezes the sibling and then rolls
 /// the freeze back. A reader that loaded the frozen head before the
@@ -225,8 +225,24 @@ fn scan_merge_race() {
 /// use-after-free otherwise.
 #[test]
 fn read_merge_rollback_race() {
-    const EMPTIED: std::ops::Range<usize> = 24..28;
-    const READ: std::ops::Range<usize> = 28..32;
+    const EMPTIED: std::ops::Range<usize> = 20..24;
+    const READ: std::ops::Range<usize> = 24..28;
+    fn loaded() -> BwTree {
+        let tree = BwTree::in_memory(BwTreeConfig::small_pages());
+        for i in 0..48 {
+            tree.put(key(i), fat_value(i));
+        }
+        tree
+    }
+    fn empty(tree: &BwTree) {
+        // A leaf consolidates, and so tries to merge, once four deltas sit
+        // on it: three rounds, three rollbacks.
+        for _ in 0..3 {
+            for i in EMPTIED {
+                tree.delete(key(i));
+            }
+        }
+    }
     explore_with(
         "bwtree-read-merge-rollback",
         // Random, not PCT: a detection needs the reader preempted twice,
@@ -236,22 +252,22 @@ fn read_merge_rollback_race() {
             ..Config::default()
         },
         || {
-            let tree = Arc::new(BwTree::in_memory(BwTreeConfig::small_pages()));
-            for i in 0..48 {
-                tree.put(key(i), fat_value(i));
-            }
+            // The premise rests on the tree's shape: on a single-threaded
+            // twin, every merge attempt must roll back.
+            let twin = loaded();
+            empty(&twin);
+            assert_eq!(
+                twin.stats().leaf_merges,
+                0,
+                "emptying keys {EMPTIED:?} merged on a single thread: the tree's \
+                 shape changed, so pick a leaf whose right sibling is a first child"
+            );
+            drop(twin);
 
+            let tree = Arc::new(loaded());
             let deleter = {
                 let tree = tree.clone();
-                dcs_check::thread::spawn(move || {
-                    // A leaf consolidates, and so tries to merge, once four
-                    // deltas sit on it: three rounds, three rollbacks.
-                    for _ in 0..3 {
-                        for i in EMPTIED {
-                            tree.delete(key(i));
-                        }
-                    }
-                })
+                dcs_check::thread::spawn(move || empty(&tree))
             };
             let readers: Vec<_> = (0..2)
                 .map(|_| {
