@@ -12,6 +12,9 @@
 //!
 //! Run with: `cargo run --release -p dcs-bench --bin fig1_mixed_perf`
 
+// A figure binary times real hardware on purpose.
+#![allow(clippy::disallowed_types)]
+
 use dcs_bench::{load_tree, OpTimer};
 use dcs_costmodel::{mixed, render};
 use dcs_flashsim::IoPathKind;

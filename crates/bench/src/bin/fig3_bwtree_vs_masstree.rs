@@ -7,6 +7,9 @@
 //!
 //! Run with: `cargo run --release -p dcs-bench --bin fig3_bwtree_vs_masstree`
 
+// A figure binary times real hardware on purpose.
+#![allow(clippy::disallowed_types)]
+
 use bytes::Bytes;
 use dcs_bwtree::{BwTree, BwTreeConfig};
 use dcs_costmodel::{figures, mm_vs_caching, render, HardwareCatalog};

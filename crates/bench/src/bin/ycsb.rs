@@ -5,6 +5,9 @@
 //!
 //! Run with: `cargo run --release -p dcs-bench --bin ycsb`
 
+// A figure binary times real hardware on purpose.
+#![allow(clippy::disallowed_types)]
+
 use dcs_core::bwtree::{BwTree, BwTreeConfig};
 use dcs_core::costmodel::render;
 use dcs_core::flashsim::{DeviceConfig, FlashDevice, IoPathKind, VirtualClock};

@@ -6,6 +6,9 @@
 //! back for the figures drawn from served runs. Per-layer timings are the
 //! `per_layer` probes of the repo benchmark (`benchmark/`, `run --traced`).
 
+// A measurement harness times real hardware on purpose.
+#![allow(clippy::disallowed_types)]
+
 pub mod baseline;
 pub mod measure;
 pub mod report;

@@ -163,7 +163,6 @@ enum LeafSearch {
 pub(crate) type LeafSnapshot = (Vec<(Bytes, Bytes)>, Option<Bytes>);
 
 /// Routing decision inside an inner chain.
-#[derive(Debug, PartialEq, Eq)]
 enum Route {
     Child(PageId),
     Sibling(PageId),
@@ -367,34 +366,20 @@ impl BwTree {
     /// Route within an inner chain. Index pages fold every SMO delta as it
     /// is posted, so the head is nearly always a bare base: one fence check
     /// and one binary search, with no allocation. A chain caught between a
-    /// post and its fold takes [`BwTree::route_inner_chain`].
+    /// post and its fold applies its deltas over the base. The chain is
+    /// walked twice — split fences first, then index decisions — so split
+    /// fences apply to deltas regardless of their position.
     ///
     /// # Safety
     /// `head` must be a live inner chain protected by `_guard`.
     unsafe fn route_inner(&self, head: *const Node, key: &[u8], _guard: &Guard) -> Route {
-        // SAFETY: forwarding this function's own contract — `head` is a live
-        // chain protected by the caller's guard. The head is read through
-        // `chain_iter` so the checker sees the access.
-        match unsafe { chain_iter(head) }.next() {
-            Some(Node::InnerBase(ib)) => route_base(ib, key),
-            // SAFETY: as above.
-            _ => unsafe { self.route_inner_chain(head, key) },
-        }
-    }
-
-    /// Route within an inner chain that carries deltas. Collects the (short)
-    /// chain first so split fences apply to deltas regardless of their
-    /// position.
-    ///
-    /// # Safety
-    /// `head` must be a live inner chain protected by a guard.
-    unsafe fn route_inner_chain(&self, head: *const Node, key: &[u8]) -> Route {
+        // Tightest split fence seen anywhere in the chain; the walk ends on
+        // the base.
+        let mut bound: Option<&Bytes> = None;
+        let mut base = None;
         // SAFETY: forwarding this function's own contract — `head` is a live
         // chain protected by the caller's guard.
-        let nodes: Vec<&Node> = unsafe { chain_iter(head) }.collect();
-        // Tightest split fence seen anywhere in the chain.
-        let mut bound: Option<&Bytes> = None;
-        for node in &nodes {
+        for node in unsafe { chain_iter(head) } {
             if let Node::InnerSplit { sep, right, .. } = node {
                 if key >= sep.as_ref() {
                     return Route::Sibling(*right);
@@ -403,11 +388,16 @@ impl BwTree {
                     bound = Some(sep);
                 }
             }
+            base = Some(node);
         }
+        let Some(Node::InnerBase(ib)) = base else {
+            unreachable!("inner chain must end in InnerBase");
+        };
         // Per-separator decisions, newest-first: an insert or delete for a
         // separator shadows everything older for that separator.
         let mut decisions: Vec<(&Bytes, Option<PageId>)> = Vec::new();
-        for node in &nodes {
+        // SAFETY: as above.
+        for node in unsafe { chain_iter(head) } {
             let (sep, decision) = match node {
                 Node::IndexInsert { sep, child, .. } => (sep, Some(*child)),
                 Node::IndexDelete { sep, .. } => (sep, None),
@@ -437,10 +427,6 @@ impl BwTree {
                 }
             }
         }
-        let base = nodes.last().expect("chain has a base");
-        let Node::InnerBase(ib) = base else {
-            unreachable!("inner chain must end in InnerBase");
-        };
         if let Some(hk) = &ib.high_key {
             // Keys beyond the (fenced) high key chase the right link.
             let effective_fence_hit = bound.is_none() && key >= hk.as_ref();
@@ -1660,20 +1646,6 @@ enum ParentSearch {
 // Chain analysis helpers (free functions; all require a held guard)
 // ----------------------------------------------------------------------
 
-/// Route within a bare inner base: past the fence to the right sibling,
-/// else to the child of the rightmost separator ≤ `key`.
-fn route_base(ib: &InnerBase, key: &[u8]) -> Route {
-    if let (Some(hk), Some(r)) = (&ib.high_key, ib.right) {
-        if key >= hk.as_ref() {
-            return Route::Sibling(r);
-        }
-    }
-    match ib.entries.partition_point(|(s, _)| s.as_ref() <= key) {
-        0 => Route::Child(ib.first_child),
-        idx => Route::Child(ib.entries[idx - 1].1),
-    }
-}
-
 /// If `key` is fenced out of this leaf, the sibling to chase.
 ///
 /// # Safety: live chain under a guard.
@@ -2290,54 +2262,6 @@ mod tests {
         for i in 0..5000u32 {
             let (k, v) = kv(i);
             assert_eq!(t.get(&k), (i % 10 == 0).then_some(v), "key {i}");
-        }
-    }
-
-    /// On a bare base, the allocation-free fast path and the general chain
-    /// path route every key the same way.
-    #[test]
-    fn bare_base_routes_the_same_on_both_paths() {
-        let t = BwTree::in_memory(BwTreeConfig::default());
-        let guard = dcs_ebr::pin();
-        // (key, child below the fence): below the first separator, on and
-        // between separators, and at or beyond the high key "h".
-        let keys = [
-            ("", 1),
-            ("a", 1),
-            ("b", 2),
-            ("c", 2),
-            ("d", 3),
-            ("e", 3),
-            ("f", 4),
-            ("g", 4),
-            ("h", 4),
-            ("z", 4),
-        ];
-        for (high_key, right) in [(None, None), (Some(b("h")), None), (Some(b("h")), Some(9))] {
-            let entries = vec![(b("b"), 2), (b("d"), 3), (b("f"), 4)];
-            let base = Node::InnerBase(InnerBase::new(1, entries, high_key.clone(), right));
-            let head = base.into_raw();
-            for (key, child) in keys {
-                let fenced = high_key
-                    .as_ref()
-                    .is_some_and(|h| key.as_bytes() >= h.as_ref());
-                let want = match right {
-                    Some(r) if fenced => Route::Sibling(r),
-                    _ => Route::Child(child),
-                };
-                // SAFETY: `head` is a live chain this test owns.
-                let (fast, chain) = unsafe {
-                    (
-                        t.route_inner(head, key.as_bytes(), &guard),
-                        t.route_inner_chain(head, key.as_bytes()),
-                    )
-                };
-                let case = format!("key {key:?}, high key {high_key:?}, right {right:?}");
-                assert_eq!(fast, want, "fast path, {case}");
-                assert_eq!(chain, want, "chain path, {case}");
-            }
-            // SAFETY: never published; this test holds the only pointer.
-            unsafe { drop(Box::from_raw(head)) };
         }
     }
 

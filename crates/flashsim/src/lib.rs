@@ -37,6 +37,9 @@
 //! assert_eq!(device.stats().reads, 1);
 //! ```
 
+// The device injects wall latency: it is a clock boundary by design.
+#![allow(clippy::disallowed_types)]
+
 mod checksum;
 mod clock;
 mod config;

@@ -80,8 +80,6 @@ pub struct Node {
     pub short: String,
     /// Report name: `dcs-<crate>::<name>`.
     pub display: String,
-    /// From a binary target (`src/bin/**`, `src/main.rs`).
-    pub is_bin: bool,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
     /// Resolved call sites, in body order.
@@ -125,6 +123,19 @@ const STD_SHADOW: &[&str] = &[
     "zip",
 ];
 
+/// Keywords: never a callable, never part of a receiver chain.
+const KEYWORDS: &[&str] = &[
+    "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
+    "extern", "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
+    "mut", "pub", "ref", "return", "self", "Self", "static", "struct", "super", "trait", "true",
+    "type", "union", "unsafe", "use", "where", "while", "yield",
+];
+
+/// Is `s` a Rust keyword?
+fn is_keyword(s: &str) -> bool {
+    KEYWORDS.contains(&s)
+}
+
 /// Path heads that never name a workspace crate.
 const EXTERNAL_ROOTS: &[&str] = &["std", "core", "alloc", "libc", "parking_lot"];
 
@@ -161,7 +172,6 @@ impl CallGraph {
                     name: f.name.clone(),
                     short: f.short.clone(),
                     display: format!("dcs-{}::{}", sf.crate_name, f.name),
-                    is_bin: sf.is_bin,
                     line: f.line,
                     calls: Vec::new(),
                     locks: Vec::new(),
@@ -200,14 +210,14 @@ impl CallGraph {
 
         // Manifest-declared blocking functions: seed a node-level
         // intrinsic so the contract shows up even when the body doesn't.
-        for hp in &manifest.declared_blocking {
-            if let Some(ids) = by_qual.get(&(hp.krate.clone(), hp.func.clone())) {
+        for r in &manifest.declared_blocking {
+            if let Some(ids) = by_qual.get(&(r.krate.clone(), r.func.clone())) {
                 for &id in ids {
                     let line = nodes[id].line;
                     nodes[id].intrinsics.push(EffectSite {
                         effect: Effect::BlocksOnIo,
                         line,
-                        what: format!("declared-blocking `{}` (manifest [effects])", hp.func),
+                        what: format!("declared-blocking `{}` (manifest [effects])", r.func),
                         detail: "declared-blocking".into(),
                     });
                 }
@@ -270,11 +280,6 @@ fn walk_body(
 ) -> Walked {
     let toks = &sf.tokens;
     let krate = sf.crate_name.as_str();
-    let clock_allowed = sf.is_bin
-        || manifest
-            .clock_allow
-            .iter()
-            .any(|p| sf.rel.starts_with(p.as_str()));
     let mut out = Walked {
         locks: Vec::new(),
         calls: Vec::new(),
@@ -333,26 +338,13 @@ fn walk_body(
             let next_is = |c: char| sf.next_code(i + 1).is_some_and(|n| toks[n].is_punct(c));
             // Macros first: never calls, sometimes intrinsics.
             if next_is('!') {
-                let effect = match id {
-                    "format" | "vec" => Some((
-                        Effect::Allocates,
-                        format!("`{id}!` (allocation)"),
-                        format!("{id}!"),
-                    )),
-                    _ if PANIC_MACROS.contains(&id) => {
-                        Some((Effect::MayPanic, format!("`{id}!`"), format!("{id}!")))
-                    }
-                    _ => None,
-                };
-                if let Some((e, what, detail)) = effect {
-                    if !waived(e) {
-                        out.intrinsics.push(EffectSite {
-                            effect: e,
-                            line,
-                            what,
-                            detail,
-                        });
-                    }
+                if PANIC_MACROS.contains(&id) && !waived(Effect::MayPanic) {
+                    out.intrinsics.push(EffectSite {
+                        effect: Effect::MayPanic,
+                        line,
+                        what: format!("`{id}!`"),
+                        detail: format!("{id}!"),
+                    });
                 }
                 i += 1;
                 continue;
@@ -398,13 +390,6 @@ fn walk_body(
             if prev_dot && next_is('(') {
                 let zero = zero_arg_call(sf, i);
                 let intrinsic = match id {
-                    "push" => Some((
-                        Effect::Allocates,
-                        "`.push()` (possible reallocation)".into(),
-                    )),
-                    "to_vec" | "to_owned" | "to_string" | "clone" if zero => {
-                        Some((Effect::Allocates, format!("`.{id}()` (allocation)")))
-                    }
                     "unwrap" | "expect" | "unwrap_unchecked" => {
                         Some((Effect::MayPanic, format!("`.{id}()`")))
                     }
@@ -418,51 +403,18 @@ fn walk_body(
                         Effect::BlocksOnIo,
                         format!("`.{id}(…)` (blocks the thread)"),
                     )),
-                    "send" => {
-                        let recv = receiver_text(sf, i);
-                        let last = recv.rsplit('.').next().unwrap_or(recv.as_str());
-                        if manifest.bounded_senders.iter().any(|b| b == last) {
-                            None
-                        } else {
-                            Some((
-                                Effect::SendsUnbounded,
-                                format!("`.send(…)` on `{recv}` (unbounded or blocking send)"),
-                            ))
-                        }
-                    }
                     _ => None,
                 };
                 if let Some((e, what)) = intrinsic {
                     if !waived(e) {
-                        let detail = if e == Effect::SendsUnbounded {
-                            format!("send:{}", receiver_text(sf, i))
-                        } else {
-                            format!(".{id}()")
-                        };
                         out.intrinsics.push(EffectSite {
                             effect: e,
                             line,
                             what,
-                            detail,
+                            detail: format!(".{id}()"),
                         });
                     }
                 }
-            }
-            // `Box::new` / `String::from` allocation intrinsics.
-            let alloc_ctor = (id == "Box" && path_call_to(sf, i, "new"))
-                || (id == "String" && path_call_to(sf, i, "from"));
-            if alloc_ctor && !waived(Effect::Allocates) {
-                let (what, detail) = if id == "Box" {
-                    ("`Box::new` (heap allocation)", "Box::new")
-                } else {
-                    ("`String::from` (allocation)", "String::from")
-                };
-                out.intrinsics.push(EffectSite {
-                    effect: Effect::Allocates,
-                    line,
-                    what: what.into(),
-                    detail: detail.into(),
-                });
             }
             // Thread blocking intrinsics (any call shape).
             if matches!(id, "sleep" | "park" | "park_timeout")
@@ -476,21 +428,8 @@ fn walk_body(
                     detail: format!("{id}()"),
                 });
             }
-            // Wall-clock intrinsics.
-            if (id == "Instant" || id == "SystemTime")
-                && !clock_allowed
-                && !waived(Effect::WallClock)
-                && !site_waived(sf, line, sf.stmt_first_line(i), "virtual-clock")
-            {
-                out.intrinsics.push(EffectSite {
-                    effect: Effect::WallClock,
-                    line,
-                    what: format!("`{id}` (real clock)"),
-                    detail: id.to_string(),
-                });
-            }
             // Call edges.
-            if next_is('(') && !super::lints::is_keyword(id) {
+            if next_is('(') && !is_keyword(id) {
                 let prev = sf.prev_code(i);
                 let prev_is_fn = prev.is_some_and(|p| toks[p].ident() == Some("fn"));
                 if !prev_is_fn {
@@ -711,7 +650,7 @@ pub(crate) fn receiver_text(sf: &SourceFile, method_tok: usize) -> String {
         let t = &toks[p];
         match &t.tok {
             Tok::Ident(s) => {
-                if super::lints::is_keyword(s) && s != "self" && s != "Self" {
+                if is_keyword(s) && s != "self" && s != "Self" {
                     break;
                 }
                 parts.push(s.clone());
@@ -872,33 +811,6 @@ fn single_ident_arg(sf: &SourceFile, drop_tok: usize) -> Option<(String, usize)>
     Some((name, close))
 }
 
-/// `Name :: method (` starting at the `Name` token `i`.
-fn path_call_to(sf: &SourceFile, i: usize, method: &str) -> bool {
-    let toks = &sf.tokens;
-    let Some(c1) = sf.next_code(i + 1) else {
-        return false;
-    };
-    if !toks[c1].is_punct(':') {
-        return false;
-    }
-    let Some(c2) = sf.next_code(c1 + 1) else {
-        return false;
-    };
-    if !toks[c2].is_punct(':') {
-        return false;
-    }
-    let Some(m) = sf.next_code(c2 + 1) else {
-        return false;
-    };
-    if toks[m].ident() != Some(method) {
-        return false;
-    }
-    let Some(p) = sf.next_code(m + 1) else {
-        return false;
-    };
-    toks[p].is_punct('(')
-}
-
 /// The call at token `i` has an empty argument list.
 fn zero_arg_call(sf: &SourceFile, i: usize) -> bool {
     let toks = &sf.tokens;
@@ -987,16 +899,6 @@ fn tarjan(nodes: &[Node]) -> (Vec<Vec<NodeId>>, Vec<usize>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-
-    fn file(krate: &str, name: &str, src: &str) -> SourceFile {
-        SourceFile::from_text(
-            PathBuf::from(name),
-            format!("crates/{krate}/src/{name}"),
-            krate,
-            src,
-        )
-    }
 
     fn node<'g>(g: &'g CallGraph, display: &str) -> (&'g Node, NodeId) {
         let id = g
@@ -1018,14 +920,18 @@ mod tests {
 
     #[test]
     fn bare_call_resolves_same_crate() {
-        let files = [file("x", "a.rs", "fn top() { helper(); }\nfn helper() {}")];
+        let files = [SourceFile::fixture(
+            "x",
+            "a.rs",
+            "fn top() { helper(); }\nfn helper() {}",
+        )];
         let g = CallGraph::build(&files, &Manifest::default());
         assert_eq!(targets(&g, "dcs-x::top"), vec!["dcs-x::helper"]);
     }
 
     #[test]
     fn ambiguous_bare_call_gets_no_edge() {
-        let files = [file(
+        let files = [SourceFile::fixture(
             "x",
             "a.rs",
             "fn top() { go(); }\nfn go() {}\nmod other { pub fn go() {} }",
@@ -1037,8 +943,8 @@ mod tests {
     #[test]
     fn cross_crate_path_call_resolves() {
         let files = [
-            file("a", "a.rs", "pub fn caller() { dcs_b::helper(); }"),
-            file("b", "b.rs", "pub fn helper() {}"),
+            SourceFile::fixture("a", "a.rs", "pub fn caller() { dcs_b::helper(); }"),
+            SourceFile::fixture("b", "b.rs", "pub fn helper() {}"),
         ];
         let g = CallGraph::build(&files, &Manifest::default());
         assert_eq!(targets(&g, "dcs-a::caller"), vec!["dcs-b::helper"]);
@@ -1047,8 +953,8 @@ mod tests {
     #[test]
     fn cross_crate_method_path_resolves() {
         let files = [
-            file("a", "a.rs", "pub fn caller(x: &X) { dcs_b::Dev::go(x); }"),
-            file(
+            SourceFile::fixture("a", "a.rs", "pub fn caller(x: &X) { dcs_b::Dev::go(x); }"),
+            SourceFile::fixture(
                 "b",
                 "b.rs",
                 "pub struct Dev;\nimpl Dev { pub fn go(&self) {} }",
@@ -1061,8 +967,8 @@ mod tests {
     #[test]
     fn unique_method_call_resolves() {
         let files = [
-            file("a", "a.rs", "pub fn caller(d: &Dev) { d.wall_wait(); }"),
-            file(
+            SourceFile::fixture("a", "a.rs", "pub fn caller(d: &Dev) { d.wall_wait(); }"),
+            SourceFile::fixture(
                 "b",
                 "b.rs",
                 "pub struct Dev;\nimpl Dev { pub fn wall_wait(&self) {} }",
@@ -1077,8 +983,8 @@ mod tests {
         // `.push(…)` must not resolve even when a workspace `push`
         // method is globally unique.
         let files = [
-            file("a", "a.rs", "pub fn caller(v: &mut Q) { v.push(1); }"),
-            file(
+            SourceFile::fixture("a", "a.rs", "pub fn caller(v: &mut Q) { v.push(1); }"),
+            SourceFile::fixture(
                 "b",
                 "b.rs",
                 "pub struct Q;\nimpl Q { pub fn push(&mut self, x: u32) { grow(); } }\nfn grow() {}",
@@ -1091,8 +997,8 @@ mod tests {
     #[test]
     fn dispatch_table_overrides_and_unions() {
         let files = [
-            file("a", "a.rs", "pub fn caller(b: &dyn Kv) { b.kv_get(1); }"),
-            file(
+            SourceFile::fixture("a", "a.rs", "pub fn caller(b: &dyn Kv) { b.kv_get(1); }"),
+            SourceFile::fixture(
                 "b",
                 "b.rs",
                 "pub struct S1;\nimpl Kv for S1 { fn kv_get(&self, k: u64) {} }\n\
@@ -1111,7 +1017,7 @@ mod tests {
 
     #[test]
     fn self_path_resolves_to_impl_method() {
-        let files = [file(
+        let files = [SourceFile::fixture(
             "x",
             "a.rs",
             "struct S;\nimpl S { fn a(&self) { Self::b(); } fn b() {} }",
@@ -1123,12 +1029,12 @@ mod tests {
     #[test]
     fn crate_path_stays_in_crate() {
         let files = [
-            file(
+            SourceFile::fixture(
                 "a",
                 "a.rs",
                 "pub fn caller() { crate::helper(); }\npub fn helper() {}",
             ),
-            file("b", "b.rs", "pub fn helper() {}"),
+            SourceFile::fixture("b", "b.rs", "pub fn helper() {}"),
         ];
         let g = CallGraph::build(&files, &Manifest::default());
         assert_eq!(targets(&g, "dcs-a::caller"), vec!["dcs-a::helper"]);
@@ -1136,7 +1042,7 @@ mod tests {
 
     #[test]
     fn test_functions_are_not_nodes() {
-        let files = [file(
+        let files = [SourceFile::fixture(
             "x",
             "a.rs",
             "fn live() {}\n#[cfg(test)]\nmod tests { fn helper() {} }",
@@ -1148,7 +1054,7 @@ mod tests {
 
     #[test]
     fn call_sites_record_held_locks() {
-        let files = [file(
+        let files = [SourceFile::fixture(
             "x",
             "a.rs",
             "fn f(s: &S) { let g = s.table.lock(); step(); }\nfn step() {}",
@@ -1161,7 +1067,11 @@ mod tests {
 
     #[test]
     fn scc_order_is_callee_first() {
-        let files = [file("x", "a.rs", "fn top() { leaf(); }\nfn leaf() {}")];
+        let files = [SourceFile::fixture(
+            "x",
+            "a.rs",
+            "fn top() { leaf(); }\nfn leaf() {}",
+        )];
         let g = CallGraph::build(&files, &Manifest::default());
         let (_, top) = node(&g, "dcs-x::top");
         let (_, leaf) = node(&g, "dcs-x::leaf");
@@ -1172,8 +1082,8 @@ mod tests {
     fn crlf_files_keep_line_numbers() {
         // Lexer regression: CRLF line endings must not shift the line
         // accounting the whole engine anchors reports on.
-        let src = "fn top() {\r\n    helper();\r\n}\r\nfn helper() {\r\n    let b = Box::new(1);\r\n}\r\n";
-        let files = [file("x", "a.rs", src)];
+        let src = "fn top() {\r\n    helper();\r\n}\r\nfn helper() {\r\n    let b = X.get().unwrap();\r\n}\r\n";
+        let files = [SourceFile::fixture("x", "a.rs", src)];
         let g = CallGraph::build(&files, &Manifest::default());
         let (top, _) = node(&g, "dcs-x::top");
         assert_eq!(top.calls.len(), 1);

@@ -2,9 +2,8 @@
 //! graph, computed by bottom-up fixpoint over SCCs.
 //!
 //! Every function gets a summary in a small lattice: a bitset of
-//! [`Effect`]s (allocates, may panic, blocks on I/O, reads the wall
-//! clock, performs an unbounded channel send) plus the set of lock
-//! labels it may acquire, directly or through anything it calls. The
+//! [`Effect`]s (may panic, blocks on I/O) plus the set of lock labels it
+//! may acquire, directly or through anything it calls. The
 //! intrinsic sites are extracted syntactically by the call-graph walk;
 //! this module propagates them caller-ward: `summary(f) = intrinsics(f)
 //! ∪ ⋃ summary(callee)` for every resolved callee. Strongly connected
@@ -19,47 +18,34 @@
 //! them.
 //!
 //! Effects are waivable at their intrinsic site with
-//! `// LINT: allow(effect-<name>): <reason>` (`effect-alloc`,
-//! `effect-panic`, `effect-block`, `effect-clock`, `effect-send`,
-//! `effect-lock`) — the site then contributes nothing to any summary.
+//! `// LINT: allow(effect-<name>): <reason>` (`effect-panic`,
+//! `effect-block`, `effect-lock`) — the site then contributes nothing to
+//! any summary.
 //! This is deliberately stronger than a violation-level `LINT: allow`:
 //! it declares the effect itself intended, for every caller.
 
 use crate::callgraph::{CallGraph, NodeId};
-use crate::manifest::{HotPath, Manifest};
+use crate::manifest::{FnRef, Manifest};
 use crate::source::SourceFile;
 use std::collections::BTreeMap;
 
 /// Number of effect kinds (lock acquisition is tracked separately,
 /// labelled).
-pub const EFFECT_COUNT: usize = 5;
+pub const EFFECT_COUNT: usize = 2;
 
 /// One effect kind in the summary lattice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effect {
-    /// Heap allocation (`Box::new`, `format!`, `.clone()`, …).
-    Allocates = 0,
     /// `.unwrap()` / `.expect(…)` / panicking macro.
-    MayPanic = 1,
+    MayPanic = 0,
     /// Blocks the calling thread (sleep, park, blocking recv, condvar
     /// wait, thread join, or a manifest-declared blocking function).
-    BlocksOnIo = 2,
-    /// Reads the real clock (`Instant` / `SystemTime`) outside the
-    /// allowlisted clock boundaries.
-    WallClock = 3,
-    /// Channel `.send(…)` on a receiver not named bounded by policy.
-    SendsUnbounded = 4,
+    BlocksOnIo = 1,
 }
 
 impl Effect {
     /// All effects, in bit order.
-    pub const ALL: [Effect; EFFECT_COUNT] = [
-        Effect::Allocates,
-        Effect::MayPanic,
-        Effect::BlocksOnIo,
-        Effect::WallClock,
-        Effect::SendsUnbounded,
-    ];
+    pub const ALL: [Effect; EFFECT_COUNT] = [Effect::MayPanic, Effect::BlocksOnIo];
 
     /// Index into [`Summary::origins`].
     pub fn idx(self) -> usize {
@@ -75,11 +61,8 @@ impl Effect {
     /// suppresses the effect.
     pub fn waiver(self) -> &'static str {
         match self {
-            Effect::Allocates => "effect-alloc",
             Effect::MayPanic => "effect-panic",
             Effect::BlocksOnIo => "effect-block",
-            Effect::WallClock => "effect-clock",
-            Effect::SendsUnbounded => "effect-send",
         }
     }
 }
@@ -91,7 +74,7 @@ pub struct EffectSite {
     pub effect: Effect,
     /// 1-based line of the site.
     pub line: u32,
-    /// Human-readable description (`` `format!` (allocation) ``).
+    /// Human-readable description (`` `.unwrap()` ``).
     pub what: String,
     /// Stable fingerprint fragment (no line numbers).
     pub detail: String,
@@ -231,13 +214,8 @@ impl<'a> Analysis<'a> {
     }
 
     /// Nodes a manifest `crate::function` reference names.
-    pub fn resolve(&self, hp: &HotPath) -> &[NodeId] {
-        self.graph.lookup(&hp.krate, &hp.func)
-    }
-
-    /// Is any workspace node in crate `krate`?
-    pub fn has_crate(&self, krate: &str) -> bool {
-        self.graph.nodes.iter().any(|n| n.krate == krate)
+    pub fn resolve(&self, r: &FnRef) -> &[NodeId] {
+        self.graph.lookup(&r.krate, &r.func)
     }
 }
 
@@ -298,10 +276,9 @@ pub(crate) fn site_waived(sf: &SourceFile, line: u32, stmt_first: u32, name: &st
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
 
     fn file(src: &str) -> SourceFile {
-        SourceFile::from_text(PathBuf::from("m.rs"), "crates/x/src/m.rs".into(), "x", src)
+        SourceFile::fixture("x", "m.rs", src)
     }
 
     fn node_id(a: &Analysis, name: &str) -> NodeId {
@@ -312,12 +289,14 @@ mod tests {
 
     #[test]
     fn intrinsic_effects_are_seeded() {
-        let files = [file("fn f() { let s = format!(\"{}\", 1); }")];
+        let files = [file(
+            "fn f() { let s = format!(\"{}\", 1); panic!(\"{s}\"); }",
+        )];
         let m = Manifest::default();
         let a = Analysis::build(&files, &m);
         let f = node_id(&a, "f");
-        assert!(a.summaries[f].has(Effect::Allocates));
-        assert!(!a.summaries[f].has(Effect::MayPanic));
+        assert!(a.summaries[f].has(Effect::MayPanic));
+        assert!(!a.summaries[f].has(Effect::BlocksOnIo));
     }
 
     #[test]
@@ -366,37 +345,37 @@ mod tests {
     #[test]
     fn self_recursion_converges() {
         let files = [file(
-            "fn f(n: u32) { if n > 0 { f(n - 1); } let b = Box::new(n); }",
+            "fn f(n: Option<u32>) { if n.is_some() { f(None); } n.unwrap(); }",
         )];
         let m = Manifest::default();
         let a = Analysis::build(&files, &m);
         let f = node_id(&a, "f");
-        assert!(a.summaries[f].has(Effect::Allocates));
+        assert!(a.summaries[f].has(Effect::MayPanic));
     }
 
     #[test]
     fn effect_waiver_suppresses_the_site() {
         let files = [file(
             "fn f() {\n\
-             // LINT: allow(effect-alloc): startup-only buffer.\n\
-             let b = Box::new(1);\n\
+             // LINT: allow(effect-panic): startup-only invariant.\n\
+             let b = CONFIG.get().unwrap();\n\
              }\n\
              fn g() { f(); }",
         )];
         let m = Manifest::default();
         let a = Analysis::build(&files, &m);
-        assert!(!a.summaries[node_id(&a, "f")].has(Effect::Allocates));
-        assert!(!a.summaries[node_id(&a, "g")].has(Effect::Allocates));
+        assert!(!a.summaries[node_id(&a, "f")].has(Effect::MayPanic));
+        assert!(!a.summaries[node_id(&a, "g")].has(Effect::MayPanic));
     }
 
     #[test]
     fn effect_waiver_requires_reason() {
         let files = [file(
-            "fn f() { let b = Box::new(1); // LINT: allow(effect-alloc)\n}",
+            "fn f() { let b = CONFIG.get().unwrap(); // LINT: allow(effect-panic)\n}",
         )];
         let m = Manifest::default();
         let a = Analysis::build(&files, &m);
-        assert!(a.summaries[node_id(&a, "f")].has(Effect::Allocates));
+        assert!(a.summaries[node_id(&a, "f")].has(Effect::MayPanic));
     }
 
     #[test]

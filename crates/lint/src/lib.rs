@@ -3,19 +3,19 @@
 //! The dynamic checkers (dcs-check's seeded interleavings, dcs-lin's
 //! history search, miri/TSan) verify what a run *did*; this crate
 //! verifies what the source *can* do, on every commit, in milliseconds.
-//! Six invariants the cost model and the latch-free design depend on
-//! are enforced statically:
+//! Three invariants the latch-free serving design depends on, each one
+//! only a whole-workspace call graph can see, are enforced statically:
 //!
 //! | lint | invariant |
 //! |------|-----------|
 //! | `lock-order` | the workspace lock acquisition graph is acyclic |
-//! | `hot-path-alloc` | manifest-registered hot paths reach no allocation/locks |
-//! | `virtual-clock` | `Instant`/`SystemTime` only at allowlisted clock boundaries |
-//! | `panic-path` | wire-path modules never unwrap/panic/index (transitively) |
+//! | `panic-path` | wire-path files never call code that may panic |
 //! | `async-shard` | nothing reachable from the async drain loop blocks |
-//! | `bounded-send` | wire-path channel sends are bounded (`BUSY`, never block) |
 //!
-//! The reachability lints run on a shared **interprocedural effect
+//! Per-file rules live in clippy instead (the workspace `clippy.toml`
+//! and each wire-path file's `#![deny(…)]` header): the wall clock, the
+//! panicking surface written in a wire-path file, and unbounded channel
+//! sends. Every lint runs on a shared **interprocedural effect
 //! engine** ([`callgraph`] + [`effects`]): one workspace call graph,
 //! per-function effect summaries inferred bottom-up over SCCs, so a
 //! blocking sleep three crates below the async drain loop is found at
@@ -72,13 +72,10 @@ pub fn run(root: &Path) -> Result<Report, String> {
 /// directly; `run` adds manifest loading and file discovery).
 pub fn analyze(files: &[SourceFile], manifest: &Manifest) -> Report {
     let analysis = Analysis::build(files, manifest);
-    let mut lints = all_lints();
+    let lints = all_lints();
     let mut violations: Vec<Violation> = Vec::new();
-    for lint in lints.iter_mut() {
-        for sf in files {
-            lint.check_file(sf, manifest, &mut violations);
-        }
-        lint.finish(&analysis, &mut violations);
+    for lint in &lints {
+        lint.check(&analysis, &mut violations);
     }
     // Adjacent `LINT: allow(<name>): reason` waivers, applied centrally
     // so every lint supports them uniformly. An allow with no reason
@@ -207,76 +204,56 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 mod tests {
     use super::*;
 
+    /// Lint `fn f(s: &S) { let g = s.m.lock(); <body> }`. Each further
+    /// `s.m.lock()` in `body` (line 3 on) is a recursive acquisition:
+    /// one `lock-order` finding on its own line.
+    fn lint_body(body: &str) -> Vec<Violation> {
+        let src = format!("fn f(s: &S) {{\nlet g = s.m.lock();\n{body}\n}}");
+        let sf = SourceFile::fixture("x", "m.rs", &src);
+        analyze(&[sf], &Manifest::default()).violations
+    }
+
     #[test]
     fn waiver_requires_reason() {
-        let sf = SourceFile::from_text(
-            PathBuf::from("m.rs"),
-            "crates/x/src/m.rs".into(),
-            "x",
-            "fn f() {\n\
-             let a = std::time::Instant::now(); // LINT: allow(virtual-clock): calibration boundary\n\
-             let b = std::time::Instant::now(); // LINT: allow(virtual-clock)\n\
-             }",
+        let vs = lint_body(
+            "let a = s.m.lock(); // LINT: allow(lock-order): reentrant by design\n\
+             let b = s.m.lock(); // LINT: allow(lock-order)",
         );
-        let report = analyze(&[sf], &Manifest::default());
-        // Line 2 waived (has a reason); line 3's allow has none → kept.
-        let clock: Vec<_> = report
-            .violations
-            .iter()
-            .filter(|v| v.lint == "virtual-clock")
-            .collect();
-        assert_eq!(clock.len(), 1, "{clock:?}");
-        assert_eq!(clock[0].line, 3);
+        // Line 3 waived (has a reason); line 4's allow has none → kept.
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert_eq!(vs[0].line, 4);
     }
 
     #[test]
     fn waiver_on_preceding_line_works() {
-        let sf = SourceFile::from_text(
-            PathBuf::from("m.rs"),
-            "crates/x/src/m.rs".into(),
-            "x",
-            "fn f() {\n\
-             // LINT: allow(virtual-clock): wall-clock boundary by design\n\
-             let a = std::time::Instant::now();\n\
-             }",
+        let vs = lint_body(
+            "// LINT: allow(lock-order): reentrant by design\n\
+             let a = s.m.lock();",
         );
-        let report = analyze(&[sf], &Manifest::default());
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert!(vs.is_empty(), "{vs:?}");
     }
 
     #[test]
     fn waiver_anywhere_in_comment_block_above_works() {
         // The allow line is two lines up, with a wrapped continuation
         // line in between — still part of the contiguous block.
-        let sf = SourceFile::from_text(
-            PathBuf::from("m.rs"),
-            "crates/x/src/m.rs".into(),
-            "x",
-            "fn f() {\n\
-             // LINT: allow(virtual-clock): wall-clock boundary by\n\
-             // design (startup calibration only).\n\
-             let a = std::time::Instant::now();\n\
-             }",
+        let vs = lint_body(
+            "// LINT: allow(lock-order): reentrant by\n\
+             // design (startup only).\n\
+             let a = s.m.lock();",
         );
-        let report = analyze(&[sf], &Manifest::default());
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert!(vs.is_empty(), "{vs:?}");
     }
 
     #[test]
     fn waiver_block_stops_at_code_line() {
         // A trailing comment on a code line above does not waive the
         // statement below it.
-        let sf = SourceFile::from_text(
-            PathBuf::from("m.rs"),
-            "crates/x/src/m.rs".into(),
-            "x",
-            "fn f() {\n\
-             let a = 1; // LINT: allow(virtual-clock): someone else's waiver\n\
-             let b = std::time::Instant::now();\n\
-             }",
+        let vs = lint_body(
+            "let n = 1; // LINT: allow(lock-order): someone else's waiver\n\
+             let a = s.m.lock();",
         );
-        let report = analyze(&[sf], &Manifest::default());
-        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
-        assert_eq!(report.violations[0].line, 3);
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert_eq!(vs[0].line, 4);
     }
 }

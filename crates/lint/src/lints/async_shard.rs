@@ -21,8 +21,6 @@
 use super::{Lint, Violation};
 use crate::callgraph::NodeId;
 use crate::effects::{Analysis, Effect};
-use crate::manifest::Manifest;
-use crate::source::SourceFile;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The async-shard non-blocking lint.
@@ -37,25 +35,23 @@ impl Lint for AsyncShard {
         "nothing reachable from the async drain loop may block the shard thread"
     }
 
-    fn check_file(&mut self, _sf: &SourceFile, _m: &Manifest, _out: &mut Vec<Violation>) {}
-
-    fn finish(&mut self, a: &Analysis, out: &mut Vec<Violation>) {
-        for hp in &a.manifest.async_roots {
-            let roots = a.resolve(hp);
+    fn check(&self, a: &Analysis, out: &mut Vec<Violation>) {
+        for r in &a.manifest.async_roots {
+            let roots = a.resolve(r);
             if roots.len() != 1 {
                 out.push(Violation {
                     lint: self.name(),
                     file: "lint-hotpaths.toml".into(),
                     line: 0,
-                    symbol: hp.func.clone(),
+                    symbol: r.func.clone(),
                     message: format!(
                         "async-shard root `{}::{}` not found (or ambiguous) — \
                          fix the manifest entry",
-                        hp.krate, hp.func
+                        r.krate, r.func
                     ),
                     fingerprint: format!(
                         "async-shard|manifest|{}::{}|missing-root",
-                        hp.krate, hp.func
+                        r.krate, r.func
                     ),
                 });
                 continue;
@@ -146,23 +142,16 @@ fn check_root(a: &Analysis, root: NodeId, out: &mut Vec<Violation>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::HotPath;
-    use std::path::PathBuf;
+    use crate::manifest::{FnRef, Manifest};
+    use crate::source::SourceFile;
 
     fn run_files(srcs: &[(&str, &str, &str)], root: (&str, &str)) -> Vec<Violation> {
         let files: Vec<SourceFile> = srcs
             .iter()
-            .map(|(krate, name, src)| {
-                SourceFile::from_text(
-                    PathBuf::from(name),
-                    format!("crates/{krate}/src/{name}"),
-                    krate,
-                    src,
-                )
-            })
+            .map(|(krate, name, src)| SourceFile::fixture(krate, name, src))
             .collect();
         let m = Manifest {
-            async_roots: vec![HotPath {
+            async_roots: vec![FnRef {
                 krate: root.0.into(),
                 func: root.1.into(),
             }],
@@ -170,7 +159,7 @@ mod tests {
         };
         let a = Analysis::build(&files, &m);
         let mut out = Vec::new();
-        AsyncShard.finish(&a, &mut out);
+        AsyncShard.check(&a, &mut out);
         out
     }
 
@@ -241,16 +230,14 @@ mod tests {
     #[test]
     fn declared_blocking_manifest_fn_fires() {
         let files = [
-            SourceFile::from_text(
-                PathBuf::from("m.rs"),
-                "crates/server/src/m.rs".into(),
+            SourceFile::fixture(
                 "server",
+                "m.rs",
                 "struct Shard2;\nimpl Shard2 { fn drain(&self) { dcs_dev::Dev::fetch(); } }",
             ),
-            SourceFile::from_text(
-                PathBuf::from("m.rs"),
-                "crates/dev/src/m.rs".into(),
+            SourceFile::fixture(
                 "dev",
+                "m.rs",
                 "pub struct Dev;\nimpl Dev { pub fn fetch() { /* opaque */ } }",
             ),
         ];
@@ -261,7 +248,7 @@ mod tests {
         .unwrap();
         let a = Analysis::build(&files, &m);
         let mut out = Vec::new();
-        AsyncShard.finish(&a, &mut out);
+        AsyncShard.check(&a, &mut out);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("declared-blocking"));
     }

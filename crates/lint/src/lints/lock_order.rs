@@ -31,8 +31,6 @@
 
 use super::{Lint, Violation};
 use crate::effects::Analysis;
-use crate::manifest::Manifest;
-use crate::source::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One recorded `outer → inner` acquisition, with its site.
@@ -48,7 +46,7 @@ struct Edge {
     via: Option<String>,
 }
 
-/// The lock-order lint. Pure `finish`-time consumer of the analysis.
+/// The lock-order lint.
 pub struct LockOrder;
 
 impl Lint for LockOrder {
@@ -60,9 +58,7 @@ impl Lint for LockOrder {
         "workspace-wide lock acquisition graph must be acyclic"
     }
 
-    fn check_file(&mut self, _sf: &SourceFile, _m: &Manifest, _out: &mut Vec<Violation>) {}
-
-    fn finish(&mut self, a: &Analysis, out: &mut Vec<Violation>) {
+    fn check(&self, a: &Analysis, out: &mut Vec<Violation>) {
         let mut edges: Vec<Edge> = Vec::new();
         for node in &a.graph.nodes {
             let sf = &a.files[node.file];
@@ -222,7 +218,8 @@ fn dfs<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
+    use crate::manifest::Manifest;
+    use crate::source::SourceFile;
 
     fn run(src: &str) -> Vec<Violation> {
         run_files(&[("x", "m.rs", src)])
@@ -231,19 +228,12 @@ mod tests {
     fn run_files(srcs: &[(&str, &str, &str)]) -> Vec<Violation> {
         let files: Vec<SourceFile> = srcs
             .iter()
-            .map(|(krate, name, src)| {
-                SourceFile::from_text(
-                    PathBuf::from(name),
-                    format!("crates/{krate}/src/{name}"),
-                    krate,
-                    src,
-                )
-            })
+            .map(|(krate, name, src)| SourceFile::fixture(krate, name, src))
             .collect();
         let m = Manifest::default();
         let a = Analysis::build(&files, &m);
         let mut out = Vec::new();
-        LockOrder.finish(&a, &mut out);
+        LockOrder.check(&a, &mut out);
         out
     }
 

@@ -1,22 +1,17 @@
 //! The lint framework: [`Lint`] trait, [`Violation`], and the registry.
 //!
-//! Each lint sees every parsed [`SourceFile`] once (`check_file`), then
-//! gets a whole-workspace pass (`finish`) over the interprocedural
+//! Every lint is one whole-workspace pass over the interprocedural
 //! [`Analysis`] — the call graph plus inferred per-function effect
-//! summaries — for checks that need the global view (the lock-order
-//! graph, hot-path reachability, async-path blocking). Lints are
-//! pluggable: [`all_lints`] is the registry, and the engine treats the
-//! list as data — adding a lint is implementing the trait and pushing it
-//! there.
+//! summaries — because each check needs the global view (the lock-order
+//! graph, async-path blocking, panics reached across crates). Per-file
+//! syntactic rules belong to clippy (see the workspace `clippy.toml`).
+//! [`all_lints`] is the registry: adding a lint is implementing the
+//! trait and pushing it there.
 
 use crate::effects::Analysis;
-use crate::manifest::Manifest;
 use crate::source::SourceFile;
 
 pub mod async_shard;
-pub mod bounded_send;
-pub mod clock;
-pub mod hotpath;
 pub mod lock_order;
 pub mod panic_path;
 
@@ -69,37 +64,16 @@ pub trait Lint {
     /// One-line description for `--list-lints` and the report.
     fn description(&self) -> &'static str;
 
-    /// Per-file pass. Push findings; accumulate cross-file state in
-    /// `self` for [`Lint::finish`].
-    fn check_file(&mut self, sf: &SourceFile, manifest: &Manifest, out: &mut Vec<Violation>);
-
-    /// Whole-workspace pass after every file was seen, with the shared
-    /// interprocedural analysis (call graph + effect summaries).
-    fn finish(&mut self, _a: &Analysis, _out: &mut Vec<Violation>) {}
+    /// The whole-workspace pass over the shared interprocedural
+    /// analysis (call graph + effect summaries).
+    fn check(&self, a: &Analysis, out: &mut Vec<Violation>);
 }
 
 /// The registry: every lint the analyzer ships, in report order.
 pub fn all_lints() -> Vec<Box<dyn Lint>> {
     vec![
         Box::new(lock_order::LockOrder),
-        Box::new(hotpath::HotPathAlloc),
-        Box::new(clock::ClockDiscipline),
         Box::new(panic_path::PanicFree),
         Box::new(async_shard::AsyncShard),
-        Box::new(bounded_send::BoundedSend),
     ]
-}
-
-/// Keywords that can directly precede `[` without it being an index
-/// expression, and that never name a callable.
-pub(crate) const KEYWORDS: &[&str] = &[
-    "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
-    "extern", "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
-    "mut", "pub", "ref", "return", "self", "Self", "static", "struct", "super", "trait", "true",
-    "type", "union", "unsafe", "use", "where", "while", "yield",
-];
-
-/// Is `s` a Rust keyword?
-pub(crate) fn is_keyword(s: &str) -> bool {
-    KEYWORDS.contains(&s)
 }

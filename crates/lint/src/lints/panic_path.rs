@@ -1,35 +1,61 @@
-//! Panic-freedom on the wire path: no `unwrap`/`expect`, no panicking
-//! macros, no slice indexing in the manifest's `[wire-path] files`.
+//! Panic-freedom on the wire path, across files and crates.
 //!
 //! A panic in request decode or shard dispatch kills the shard thread —
 //! the server's unit of capacity — on input an adversarial client
-//! controls. Those modules must answer with a typed protocol error
-//! instead. The lint bans the panicking surface syntactically:
-//! `.unwrap()` / `.expect(…)`, `panic!` / `unreachable!` / `todo!` /
-//! `unimplemented!`, and index expressions `x[…]` (slice-pattern and
-//! `.get(…)` alternatives exist for every one of them). `assert!` (and
-//! `debug_assert!`) stay allowed: they state invariants about *our*
-//! state, not about peer input, and removing them would hide bugs
-//! rather than harden the path.
+//! controls. A file is *wire-path* if and only if it carries the header
 //!
-//! On top of the direct scan, `finish` walks the call graph: a wire-file
-//! function calling *out* of the wire files into something whose
-//! inferred summary carries `MayPanic` is reported at the call site,
-//! with the origin chain down to the intrinsic panic. Indexing stays a
-//! direct-only check — transitively every collection touch indexes
-//! somewhere, and the wire contract is about the code peer input flows
-//! through first.
+//! ```text
+//! #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing,
+//!         clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+//! ```
+//!
+//! so clippy already bans the panicking surface written *in* the file
+//! (`assert!`/`debug_assert!` stay allowed: they state invariants about
+//! our state, not about peer input). What clippy cannot see is a wire
+//! function calling *out* into code that panics. This lint closes that
+//! gap on the call graph: a wire-path function's call into a function
+//! outside the wire-path files whose inferred summary carries
+//! `MayPanic` is reported at the call site, with the origin chain down
+//! to the intrinsic `unwrap`/`expect`/panicking macro.
 
-use super::{is_keyword, Lint, Violation};
+use super::{Lint, Violation};
 use crate::effects::{Analysis, Effect};
-use crate::manifest::Manifest;
 use crate::source::SourceFile;
 use std::collections::BTreeSet;
 
+/// The clippy lints a wire-path header denies, all of them.
+const WIRE_LINTS: &[&str] = &[
+    "unwrap_used",
+    "expect_used",
+    "indexing_slicing",
+    "panic",
+    "unreachable",
+    "todo",
+    "unimplemented",
+];
+
+/// Does `sf` carry the wire-path header: a `#![deny(…)]` naming every
+/// `WIRE_LINTS` entry?
+pub fn is_wire_path(sf: &SourceFile) -> bool {
+    let code: Vec<_> = sf.tokens.iter().filter(|t| !t.is_comment()).collect();
+    code.windows(4).enumerate().any(|(i, w)| {
+        let opens = w[0].is_punct('#')
+            && w[1].is_punct('!')
+            && w[2].is_punct('[')
+            && w[3].ident() == Some("deny");
+        opens && {
+            let names: Vec<&str> = code[i + 4..]
+                .iter()
+                .take_while(|t| !t.is_punct(']'))
+                .filter_map(|t| t.ident())
+                .collect();
+            WIRE_LINTS.iter().all(|l| names.contains(l))
+        }
+    })
+}
+
 /// The wire-path panic-freedom lint.
 pub struct PanicFree;
-
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
 impl Lint for PanicFree {
     fn name(&self) -> &'static str {
@@ -37,94 +63,27 @@ impl Lint for PanicFree {
     }
 
     fn description(&self) -> &'static str {
-        "wire-path modules must not unwrap/expect/panic!/index"
+        "wire-path files must not call code that may panic"
     }
 
-    fn check_file(&mut self, sf: &SourceFile, m: &Manifest, out: &mut Vec<Violation>) {
-        if !m.wire_files.contains(&sf.rel) {
-            return;
-        }
-        let toks = &sf.tokens;
-        for i in 0..toks.len() {
-            if toks[i].is_comment() || sf.in_attr(i) || sf.in_test(i) {
-                continue;
-            }
-            let line = toks[i].line;
-            if let Some(id) = toks[i].ident() {
-                let next_is = |c: char| sf.next_code(i + 1).is_some_and(|n| toks[n].is_punct(c));
-                match id {
-                    "unwrap" | "expect" | "unwrap_unchecked" => {
-                        let prev_dot = sf.prev_code(i).is_some_and(|p| toks[p].is_punct('.'));
-                        if prev_dot && next_is('(') {
-                            out.push(Violation::new(
-                                self.name(),
-                                sf,
-                                line,
-                                sf.context_name(i),
-                                format!(
-                                    "`.{id}()` on the wire path — return a typed \
-                                     protocol error instead"
-                                ),
-                                &format!(".{id}()"),
-                            ));
-                        }
-                    }
-                    _ if PANIC_MACROS.contains(&id) && next_is('!') => {
-                        out.push(Violation::new(
-                            self.name(),
-                            sf,
-                            line,
-                            sf.context_name(i),
-                            format!("`{id}!` on the wire path"),
-                            &format!("{id}!"),
-                        ));
-                    }
-                    _ => {}
-                }
-            } else if toks[i].is_punct('[') {
-                // Index expression: `[` directly after an expression tail
-                // (identifier that is not a keyword, `)`, or `]`).
-                let Some(p) = sf.prev_code(i) else { continue };
-                let is_index = match toks[p].ident() {
-                    Some(id) => !is_keyword(id),
-                    None => toks[p].is_punct(')') || toks[p].is_punct(']'),
-                };
-                if is_index {
-                    out.push(Violation::new(
-                        self.name(),
-                        sf,
-                        line,
-                        sf.context_name(i),
-                        "slice/array indexing on the wire path — use `.get(…)` or a \
-                         slice pattern"
-                            .to_string(),
-                        "index[]",
-                    ));
-                }
-            }
-        }
-    }
-
-    fn finish(&mut self, a: &Analysis, out: &mut Vec<Violation>) {
-        // Transitive pass: calls leaving the wire files into MayPanic
-        // callees. One finding per (caller, callee) pair — each call
-        // line repeating it would drown the report.
+    fn check(&self, a: &Analysis, out: &mut Vec<Violation>) {
+        let wire: Vec<bool> = a.files.iter().map(is_wire_path).collect();
+        // One finding per (caller, callee) pair — each call line
+        // repeating it would drown the report.
         let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
         for (id, node) in a.graph.nodes.iter().enumerate() {
-            let sf = &a.files[node.file];
-            if !a.manifest.wire_files.contains(&sf.rel) {
+            if !wire[node.file] {
                 continue;
             }
             for call in &node.calls {
                 for &t in &call.targets {
                     let target = &a.graph.nodes[t];
-                    if a.manifest.wire_files.contains(&a.files[target.file].rel) {
-                        continue; // the direct scan covers wire-internal code
-                    }
-                    if !a.summaries[t].has(Effect::MayPanic) {
-                        continue;
-                    }
-                    if !seen.insert((id, t)) {
+                    // Clippy covers wire-internal code; only calls that
+                    // leave the wire files need the summary.
+                    if wire[target.file]
+                        || !a.summaries[t].has(Effect::MayPanic)
+                        || !seen.insert((id, t))
+                    {
                         continue;
                     }
                     let origin = a.summaries[t]
@@ -133,7 +92,7 @@ impl Lint for PanicFree {
                         .unwrap_or_default();
                     out.push(Violation::new(
                         self.name(),
-                        sf,
+                        &a.files[node.file],
                         call.line,
                         node.name.clone(),
                         format!(
@@ -151,117 +110,102 @@ impl Lint for PanicFree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
+    use crate::manifest::Manifest;
 
-    fn run(src: &str) -> Vec<Violation> {
-        let rel = "crates/server/src/protocol.rs";
-        let sf = SourceFile::from_text(PathBuf::from("m.rs"), rel.into(), "server", src);
-        let m = Manifest {
-            wire_files: vec![rel.to_string()],
-            ..Manifest::default()
-        };
+    const HEADER: &str = "#![deny(clippy::unwrap_used, clippy::expect_used, \
+                          clippy::indexing_slicing, clippy::panic, clippy::unreachable, \
+                          clippy::todo, clippy::unimplemented)]\n";
+
+    fn run(srcs: &[(&str, &str, &str)]) -> Vec<Violation> {
+        let files: Vec<SourceFile> = srcs
+            .iter()
+            .map(|(krate, name, src)| SourceFile::fixture(krate, name, src))
+            .collect();
+        let m = Manifest::default();
+        let a = Analysis::build(&files, &m);
         let mut out = Vec::new();
-        PanicFree.check_file(&sf, &m, &mut out);
+        PanicFree.check(&a, &mut out);
         out
+    }
+
+    /// A wire-path `protocol.rs` (header included) whose `decode` calls
+    /// `dcs_util::parse_len`, defined by `util`.
+    fn wire_calling(util: &str) -> Vec<Violation> {
+        let wire = format!("{HEADER}pub fn decode(buf: &[u8]) {{ dcs_util::parse_len(buf); }}");
+        run(&[("server", "protocol.rs", &wire), ("util", "m.rs", util)])
+    }
+
+    #[test]
+    fn header_marks_wire_path() {
+        let sf = |src: &str| SourceFile::fixture("x", "m.rs", src);
+        assert!(is_wire_path(&sf(&format!("//! Docs.\n{HEADER}use a::b;"))));
+        assert!(!is_wire_path(&sf(
+            "#![deny(clippy::unwrap_used)]\nuse a::b;"
+        )));
+        assert!(!is_wire_path(&sf(&format!("// {HEADER}"))));
     }
 
     #[test]
     fn unwrap_expect_panic_fire() {
-        let out = run("fn f(x: Option<u32>) -> u32 { x.unwrap() }\n\
-             fn g(x: Option<u32>) -> u32 { x.expect(\"msg\") }\n\
-             fn h() { panic!(\"boom\"); }\n\
-             fn u() { unreachable!(); }");
-        assert_eq!(out.len(), 4, "{out:?}");
-    }
-
-    #[test]
-    fn indexing_fires_but_patterns_do_not() {
-        let out = run("fn f(buf: &[u8]) -> u8 { buf[4] }\n\
-             fn ok(buf: &[u8]) { if let [a, b, ..] = buf { let _ = (a, b); } }\n\
-             fn arr() -> [u8; 4] { [0u8; 4] }\n\
-             fn get(buf: &[u8]) -> Option<&u8> { buf.get(4) }");
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].symbol, "f");
-    }
-
-    #[test]
-    fn range_indexing_fires() {
-        let out = run("fn f(buf: &[u8]) -> &[u8] { &buf[0..4] }");
-        assert_eq!(out.len(), 1);
+        for body in [
+            "x.unwrap();",
+            "x.expect(\"msg\");",
+            "panic!(\"boom\");",
+            "unreachable!();",
+        ] {
+            let out = wire_calling(&format!("pub fn parse_len(x: Option<u32>) {{ {body} }}"));
+            assert_eq!(out.len(), 1, "{body}: {out:?}");
+        }
     }
 
     #[test]
     fn asserts_are_allowed() {
-        let out = run("fn f(n: usize) { assert!(n < 10); debug_assert!(n > 0); }");
+        let out =
+            wire_calling("pub fn parse_len(n: usize) { assert!(n < 10); debug_assert!(n > 0); }");
         assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
     fn files_not_in_scope_are_skipped() {
-        let sf = SourceFile::from_text(
-            PathBuf::from("m.rs"),
-            "crates/server/src/other.rs".into(),
-            "server",
-            "fn f(x: Option<u32>) -> u32 { x.unwrap() }",
-        );
-        let m = Manifest {
-            wire_files: vec!["crates/server/src/protocol.rs".to_string()],
-            ..Manifest::default()
-        };
-        let mut out = Vec::new();
-        PanicFree.check_file(&sf, &m, &mut out);
-        assert!(out.is_empty());
+        let out = run(&[
+            (
+                "server",
+                "other.rs",
+                "pub fn decode(buf: &[u8]) { dcs_util::parse_len(buf); }",
+            ),
+            (
+                "util",
+                "m.rs",
+                "pub fn parse_len(x: Option<u32>) { x.unwrap(); }",
+            ),
+        ]);
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
     fn test_mod_within_wire_file_is_exempt() {
-        let out = run(
-            "fn clean() {}\n#[cfg(test)]\nmod tests { #[test] fn t() { None::<u32>.unwrap(); } }",
+        let wire = format!(
+            "{HEADER}fn clean() {{}}\n#[cfg(test)]\n\
+             mod tests {{ #[test] fn t() {{ dcs_util::parse_len(None); }} }}"
         );
+        let out = run(&[
+            ("server", "protocol.rs", &wire),
+            (
+                "util",
+                "m.rs",
+                "pub fn parse_len(x: Option<u32>) { x.unwrap(); }",
+            ),
+        ]);
         assert!(out.is_empty(), "{out:?}");
-    }
-
-    fn run_transitive(srcs: &[(&str, &str, &str)], wire: &str) -> Vec<Violation> {
-        let files: Vec<SourceFile> = srcs
-            .iter()
-            .map(|(krate, name, src)| {
-                SourceFile::from_text(
-                    PathBuf::from(name),
-                    format!("crates/{krate}/src/{name}"),
-                    krate,
-                    src,
-                )
-            })
-            .collect();
-        let m = Manifest {
-            wire_files: vec![wire.to_string()],
-            ..Manifest::default()
-        };
-        let a = Analysis::build(&files, &m);
-        let mut out = Vec::new();
-        PanicFree.finish(&a, &mut out);
-        out
     }
 
     #[test]
     fn transitive_panic_across_crates_fires() {
         // The unwrap is two hops and one crate away from the wire file;
         // the finding lands on the wire-side call with the origin chain.
-        let out = run_transitive(
-            &[
-                (
-                    "server",
-                    "protocol.rs",
-                    "pub fn decode(buf: &[u8]) { dcs_util::parse_len(buf); }",
-                ),
-                (
-                    "util",
-                    "m.rs",
-                    "pub fn parse_len(buf: &[u8]) { helper(buf); }\n\
-                     fn helper(buf: &[u8]) { let n = buf.first().unwrap(); }",
-                ),
-            ],
-            "crates/server/src/protocol.rs",
+        let out = wire_calling(
+            "pub fn parse_len(buf: &[u8]) { helper(buf); }\n\
+             fn helper(buf: &[u8]) { let n = buf.first().unwrap(); }",
         );
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].file, "crates/server/src/protocol.rs");
@@ -272,21 +216,7 @@ mod tests {
 
     #[test]
     fn transitive_pass_skips_panic_free_callees() {
-        let out = run_transitive(
-            &[
-                (
-                    "server",
-                    "protocol.rs",
-                    "pub fn decode(buf: &[u8]) { dcs_util::parse_len(buf); }",
-                ),
-                (
-                    "util",
-                    "m.rs",
-                    "pub fn parse_len(buf: &[u8]) -> Option<&u8> { buf.first() }",
-                ),
-            ],
-            "crates/server/src/protocol.rs",
-        );
+        let out = wire_calling("pub fn parse_len(buf: &[u8]) -> Option<&u8> { buf.first() }");
         assert!(out.is_empty(), "{out:?}");
     }
 }

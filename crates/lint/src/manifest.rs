@@ -2,23 +2,11 @@
 //!
 //! A deliberately small TOML subset (tables, string values, string
 //! arrays, comments) parsed by hand — the workspace builds
-//! offline, so no `toml` crate. The manifest carries everything that is
-//! *policy* rather than *code*: which functions are hot paths, which
-//! files may touch the real clock, which modules must be panic-free,
-//! and how dynamic dispatch and blocking resolve for the effect engine.
+//! offline, so no `toml` crate. The manifest carries what the effect
+//! engine cannot read from the code: how dynamic dispatch resolves,
+//! which roots must never block, and which functions block by contract.
 //!
 //! ```toml
-//! [hotpath]
-//! functions = ["dcs-server::Shard::reply_read"]
-//!
-//! [clock]
-//! allow = ["crates/flashsim/", "crates/telemetry/src/clock.rs"]
-//!
-//! [wire-path]
-//! files = ["crates/server/src/protocol.rs"]
-//! send_files = ["crates/server/src/server.rs"]
-//! bounded_senders = ["mailbox", "outbox"]
-//!
 //! [dispatch]
 //! kv_get = ["dcs-core::CachingStore::kv_get", "dcs-core::LsmBackend::kv_get"]
 //!
@@ -35,14 +23,16 @@
 //! reach and the call graph takes their union. `[async-shard] roots`
 //! name the drain loops that must stay non-blocking, and `[effects]
 //! blocking` declares functions that block by contract even when their
-//! bodies do not show it syntactically.
+//! bodies do not show it syntactically. Wire-path files are not listed
+//! here: a file is wire-path iff it carries the `#![deny(…)]` header
+//! [`crate::lints::panic_path`] looks for.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// A hot-path root: `crate::Type::method` or `crate::function`.
+/// A workspace function: `crate::Type::method` or `crate::function`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HotPath {
+pub struct FnRef {
     /// Crate directory name (with or without the `dcs-` prefix).
     pub krate: String,
     /// Function name as the parser qualifies it (`Type::method` or bare).
@@ -52,47 +42,23 @@ pub struct HotPath {
 /// Parsed manifest contents.
 #[derive(Debug, Clone, Default)]
 pub struct Manifest {
-    /// Functions whose reachable code must stay allocation/lock-free.
-    pub hotpaths: Vec<HotPath>,
-    /// Path prefixes (workspace-relative) allowed to use the real clock.
-    pub clock_allow: Vec<String>,
-    /// Wire-path files that must be panic-free.
-    pub wire_files: Vec<String>,
     /// Dynamic-dispatch policy: bare method name → every workspace
     /// implementation a call through it may reach (the call graph takes
     /// the union).
-    pub dispatch: BTreeMap<String, Vec<HotPath>>,
+    pub dispatch: BTreeMap<String, Vec<FnRef>>,
     /// Roots of async drain loops that must stay `BlocksOnIo`-free.
-    pub async_roots: Vec<HotPath>,
+    pub async_roots: Vec<FnRef>,
     /// Functions that block by contract even when their bodies do not
     /// show it syntactically (e.g. a blocking device-read wrapper).
-    pub declared_blocking: Vec<HotPath>,
-    /// Files whose channel sends must be bounded; empty means "same as
-    /// `wire_files`".
-    pub wire_send_files: Vec<String>,
-    /// Receiver field names (last path segment) that are known bounded
-    /// mailboxes: `.send()` through them answers BUSY, never blocks.
-    pub bounded_senders: Vec<String>,
-}
-
-impl Manifest {
-    /// The bounded-send lint's file scope (`send_files`, defaulting to
-    /// the panic-free wire files).
-    pub fn send_scope(&self) -> &[String] {
-        if self.wire_send_files.is_empty() {
-            &self.wire_files
-        } else {
-            &self.wire_send_files
-        }
-    }
+    pub declared_blocking: Vec<FnRef>,
 }
 
 /// Parse one `crate::function` reference (`dcs-` prefix optional).
-fn parse_fn_ref(s: &str, what: &str) -> Result<HotPath, String> {
+fn parse_fn_ref(s: &str, what: &str) -> Result<FnRef, String> {
     let (krate, func) = s
         .split_once("::")
         .ok_or_else(|| format!("{what} entry `{s}` is not `crate::function`"))?;
-    Ok(HotPath {
+    Ok(FnRef {
         krate: krate.trim_start_matches("dcs-").to_string(),
         func: func.to_string(),
     })
@@ -110,19 +76,6 @@ impl Manifest {
     pub fn parse(text: &str) -> Result<Manifest, String> {
         let tables = parse_toml_subset(text)?;
         let mut m = Manifest::default();
-        if let Some(t) = tables.get("hotpath") {
-            for f in t.get_array("functions") {
-                m.hotpaths.push(parse_fn_ref(&f, "hotpath")?);
-            }
-        }
-        if let Some(t) = tables.get("clock") {
-            m.clock_allow = t.get_array("allow");
-        }
-        if let Some(t) = tables.get("wire-path") {
-            m.wire_files = t.get_array("files");
-            m.wire_send_files = t.get_array("send_files");
-            m.bounded_senders = t.get_array("bounded_senders");
-        }
         if let Some(t) = tables.get("dispatch") {
             for (method, _) in t.values.iter() {
                 let mut targets = Vec::new();
@@ -284,51 +237,43 @@ fn split_top_commas(s: &str) -> Vec<String> {
 mod tests {
     use super::*;
 
+    fn fn_ref(krate: &str, func: &str) -> FnRef {
+        FnRef {
+            krate: krate.into(),
+            func: func.into(),
+        }
+    }
+
     #[test]
     fn parses_all_sections() {
+        // Comments, a multi-line array and a trailing comma, in each of
+        // the three sections.
         let m = Manifest::parse(
             r#"
 # policy file
-[hotpath]
-functions = [
-    "dcs-server::Shard::reply_read",  # the request loop
-    "dcs-telemetry::Counter::add",
+[dispatch]
+kv_get = [
+    "dcs-core::CachingStore::kv_get",  # the caching store
+    "dcs-core::LsmBackend::kv_get",
 ]
 
-[clock]
-allow = ["crates/flashsim/", "crates/telemetry/src/clock.rs"]
+[async-shard]
+roots = ["dcs-server::Shard::run"]  # the drain loop
 
-[wire-path]
-files = ["crates/server/src/protocol.rs"]
+[effects]
+blocking = ["dcs-flashsim::FlashDevice::read"]
 "#,
         )
         .unwrap();
-        assert_eq!(
-            m.hotpaths,
-            vec![
-                HotPath {
-                    krate: "server".into(),
-                    func: "Shard::reply_read".into()
-                },
-                HotPath {
-                    krate: "telemetry".into(),
-                    func: "Counter::add".into()
-                },
-            ]
-        );
-        assert_eq!(m.clock_allow.len(), 2);
-        assert_eq!(m.wire_files, vec!["crates/server/src/protocol.rs"]);
+        assert_eq!(m.dispatch["kv_get"].len(), 2);
+        assert_eq!(m.async_roots.len(), 1);
+        assert_eq!(m.declared_blocking.len(), 1);
     }
 
     #[test]
     fn parses_effect_policy_sections() {
         let m = Manifest::parse(
             r#"
-[wire-path]
-files = ["crates/server/src/protocol.rs"]
-send_files = ["crates/server/src/server.rs", "crates/server/src/shard.rs"]
-bounded_senders = ["mailbox", "outbox"]
-
 [dispatch]
 kv_get = ["dcs-core::CachingStore::kv_get", "dcs-core::LsmBackend::kv_get"]
 deliver = ["dcs-server::ConnState::deliver"]
@@ -341,43 +286,19 @@ blocking = ["dcs-flashsim::FlashDevice::read"]
 "#,
         )
         .unwrap();
-        assert_eq!(m.wire_send_files.len(), 2);
-        assert_eq!(m.send_scope(), &m.wire_send_files[..]);
-        assert_eq!(m.bounded_senders, vec!["mailbox", "outbox"]);
         assert_eq!(m.dispatch.len(), 2);
         assert_eq!(
             m.dispatch["kv_get"],
             vec![
-                HotPath {
-                    krate: "core".into(),
-                    func: "CachingStore::kv_get".into()
-                },
-                HotPath {
-                    krate: "core".into(),
-                    func: "LsmBackend::kv_get".into()
-                },
+                fn_ref("core", "CachingStore::kv_get"),
+                fn_ref("core", "LsmBackend::kv_get")
             ]
         );
-        assert_eq!(
-            m.async_roots,
-            vec![HotPath {
-                krate: "server".into(),
-                func: "Shard::run".into()
-            }]
-        );
+        assert_eq!(m.async_roots, vec![fn_ref("server", "Shard::run")]);
         assert_eq!(
             m.declared_blocking,
-            vec![HotPath {
-                krate: "flashsim".into(),
-                func: "FlashDevice::read".into()
-            }]
+            vec![fn_ref("flashsim", "FlashDevice::read")]
         );
-    }
-
-    #[test]
-    fn send_scope_defaults_to_wire_files() {
-        let m = Manifest::parse("[wire-path]\nfiles = [\"crates/x/src/a.rs\"]").unwrap();
-        assert_eq!(m.send_scope(), &m.wire_files[..]);
     }
 
     #[test]
@@ -386,19 +307,14 @@ blocking = ["dcs-flashsim::FlashDevice::read"]
     }
 
     #[test]
-    fn bad_hotpath_entry_is_an_error() {
-        assert!(Manifest::parse("[hotpath]\nfunctions = [\"no_crate_sep\"]").is_err());
-    }
-
-    #[test]
     fn bad_syntax_is_an_error() {
-        assert!(Manifest::parse("[clock]\nallow just/a/path").is_err());
+        assert!(Manifest::parse("[effects]\nblocking just/a/path").is_err());
     }
 
     #[test]
     fn empty_manifest_is_fine() {
         let m = Manifest::parse("").unwrap();
-        assert!(m.hotpaths.is_empty());
-        assert!(m.clock_allow.is_empty());
+        assert!(m.dispatch.is_empty());
+        assert!(m.async_roots.is_empty());
     }
 }

@@ -83,38 +83,38 @@ mod tests {
     fn sample() -> Report {
         Report {
             violations: vec![Violation {
-                lint: "virtual-clock",
+                lint: "panic-path",
                 file: "crates/x/src/a.rs".into(),
                 line: 3,
                 symbol: "f".into(),
-                message: "bad \"clock\"".into(),
-                fingerprint: "virtual-clock|crates/x/src/a.rs|f|Instant".into(),
+                message: "bad \"panic\"".into(),
+                fingerprint: "panic-path|crates/x/src/a.rs|f|panics:dcs-y::g".into(),
             }],
             files_scanned: 2,
-            lints: vec![("virtual-clock", "desc"), ("lock-order", "desc2")],
+            lints: vec![("panic-path", "desc"), ("lock-order", "desc2")],
         }
     }
 
     #[test]
     fn text_lists_only_new() {
         let t = sample().render_text();
-        assert!(t.contains("crates/x/src/a.rs:3: [virtual-clock]"), "{t}");
+        assert!(t.contains("crates/x/src/a.rs:3: [panic-path]"), "{t}");
         assert!(t.contains("2 file(s), 2 lint(s): 1 violation(s)"), "{t}");
     }
 
     #[test]
     fn json_escapes_and_counts() {
         let text = sample().to_json().to_string();
-        assert!(text.contains(r#"bad \"clock\""#), "{text}");
+        assert!(text.contains(r#"bad \"panic\""#), "{text}");
         let j = Json::parse(&text).unwrap();
         assert_eq!(j.at(&["summary", "violations"]), Some(&Json::UInt(1)));
         let per_lint = |lint| j.at(&["summary", "per_lint", lint]).and_then(Json::as_u64);
-        assert_eq!(per_lint("virtual-clock"), Some(1));
+        assert_eq!(per_lint("panic-path"), Some(1));
         assert_eq!(per_lint("lock-order"), Some(0));
         let v = &j.get("violations").unwrap().items()[0];
         assert_eq!(
             v.get("message").and_then(Json::as_str),
-            Some("bad \"clock\"")
+            Some("bad \"panic\"")
         );
         assert_eq!(v.get("line").and_then(Json::as_u64), Some(3));
     }

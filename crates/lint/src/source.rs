@@ -5,10 +5,9 @@
 //! grammar. It classifies every brace pair as a function body, an
 //! `impl`/`mod` block, or "other" (match arms, struct literals, plain
 //! blocks), qualifies method names by their `impl` type, and marks
-//! everything under `#[cfg(test)]` / `#[test]` so lints skip test code.
-//! Ambiguity degrades to the "other" class, which only ever makes lints
-//! more conservative (a violation is attributed to the enclosing
-//! function, or to the file when there is none).
+//! functions under `#[cfg(test)]` / `#[test]` so the call graph skips
+//! test code. Ambiguity degrades to the "other" class, which only ever
+//! makes the analysis more conservative.
 
 use crate::lexer::{lex, Token};
 use std::path::{Path, PathBuf};
@@ -38,16 +37,12 @@ pub struct SourceFile {
     pub rel: String,
     /// Owning crate's directory name under `crates/`.
     pub crate_name: String,
-    /// True for binary targets (`src/bin/**` or `src/main.rs`).
-    pub is_bin: bool,
     /// The token stream, comments included.
     pub tokens: Vec<Token>,
     /// Functions found, in source order.
     pub fns: Vec<FnItem>,
     /// Sorted token-index ranges lying inside `#[…]` attributes.
     attr_ranges: Vec<(usize, usize)>,
-    /// Sorted token-index ranges lying inside `#[cfg(test)]` items.
-    test_ranges: Vec<(usize, usize)>,
     /// Raw line text, for waiver lookups.
     lines: Vec<String>,
 }
@@ -65,19 +60,23 @@ impl SourceFile {
         Ok(Self::from_text(path.to_path_buf(), rel, crate_name, &text))
     }
 
-    /// Parse from in-memory text (fixture tests use this too).
+    /// A file at `crates/<krate>/src/<name>` parsed from `text` — the
+    /// shape every fixture and unit test builds.
+    pub fn fixture(krate: &str, name: &str, text: &str) -> SourceFile {
+        let rel = format!("crates/{krate}/src/{name}");
+        Self::from_text(PathBuf::from(name), rel, krate, text)
+    }
+
+    /// Parse from in-memory text.
     pub fn from_text(path: PathBuf, rel: String, crate_name: &str, text: &str) -> SourceFile {
-        let is_bin = rel.contains("/src/bin/") || rel.ends_with("/src/main.rs");
         let tokens = lex(text);
         let mut sf = SourceFile {
             path,
             rel,
             crate_name: crate_name.to_string(),
-            is_bin,
             tokens,
             fns: Vec::new(),
             attr_ranges: Vec::new(),
-            test_ranges: Vec::new(),
             lines: text.lines().map(|l| l.to_string()).collect(),
         };
         sf.parse_items();
@@ -86,27 +85,7 @@ impl SourceFile {
 
     /// True when token `i` sits inside an attribute (`#[…]`).
     pub fn in_attr(&self, i: usize) -> bool {
-        in_ranges(&self.attr_ranges, i)
-    }
-
-    /// True when token `i` sits inside test-only code.
-    pub fn in_test(&self, i: usize) -> bool {
-        in_ranges(&self.test_ranges, i)
-    }
-
-    /// The innermost function whose body contains token `i`.
-    pub fn enclosing_fn(&self, i: usize) -> Option<&FnItem> {
-        self.fns
-            .iter()
-            .filter(|f| f.body.0 <= i && i <= f.body.1)
-            .min_by_key(|f| f.body.1 - f.body.0)
-    }
-
-    /// Name of the enclosing function, or `(file)` at item scope.
-    pub fn context_name(&self, i: usize) -> String {
-        self.enclosing_fn(i)
-            .map(|f| f.name.clone())
-            .unwrap_or_else(|| "(file)".to_string())
+        self.attr_ranges.iter().any(|&(a, b)| a <= i && i <= b)
     }
 
     /// The raw text of line `line` (1-based), if it exists.
@@ -151,7 +130,7 @@ impl SourceFile {
     }
 
     /// The item/scope pass: classify braces, find functions, mark
-    /// attribute and test ranges.
+    /// attribute ranges and test functions.
     fn parse_items(&mut self) {
         #[derive(Clone)]
         enum Ctx {
@@ -171,10 +150,9 @@ impl SourceFile {
         let mut pending_attrs: Vec<(usize, usize)> = Vec::new();
         let mut fns: Vec<FnItem> = Vec::new();
         let mut attr_ranges: Vec<(usize, usize)> = Vec::new();
-        let mut test_ranges: Vec<(usize, usize)> = Vec::new();
-        // Depth at which a `#[cfg(test)]`/`#[test]` item opened; its
-        // range closes when the stack shrinks back past that depth.
-        let mut test_open: Vec<(usize, usize)> = Vec::new(); // (depth, start_tok)
+        // Depth at which the outermost `#[cfg(test)]`/`#[test]` item
+        // opened; test code ends when the stack shrinks back past it.
+        let mut test_depth: Option<usize> = None;
 
         let mut i = 0usize;
         while i < n {
@@ -222,9 +200,9 @@ impl SourceFile {
                 let ctx = classify_brace(toks, &window);
                 let is_test_item = pending_attrs.iter().any(|&(a, b)| attr_is_test(toks, a, b))
                     || matches!(stack.last(), Some(Ctx::Fn(fi)) if fns[*fi].in_test);
-                let already_in_test = !test_open.is_empty();
+                let already_in_test = test_depth.is_some();
                 if is_test_item && !already_in_test {
-                    test_open.push((stack.len(), i));
+                    test_depth = Some(stack.len());
                 }
                 match ctx {
                     BraceKind::Fn(name) => {
@@ -257,11 +235,8 @@ impl SourceFile {
                 if let Some(Ctx::Fn(fi)) = stack.pop() {
                     fns[fi].body.1 = i;
                 }
-                if let Some(&(depth, start)) = test_open.last() {
-                    if stack.len() <= depth {
-                        test_ranges.push((start, i));
-                        test_open.pop();
-                    }
+                if test_depth.is_some_and(|d| stack.len() <= d) {
+                    test_depth = None;
                 }
                 window.clear();
                 pending_attrs.clear();
@@ -280,14 +255,9 @@ impl SourceFile {
                 fns[fi].body.1 = n.saturating_sub(1);
             }
         }
-        for (_, start) in test_open {
-            test_ranges.push((start, n.saturating_sub(1)));
-        }
         attr_ranges.sort_unstable();
-        test_ranges.sort_unstable();
         self.fns = fns;
         self.attr_ranges = attr_ranges;
-        self.test_ranges = test_ranges;
     }
 }
 
@@ -307,21 +277,18 @@ fn classify_brace(toks: &[Token], window: &[usize]) -> BraceKind {
         .iter()
         .filter_map(|&i| toks[i].ident().map(|s| (i, s)))
         .collect();
-    for (pos, (i, s)) in idents.iter().enumerate() {
+    for (pos, (_, s)) in idents.iter().enumerate() {
         match *s {
             "fn" => {
                 // `fn name` — the name is the next ident token.
                 if let Some((_, name)) = idents.get(pos + 1) {
                     return BraceKind::Fn((*name).to_string());
                 }
-                let _ = i;
                 return BraceKind::Other;
             }
             // Closure bodies / expressions that happen to contain these
             // keywords never reach here with `impl`/`mod`/`trait` first.
-            "impl" => {
-                return BraceKind::Impl(impl_type_name(toks, window, pos, &idents));
-            }
+            "impl" => return BraceKind::Impl(impl_type_name(pos, &idents)),
             "mod" => return BraceKind::Mod,
             "trait" => return BraceKind::Other,
             "match" | "if" | "while" | "for" | "loop" | "else" | "unsafe" | "move" | "async"
@@ -332,12 +299,7 @@ fn classify_brace(toks: &[Token], window: &[usize]) -> BraceKind {
                 if idents.iter().skip(pos + 1).any(|(_, s)| *s == "fn") {
                     continue;
                 }
-                return match *s {
-                    "struct" | "enum" | "union" | "match" | "if" | "while" | "for" | "loop"
-                    | "else" | "let" | "static" | "const" | "return" | "move" | "async"
-                    | "unsafe" => BraceKind::Other,
-                    _ => BraceKind::Other,
-                };
+                return BraceKind::Other;
             }
             _ => continue,
         }
@@ -347,12 +309,7 @@ fn classify_brace(toks: &[Token], window: &[usize]) -> BraceKind {
 
 /// The self type of an `impl` header: `impl Foo {` → Foo,
 /// `impl<T> Trait for Bar<T> {` → Bar.
-fn impl_type_name(
-    _toks: &[Token],
-    _window: &[usize],
-    impl_pos: usize,
-    idents: &[(usize, &str)],
-) -> String {
+fn impl_type_name(impl_pos: usize, idents: &[(usize, &str)]) -> String {
     // Idents after `impl`, skipping generic parameter names is hard
     // without types; the pragmatic rule: if `for` appears, the type is
     // the first ident after `for`; otherwise the *last* path-head ident
@@ -387,21 +344,12 @@ fn attr_is_test(toks: &[Token], a: usize, b: usize) -> bool {
     }
 }
 
-fn in_ranges(ranges: &[(usize, usize)], i: usize) -> bool {
-    ranges.iter().any(|&(a, b)| a <= i && i <= b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn parse(src: &str) -> SourceFile {
-        SourceFile::from_text(
-            PathBuf::from("mem.rs"),
-            "crates/x/src/mem.rs".into(),
-            "x",
-            src,
-        )
+        SourceFile::fixture("x", "mem.rs", src)
     }
 
     #[test]
@@ -430,8 +378,6 @@ mod tests {
         let t = sf.fns.iter().find(|f| f.name == "t").unwrap();
         assert!(!live.in_test);
         assert!(t.in_test);
-        assert!(sf.in_test(t.body.0));
-        assert!(!sf.in_test(live.body.0));
     }
 
     #[test]
@@ -445,17 +391,6 @@ mod tests {
                 .in_test
         );
         assert!(!sf.fns.iter().find(|f| f.name == "real").unwrap().in_test);
-    }
-
-    #[test]
-    fn enclosing_fn_is_innermost() {
-        let sf = parse("fn outer() { if true { inner_call(); } }");
-        let call = sf
-            .tokens
-            .iter()
-            .position(|t| t.ident() == Some("inner_call"))
-            .unwrap();
-        assert_eq!(sf.enclosing_fn(call).unwrap().name, "outer");
     }
 
     #[test]

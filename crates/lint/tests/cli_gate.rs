@@ -41,14 +41,14 @@ fn lint(root: &Path, extra: &[&str]) -> std::process::Output {
 #[test]
 fn seeded_violation_fails_then_waiver_reopens_the_gate() {
     let ws = Scratch::new("seeded");
-    // The seed: a stray real-clock read, the exact class of violation
-    // the CI job exists to catch.
+    // The seed: a mutex re-locked while its guard is still live — a
+    // self-deadlock, the class of bug the lock-order lint exists for.
     let seed = |waiver: &str| {
         format!(
-            "fn wall() -> u64 {{\n\
+            "fn relock(s: &S) {{\n\
+             let g = s.m.lock();\n\
              {waiver}\n\
-             let t = std::time::Instant::now();\n\
-             t.elapsed().as_nanos() as u64\n\
+             let h = s.m.lock();\n\
              }}\n"
         )
     };
@@ -56,24 +56,21 @@ fn seeded_violation_fails_then_waiver_reopens_the_gate() {
     let out = lint(&ws.0, &[]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("virtual-clock"), "{stdout}");
-    assert!(stdout.contains("crates/x/src/lib.rs:3"), "{stdout}");
+    assert!(stdout.contains("lock-order"), "{stdout}");
+    assert!(stdout.contains("crates/x/src/lib.rs:4"), "{stdout}");
 
     // Waive it in place, with a reason: the gate passes.
-    let allow = "// LINT: allow(virtual-clock): calibration boundary";
+    let allow = "// LINT: allow(lock-order): reentrant by design";
     ws.write("crates/x/src/lib.rs", &seed(allow));
     let waived = lint(&ws.0, &[]);
     assert_eq!(waived.status.code(), Some(0), "{waived:?}");
 
     // A second instance whose allow carries no reason still fails.
-    ws.write(
-        "crates/x/src/more.rs",
-        &seed("// LINT: allow(virtual-clock)"),
-    );
+    ws.write("crates/x/src/more.rs", &seed("// LINT: allow(lock-order)"));
     let unreasoned = lint(&ws.0, &[]);
     assert_eq!(unreasoned.status.code(), Some(1), "{unreasoned:?}");
     let stdout = String::from_utf8_lossy(&unreasoned.stdout);
-    assert!(stdout.contains("crates/x/src/more.rs:3"), "{stdout}");
+    assert!(stdout.contains("crates/x/src/more.rs:4"), "{stdout}");
     assert!(!stdout.contains("crates/x/src/lib.rs"), "{stdout}");
 }
 
@@ -106,9 +103,9 @@ fn sarif_report_is_written() {
     let ws = Scratch::new("sarif");
     ws.write(
         "crates/x/src/lib.rs",
-        "fn wall() -> u64 {\n\
-         let t = std::time::Instant::now();\n\
-         t.elapsed().as_nanos() as u64\n\
+        "fn relock(s: &S) {\n\
+         let g = s.m.lock();\n\
+         let h = s.m.lock();\n\
          }\n",
     );
     let sarif_path = ws.0.join("lint.sarif");
@@ -120,11 +117,11 @@ fn sarif_report_is_written() {
     let result = &run.get("results").unwrap().items()[0];
     assert_eq!(
         result.get("ruleId").and_then(Json::as_str),
-        Some("virtual-clock")
+        Some("lock-order")
     );
     let location = &result.get("locations").unwrap().items()[0];
     let start_line = location.at(&["physicalLocation", "region", "startLine"]);
-    assert_eq!(start_line.and_then(Json::as_u64), Some(2));
+    assert_eq!(start_line.and_then(Json::as_u64), Some(3));
     let fingerprint = result.at(&["partialFingerprints", "dcsLint/v1"]);
     assert!(fingerprint.and_then(Json::as_str).is_some(), "{sarif}");
 }

@@ -903,6 +903,8 @@ mod tests {
     }
 
     #[test]
+    // The EBR drain wait is bounded by a wall-clock deadline.
+    #[allow(clippy::disallowed_types)]
     fn footprint_tracks_growth_and_shrink() {
         // Keys fit in one slice (≤ 8 bytes) so no sub-layers are created:
         // layer and node skeletons are never collapsed (as in the original),

@@ -8,11 +8,21 @@
 //! owning shard, so ranges can split, merge, and move without the shard
 //! count changing.
 //!
-//! This file is on the lint manifest's `[wire-path]` list: shard workers
+//! This file is wire-path (its `#![deny(…)]` header below): shard workers
 //! consult the map on every request, so nothing here may panic — lookups
 //! use `partition_point`/`get`, mutations return `Option` instead of
 //! asserting, and lock poisoning is absorbed with the map structurally
 //! intact (an immutable snapshot cannot be torn).
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use std::sync::{Arc, Mutex};
 

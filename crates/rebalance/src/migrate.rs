@@ -47,7 +47,18 @@
 //! read into a wrong `None`. A tombstone sweep once parked misses drain
 //! is future work; the leftover bytes are invisible to routing.
 //!
-//! This file is on the `[wire-path]` lint list: nothing here may panic.
+//! This file is wire-path (the `#![deny(…)]` header below): nothing here
+//! may panic.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use crate::heat::HeatTracker;
 use crate::map::{PartitionMap, SharedMap};

@@ -15,6 +15,9 @@
 //!     --backend caching --mode open --rate 50000
 //! ```
 
+// The load generator measures wall-clock latency by definition.
+#![allow(clippy::disallowed_types)]
+
 use dcs_core::{BackendKind, BackendOpts};
 use dcs_costmodel::accounting::{price_run, RunCost, RunProfile};
 use dcs_costmodel::mrc_cost::{marginal_at, recommended_bytes, MrcCurvePoint};

@@ -25,6 +25,16 @@
 //! `Ok(None)` on a partial buffer and only consumes whole frames, so a TCP
 //! reader can append bytes and re-poll without framing state of its own.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use dcs_flashsim::fnv64;
 
 /// Frame magic: `b"DCS1"`.

@@ -75,8 +75,11 @@ pub struct ServerReport {
 
 /// Per-connection shared state; the shard side sees it as a [`ReplySink`].
 struct ConnState {
-    /// Encoded response frames awaiting the writer thread. Effectively
-    /// unbounded: depth is limited by the shard mailboxes feeding it.
+    /// Encoded response frames awaiting the writer thread. Unbounded in
+    /// practice (capacity `usize::MAX >> 1`), and nothing else bounds it:
+    /// shards drain their mailboxes whatever the writer does, and
+    /// `Shard::offer` writes `BUSY` straight in here. A client that sends
+    /// but never reads grows this queue without limit.
     outbox: Mailbox<Vec<u8>>,
     /// Requests routed but not yet answered.
     inflight: AtomicU64,

@@ -19,6 +19,16 @@
 //! consistent across the boundary, exactly like a scan racing concurrent
 //! writers on a single store).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::mailbox::{Mailbox, SendError};
 use crate::metrics::ShardMetrics;
 use crate::protocol::{Request, Response};
@@ -159,13 +169,15 @@ impl Shard {
             PartitionMap::contiguous(partitioner.splits().to_vec()),
             backends.len(),
         ));
+        // A construction-time config invariant (index < shard count),
+        // not wire input.
+        #[allow(clippy::indexing_slicing)]
+        let backend = backends[index].clone();
         Shard {
             index,
             mailbox: Mailbox::new(config.mailbox_capacity),
             metrics: ShardMetrics::default(),
-            // LINT: allow(panic-path): construction-time config invariant
-            // (index < shard count), not wire input.
-            backend: backends[index].clone(),
+            backend,
             async_backend: None,
             all_backends: backends,
             router,
@@ -586,6 +598,8 @@ impl Shard {
 }
 
 #[cfg(test)]
+// Tests pace and bound real shard threads with wall-clock deadlines.
+#[allow(clippy::disallowed_types)]
 mod tests {
     use super::*;
     use dcs_workload::StoreFailure;

@@ -3,6 +3,9 @@
 //! with zero dropped acknowledged writes, and the existing workload
 //! `Runner` driving a server over TCP through the client's `KvStore` impl.
 
+// Tests bound their waits with wall-clock deadlines.
+#![allow(clippy::disallowed_types)]
+
 use dcs_core::{BackendKind, BackendOpts};
 use dcs_server::protocol::{Request, Response};
 use dcs_server::{

@@ -8,6 +8,10 @@
 //! time lives on the flashsim `VirtualClock` each device owns; it prices
 //! I/O service and rent and is not what a trace is stamped with.
 
+// The shared clock is the one wall-clock read simulated code may make;
+// everything else stamps time through `now_nanos`.
+#![allow(clippy::disallowed_types)]
+
 use std::sync::OnceLock;
 use std::time::Instant;
 

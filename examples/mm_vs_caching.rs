@@ -5,6 +5,9 @@
 //!
 //! Run with: `cargo run --example mm_vs_caching --release`
 
+// The example times real operations on purpose.
+#![allow(clippy::disallowed_types)]
+
 use bytes::Bytes;
 use dcs_core::bwtree::{BwTree, BwTreeConfig};
 use dcs_core::costmodel::{mm_vs_caching, render, HardwareCatalog};

@@ -182,6 +182,8 @@ pub trait SeedableRng: Sized {
     /// Builds the RNG from OS entropy. This shim derives entropy from the
     /// system clock + a counter: good enough for tests and benches, which is
     /// all the workspace uses it for.
+    // Entropy, not simulated time: the wall clock is the seed source.
+    #[allow(clippy::disallowed_types)]
     fn from_entropy() -> Self {
         use std::sync::atomic::{AtomicU64, Ordering};
         static COUNTER: AtomicU64 = AtomicU64::new(0);
