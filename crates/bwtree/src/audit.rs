@@ -64,7 +64,6 @@ impl BwTree {
     /// Call at quiescence: concurrent structure modifications can make the
     /// audit report transient states as violations.
     pub fn audit(&self, guard: &Guard) -> Result<AuditReport, String> {
-        let _ = guard; // the pin itself is what we need; keeps chains live
         let mapping = self.mapping();
         let mut report = AuditReport::default();
         // Chains can legitimately exceed the consolidation threshold (a
@@ -92,12 +91,11 @@ impl BwTree {
         };
 
         while let Some(pid) = queue.pop_front() {
-            let head = mapping.load(pid);
-            if head.is_null() {
+            let Some(head) = mapping.load(pid, guard) else {
                 return Err(format!(
                     "pid {pid} is reachable but its mapping slot is empty"
                 ));
-            }
+            };
             report.reachable_pages += 1;
             let mut chain_len = 0usize;
             let mut base_kind: Option<bool> = None; // Some(true) = leaf
@@ -111,9 +109,7 @@ impl BwTree {
             let mut fence: Option<&bytes::Bytes> = None;
             let mut decided: Vec<(&bytes::Bytes, Option<PageId>)> = Vec::new();
             let mut inner_base: Option<&InnerBase> = None;
-            // SAFETY: `head` was loaded from the mapping table under `guard`,
-            // so the chain is live for the duration of this walk.
-            for node in unsafe { chain_iter(head) } {
+            for node in chain_iter(head) {
                 chain_len += 1;
                 report.chain_bytes += node.approx_bytes();
                 if chain_len > chain_limit {
@@ -284,7 +280,7 @@ impl BwTree {
             return Err(format!("pid {pid} is reachable but sits on the free list"));
         }
         for pid in 0..mapping.high_water() {
-            let populated = !mapping.load(pid).is_null();
+            let populated = mapping.load(pid, guard).is_some();
             if populated && !visited.contains(&pid) {
                 return Err(format!(
                     "pid {pid} holds a chain but is unreachable from the root — leaked page"

@@ -1,13 +1,24 @@
 //! Page representation: delta records and base pages.
 //!
 //! A logical page is a *chain* of immutable heap nodes. The mapping table
-//! points at the chain head; each node links to the next via a raw pointer.
-//! Updates prepend; consolidation and eviction replace the whole chain with
-//! a single CAS and retire the detached nodes through EBR.
+//! points at the chain head; each node links to the next. Updates prepend;
+//! consolidation and eviction replace the whole chain with a single CAS and
+//! retire the detached nodes through EBR.
+//!
+//! Who may free a node is decided by its type, not by each caller:
+//!
+//! * [`Chain`] — a published chain, read under an epoch guard. It frees
+//!   nothing.
+//! * [`Delta`] and [`Fresh`] — nodes this thread built and has not
+//!   published, owned values. Losing a race is a plain drop.
+//! * [`Unlinked`] — the mapping table's proof that an unlink removed
+//!   published nodes. [`retire`] takes it and frees them after an epoch.
 
 use crate::mapping::PageId;
 use bytes::Bytes;
 use dcs_ebr::Guard;
+use std::marker::PhantomData;
+use std::ptr::NonNull;
 
 /// A node in a page's delta chain.
 ///
@@ -24,14 +35,14 @@ pub(crate) enum Node {
         /// New record value.
         value: Bytes,
         /// Older chain.
-        next: *const Node,
+        next: Link,
     },
     /// Leaf delete delta.
     Del {
         /// Deleted key.
         key: Bytes,
         /// Older chain.
-        next: *const Node,
+        next: Link,
     },
     /// Leaf split delta: keys ≥ `sep` now live at `right`.
     LeafSplit {
@@ -40,7 +51,7 @@ pub(crate) enum Node {
         /// New right sibling.
         right: PageId,
         /// Older chain.
-        next: *const Node,
+        next: Link,
     },
     /// Consolidated leaf contents.
     LeafBase(LeafBase),
@@ -63,7 +74,7 @@ pub(crate) enum Node {
         /// Token of the durable state covering the chain below.
         token: u64,
         /// Older chain.
-        next: *const Node,
+        next: Link,
     },
     /// Merge freeze: this page is being merged into its left sibling
     /// `left`; it accepts no further updates and accessors redirect left.
@@ -71,7 +82,7 @@ pub(crate) enum Node {
         /// The absorbing left sibling.
         left: PageId,
         /// The frozen chain.
-        next: *const Node,
+        next: Link,
     },
     /// Merge absorb: this page now also owns `[sep, high_key)` with the
     /// materialized `entries` (the folded contents of the removed right
@@ -86,7 +97,7 @@ pub(crate) enum Node {
         /// New right sibling.
         right: Option<PageId>,
         /// Older chain.
-        next: *const Node,
+        next: Link,
     },
     /// Inner index-entry delta: keys in `[sep, …)` route to `child` until a
     /// larger separator intervenes.
@@ -96,7 +107,7 @@ pub(crate) enum Node {
         /// Child page for keys ≥ `sep`.
         child: PageId,
         /// Older chain.
-        next: *const Node,
+        next: Link,
     },
     /// Inner index-entry delete: the routing entry at exactly `sep` is
     /// removed (merge SMO step 3); keys fall through to the previous entry.
@@ -104,7 +115,7 @@ pub(crate) enum Node {
         /// Separator whose entry is deleted.
         sep: Bytes,
         /// Older chain.
-        next: *const Node,
+        next: Link,
     },
     /// Inner split delta: separators ≥ `sep` now live at `right`.
     InnerSplit {
@@ -113,7 +124,7 @@ pub(crate) enum Node {
         /// New right sibling.
         right: PageId,
         /// Older chain.
-        next: *const Node,
+        next: Link,
     },
     /// Consolidated inner contents.
     InnerBase(InnerBase),
@@ -213,8 +224,8 @@ impl InnerBase {
 }
 
 impl Node {
-    /// The next-older node in the chain, if this is a delta.
-    pub fn next(&self) -> Option<*const Node> {
+    /// The next-older node, if this is a delta.
+    fn next(&self) -> Option<*const Node> {
         match self {
             Node::Put { next, .. }
             | Node::Del { next, .. }
@@ -224,9 +235,28 @@ impl Node {
             | Node::Absorb { next, .. }
             | Node::IndexInsert { next, .. }
             | Node::IndexDelete { next, .. }
-            | Node::InnerSplit { next, .. } => Some(*next),
+            | Node::InnerSplit { next, .. } => Some(next.0),
             Node::LeafBase(_) | Node::FlashBase { .. } | Node::InnerBase(_) => None,
         }
+    }
+
+    /// Hang this delta on `below`. Panics on a base, which links nowhere.
+    fn link_to(mut self, below: *const Node) -> Node {
+        match &mut self {
+            Node::Put { next, .. }
+            | Node::Del { next, .. }
+            | Node::LeafSplit { next, .. }
+            | Node::FlushMarker { next, .. }
+            | Node::RemoveNode { next, .. }
+            | Node::Absorb { next, .. }
+            | Node::IndexInsert { next, .. }
+            | Node::IndexDelete { next, .. }
+            | Node::InnerSplit { next, .. } => *next = Link(below),
+            Node::LeafBase(_) | Node::FlashBase { .. } | Node::InnerBase(_) => {
+                panic!("a base cannot sit on a chain")
+            }
+        }
+        self
     }
 
     /// True for nodes that can appear in inner-page chains.
@@ -264,32 +294,92 @@ impl Node {
         body + std::mem::size_of::<Node>()
     }
 
-    /// Allocate on the heap, returning a raw chain pointer.
-    pub fn into_raw(self) -> *mut Node {
-        let ptr = Box::into_raw(Box::new(self));
+    /// Move onto the heap: the one allocation of a chain node.
+    fn alloc(self) -> NonNull<Node> {
+        let ptr = NonNull::from(Box::leak(Box::new(self)));
         // Shadow-heap bookkeeping: a fresh allocation may reuse an address
         // the checker saw freed earlier; registering it resets that slot.
         #[cfg(feature = "check")]
-        dcs_check::shadow::on_alloc(ptr);
+        dcs_check::shadow::on_alloc(ptr.as_ptr());
         ptr
     }
 }
 
-/// Iterate a chain from `head` down to (and including) its base.
-///
-/// # Safety
-/// `head` must point to a live chain and the caller must hold an EBR guard
-/// pinned since before loading `head` from the mapping table.
-pub(crate) unsafe fn chain_iter<'g>(head: *const Node) -> ChainIter<'g> {
+/// A delta's link to the next-older node of its chain. Only this module
+/// sets one, when [`Delta::new`] or [`Fresh::push`] hangs a delta on a
+/// chain; a node built elsewhere carries [`Link::UNSET`] until then. It
+/// cannot be copied out of a node either, so a link always names a node
+/// that outlives the node holding it.
+pub(crate) struct Link(*const Node);
+
+impl Link {
+    /// The link of a delta not yet hung on a chain.
+    pub(crate) const UNSET: Link = Link(std::ptr::null());
+}
+
+/// A published chain, readable for as long as the epoch guard it was
+/// loaded under (`'g`) stays pinned: the mapping table hands one out from
+/// a load or a won CAS, and frees a chain only through [`retire`], after
+/// every guard pinned before the unlink is gone.
+#[derive(Clone, Copy)]
+pub(crate) struct Chain<'g> {
+    head: NonNull<Node>,
+    _guard: PhantomData<&'g Node>,
+}
+
+impl<'g> Chain<'g> {
+    /// The chain whose head `head` is.
+    ///
+    /// # Safety
+    /// `head` must stay live for `'g`: loaded from the mapping table under
+    /// a guard pinned for `'g`, so that no retire can free it meanwhile.
+    pub(crate) unsafe fn from_raw(head: NonNull<Node>) -> Chain<'g> {
+        Chain {
+            head,
+            _guard: PhantomData,
+        }
+    }
+
+    /// The newest node.
+    pub(crate) fn head(self) -> &'g Node {
+        // SAFETY: a `Chain` names a node live for `'g` (see `from_raw` and
+        // the other constructors in this module).
+        unsafe { self.head.as_ref() }
+    }
+
+    /// Whether this is an inner-page chain (every node kind identifies its
+    /// level, except markers, which only appear on leaves).
+    pub(crate) fn is_inner(self) -> bool {
+        self.head().is_inner()
+    }
+
+    /// The chain under the head delta; `None` at a base.
+    pub(crate) fn below(self) -> Option<Chain<'g>> {
+        let next = self.head().next()?;
+        // A link outlives the node holding it, so `next` is live for `'g`.
+        Some(Chain {
+            head: NonNull::new(next.cast_mut()).expect("a delta is hung on a chain"),
+            _guard: PhantomData,
+        })
+    }
+
+    /// The head's address, for the mapping table's CAS.
+    pub(crate) fn as_ptr(self) -> *mut Node {
+        self.head.as_ptr()
+    }
+}
+
+/// Iterate a chain from its head down to (and including) its base.
+pub(crate) fn chain_iter(chain: Chain<'_>) -> ChainIter<'_> {
     ChainIter {
-        cur: head,
-        _marker: std::marker::PhantomData,
+        cur: chain.head.as_ptr(),
+        _marker: PhantomData,
     }
 }
 
 pub(crate) struct ChainIter<'g> {
     cur: *const Node,
-    _marker: std::marker::PhantomData<&'g Node>,
+    _marker: PhantomData<&'g Node>,
 }
 
 impl<'g> Iterator for ChainIter<'g> {
@@ -304,7 +394,8 @@ impl<'g> Iterator for ChainIter<'g> {
         // use-after-free and aborts the execution with the seed.
         #[cfg(feature = "check")]
         dcs_check::shadow::on_access(self.cur);
-        // SAFETY: guaranteed live by the guard held per `chain_iter` contract.
+        // SAFETY: `cur` is the head of a `Chain<'g>` or the link of a node
+        // yielded before it; either is live for `'g`.
         let node = unsafe { &*self.cur };
         self.cur = node.next().unwrap_or(std::ptr::null());
         Some(node)
@@ -343,10 +434,7 @@ impl ChainShape<'_> {
 }
 
 /// Measure and classify a chain in one walk.
-///
-/// # Safety
-/// Same contract as [`chain_iter`].
-pub(crate) unsafe fn chain_shape<'g>(head: *const Node) -> ChainShape<'g> {
+pub(crate) fn chain_shape(chain: Chain<'_>) -> ChainShape<'_> {
     let mut bytes = 0;
     let mut records = 0;
     let mut unflushed = 0;
@@ -354,9 +442,7 @@ pub(crate) unsafe fn chain_shape<'g>(head: *const Node) -> ChainShape<'g> {
     let mut has_split = false;
     let mut marker = None;
     let mut frozen = false;
-    // SAFETY: forwarding this function's own contract — same as
-    // [`chain_iter`]'s.
-    for (deltas, node) in unsafe { chain_iter(head) }.enumerate() {
+    for (deltas, node) in chain_iter(chain).enumerate() {
         bytes += node.approx_bytes();
         match node {
             Node::Put { .. } | Node::Del { .. } => {
@@ -391,89 +477,198 @@ pub(crate) unsafe fn chain_shape<'g>(head: *const Node) -> ChainShape<'g> {
     unreachable!("chain without a base");
 }
 
-/// Retire every node of a detached chain through the guard's collector.
+/// Nodes owned outright: `head` and the nodes under it, down to but not
+/// including `keep` (null: to the base). Dropping it frees them — the one
+/// place a node is freed, whether it was never published or retired.
+struct Owned {
+    head: *mut Node,
+    keep: *const Node,
+}
+
+impl Drop for Owned {
+    fn drop(&mut self) {
+        let mut cur = self.head;
+        while !cur.is_null() && cur.cast_const() != self.keep {
+            #[cfg(feature = "check")]
+            dcs_check::shadow::on_free(cur.cast_const());
+            // SAFETY: every `Owned` this module builds names nodes from
+            // `Node::alloc` that nothing else frees and nobody reads any
+            // more: unpublished ones, or retired ones past their grace
+            // period.
+            let node = unsafe { Box::from_raw(cur) };
+            cur = node.next().unwrap_or(std::ptr::null()).cast_mut();
+        }
+    }
+}
+
+impl Owned {
+    /// Stop owning the nodes: the mapping table now holds the only link
+    /// to `head`. The caller ties `'g` to a guard pinned now; nothing can
+    /// free the nodes before an unlink, and the retire after it outwaits
+    /// that guard.
+    fn publish<'g>(self) -> Chain<'g> {
+        let head = NonNull::new(self.head).expect("an owned chain has a head");
+        std::mem::forget(self);
+        Chain {
+            head,
+            _guard: PhantomData,
+        }
+    }
+}
+
+/// One unpublished delta, hung on the published chain it was built over.
+/// The mapping table's `prepend` consumes it and hands it back on a lost
+/// CAS; dropping it frees the delta alone, since the chain under it stays
+/// published.
+pub(crate) struct Delta<'g> {
+    nodes: Owned,
+    onto: Chain<'g>,
+}
+
+impl<'g> Delta<'g> {
+    /// `node` (a delta) hung on `onto`.
+    pub(crate) fn new(node: Node, onto: Chain<'g>) -> Delta<'g> {
+        let keep = onto.as_ptr().cast_const();
+        let head = node.link_to(keep).alloc().as_ptr();
+        Delta {
+            nodes: Owned { head, keep },
+            onto,
+        }
+    }
+
+    /// The chain this delta was built over: the CAS's expected head.
+    pub(crate) fn onto(&self) -> Chain<'g> {
+        self.onto
+    }
+
+    /// The delta's address, for the mapping table's CAS.
+    pub(crate) fn as_ptr(&self) -> *mut Node {
+        self.nodes.head
+    }
+
+    /// Give the delta up to the mapping table after a won CAS: it is now
+    /// published, over `onto`, under the same guard.
+    pub(crate) fn publish(self) -> Chain<'g> {
+        self.nodes.publish()
+    }
+}
+
+/// An unpublished chain this thread built — a base and the deltas above
+/// it, none shared with any other chain. The mapping table's `cas` and
+/// `store_new` consume it, and a lost CAS hands it back; dropping it frees
+/// every node.
+pub(crate) struct Fresh {
+    nodes: Owned,
+}
+
+impl Fresh {
+    /// A one-node chain of `base`.
+    pub(crate) fn new(base: Node) -> Fresh {
+        debug_assert!(base.next().is_none(), "a chain ends in a base");
+        Fresh {
+            nodes: Owned {
+                head: base.alloc().as_ptr(),
+                keep: std::ptr::null(),
+            },
+        }
+    }
+
+    /// This chain with the delta `node` on top.
+    pub(crate) fn push(mut self, node: Node) -> Fresh {
+        let below = self.nodes.head;
+        self.nodes.head = node.link_to(below).alloc().as_ptr();
+        self
+    }
+
+    /// Read the chain while this thread still owns it.
+    #[cfg(test)]
+    pub(crate) fn chain(&self) -> Chain<'_> {
+        Chain {
+            head: NonNull::new(self.nodes.head).expect("an owned chain has a head"),
+            _guard: PhantomData,
+        }
+    }
+
+    /// The head's address, for the mapping table's CAS.
+    pub(crate) fn as_ptr(&self) -> *mut Node {
+        self.nodes.head
+    }
+
+    /// Give the chain up to the mapping table after a won CAS or a store
+    /// into a fresh PID.
+    pub(crate) fn publish<'g>(self) -> Chain<'g> {
+        self.nodes.publish()
+    }
+}
+
+/// Free the chain at `head` now. Table teardown only.
 ///
 /// # Safety
-/// The chain rooted at `head` must have been atomically unlinked from the
-/// mapping table (no new references can form) and must not be retired twice.
-pub(crate) unsafe fn retire_chain(guard: &Guard, head: *mut Node) {
-    if head.is_null() {
-        return;
+/// The caller must own every node of the chain: no reader can reach it
+/// and nothing else frees it (a mapping table being dropped).
+pub(crate) unsafe fn free_chain_now(head: *mut Node) {
+    drop(Owned {
+        head,
+        keep: std::ptr::null(),
+    });
+}
+
+/// Proof that an unlink took `head` out of the mapping table: no reader
+/// that pins after it can reach the nodes from `head` down to `keep`, the
+/// part of the chain still published (null: none). Only the mapping
+/// table makes one, from a won CAS or from freeing a PID; [`retire`] is
+/// what takes it.
+#[must_use = "unlinked nodes leak unless retired"]
+pub(crate) struct Unlinked {
+    head: *mut Node,
+    keep: *const Node,
+}
+
+impl Unlinked {
+    /// # Safety
+    /// An atomic unlink this thread won must just have taken the chain at
+    /// `head` out of its mapping slot, leaving published at most `keep`
+    /// (a node of that chain, or null); no other proof may name these
+    /// nodes.
+    pub(crate) unsafe fn new(head: *mut Node, keep: *const Node) -> Unlinked {
+        Unlinked { head, keep }
     }
-    // Report every node of the chain as retired. Overlapping retirements
-    // (the same node reachable from two retired chains) surface as a
-    // double-retire failure in the checker instead of a latent double-free.
+}
+
+/// Retire what an unlink removed through the guard's collector: the nodes
+/// above whatever the unlink left published — the whole old chain after a
+/// replacement, only the delta a rollback popped. Readers pinned before
+/// the unlink may still be walking them, so they are freed after the
+/// grace period, not now.
+pub(crate) fn retire(guard: &Guard, unlinked: Unlinked) {
+    // Report every retired node. Overlapping retirements (the same node
+    // reachable from two retired chains) surface as a double-retire
+    // failure in the checker instead of a latent double-free.
     #[cfg(feature = "check")]
     {
-        let mut cur = head as *const Node;
-        while !cur.is_null() {
+        let mut cur = unlinked.head.cast_const();
+        while !cur.is_null() && cur != unlinked.keep {
             dcs_check::shadow::on_retire(cur);
             // SAFETY: the guard is pinned and the chain was just unlinked,
             // so every node is still live for this walk.
-            cur = unsafe { (*cur).next().unwrap_or(std::ptr::null()) };
+            cur = unsafe { (*cur).next() }.unwrap_or(std::ptr::null());
         }
     }
-    let addr = head as usize;
+    let (head, keep) = (unlinked.head as usize, unlinked.keep as usize);
     guard.defer(move || {
-        let mut cur = addr as *mut Node;
-        while !cur.is_null() {
-            #[cfg(feature = "check")]
-            dcs_check::shadow::on_free(cur as *const Node);
-            // SAFETY: chain is unlinked and the grace period has elapsed.
-            let boxed = unsafe { Box::from_raw(cur) };
-            cur = boxed
-                .next()
-                .map(|p| p as *mut Node)
-                .unwrap_or(std::ptr::null_mut());
-            // `boxed` drops here, freeing the node.
-        }
+        drop(Owned {
+            head: head as *mut Node,
+            keep: keep as *const Node,
+        })
     });
-}
-
-/// Retire one published node — not the chain below it — through the
-/// guard's collector: a delta that was CASed back out of its slot, leaving
-/// the node under it live again (a rolled-back merge freeze). A reader
-/// pinned before the unlink may still be walking it, so it cannot be freed
-/// at once, and its `next` must not be freed with it.
-///
-/// # Safety
-/// `node` must have been atomically unlinked from the mapping table (no
-/// new references can form) and must not be retired twice.
-pub(crate) unsafe fn retire_node(guard: &Guard, node: *mut Node) {
-    #[cfg(feature = "check")]
-    dcs_check::shadow::on_retire(node as *const Node);
-    let addr = node as usize;
-    guard.defer(move || {
-        #[cfg(feature = "check")]
-        dcs_check::shadow::on_free(addr as *const Node);
-        // SAFETY: unlinked and the grace period has elapsed. Dropping the
-        // box frees this node only: `next` is a raw pointer.
-        drop(unsafe { Box::from_raw(addr as *mut Node) });
-    });
-}
-
-/// Free a chain immediately. Only for never-published chains (e.g. a failed
-/// split's orphan page) and for teardown in `Drop` when no readers exist.
-pub(crate) unsafe fn free_chain_now(head: *mut Node) {
-    let mut cur = head;
-    while !cur.is_null() {
-        #[cfg(feature = "check")]
-        dcs_check::shadow::on_free(cur as *const Node);
-        // SAFETY: caller guarantees exclusivity.
-        let boxed = unsafe { Box::from_raw(cur) };
-        cur = boxed
-            .next()
-            .map(|p| p as *mut Node)
-            .unwrap_or(std::ptr::null_mut());
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn leaf_base(entries: Vec<(&str, &str)>) -> *mut Node {
-        Node::LeafBase(LeafBase::new(
+    fn leaf_base(entries: Vec<(&str, &str)>) -> Fresh {
+        Fresh::new(Node::LeafBase(LeafBase::new(
             entries
                 .into_iter()
                 .map(|(k, v)| (Bytes::from(k.to_owned()), Bytes::from(v.to_owned())))
@@ -481,8 +676,15 @@ mod tests {
             None,
             None,
             None,
-        ))
-        .into_raw()
+        )))
+    }
+
+    fn put(key: &'static str, value: &'static str) -> Node {
+        Node::Put {
+            key: Bytes::from(key),
+            value: Bytes::from(value),
+            next: Link::UNSET,
+        }
     }
 
     /// Every node is charged `size_of::<Node>()`; a variant that outgrew
@@ -494,81 +696,55 @@ mod tests {
 
     #[test]
     fn chain_iteration_reaches_base() {
-        let base = leaf_base(vec![("a", "1")]);
-        let d1 = Node::Put {
-            key: Bytes::from("b"),
-            value: Bytes::from("2"),
-            next: base,
-        }
-        .into_raw();
-        let d2 = Node::Del {
-            key: Bytes::from("a"),
-            next: d1,
-        }
-        .into_raw();
-
-        // SAFETY: `d2` heads a chain this test just built and owns.
-        let nodes: Vec<_> = unsafe { chain_iter(d2) }.collect();
+        let chain = leaf_base(vec![("a", "1")])
+            .push(put("b", "2"))
+            .push(Node::Del {
+                key: Bytes::from("a"),
+                next: Link::UNSET,
+            });
+        let nodes: Vec<_> = chain_iter(chain.chain()).collect();
         assert_eq!(nodes.len(), 3);
         assert!(matches!(nodes[0], Node::Del { .. }));
         assert!(matches!(nodes[1], Node::Put { .. }));
         assert!(matches!(nodes[2], Node::LeafBase(_)));
-
-        // SAFETY: never published; this test is the only owner.
-        unsafe { free_chain_now(d2) };
     }
 
     #[test]
     fn chain_shape_counts_deltas() {
-        let base = leaf_base(vec![("a", "1"), ("b", "2")]);
-        let d1 = Node::Put {
-            key: Bytes::from("c"),
-            value: Bytes::from("3"),
-            next: base,
-        }
-        .into_raw();
-        // SAFETY: `d1` heads a chain this test just built and owns.
-        let shape = unsafe { chain_shape(d1) };
+        let chain = leaf_base(vec![("a", "1"), ("b", "2")]).push(put("c", "3"));
+        let shape = chain_shape(chain.chain());
         assert_eq!(shape.deltas, 1);
         assert!(!shape.flash_base());
         let n = std::mem::size_of::<Node>();
         assert_eq!(shape.bytes, (n + 2) + (n + 4 + 2 * 8));
-        // SAFETY: never published; this test is the only owner.
-        unsafe { free_chain_now(d1) };
     }
 
     #[test]
     fn flash_base_detected() {
-        let fb = Node::FlashBase {
+        let fb = Fresh::new(Node::FlashBase {
             token: 9,
             high_key: None,
             right: None,
-        }
-        .into_raw();
-        // SAFETY: `fb` is a single-node chain this test just built and owns.
-        let shape = unsafe { chain_shape(fb) };
+        });
+        let shape = chain_shape(fb.chain());
         assert!(shape.flash_base());
         assert_eq!(shape.deltas, 0);
-        // SAFETY: never published; this test is the only owner.
-        unsafe { free_chain_now(fb) };
     }
 
     #[test]
     fn retire_chain_frees_through_ebr() {
         let collector = dcs_ebr::Collector::new();
         let handle = collector.register();
-        let base = leaf_base(vec![("x", "y")]);
-        let d = Node::Put {
-            key: Bytes::from("k"),
-            value: Bytes::from("v"),
-            next: base,
-        }
-        .into_raw();
+        let table = crate::mapping::MappingTable::new(2);
+        let pid = table.allocate();
+        table.store_new(pid, leaf_base(vec![("x", "y")]).push(put("k", "v")), 0);
         {
             let guard = handle.pin();
-            // SAFETY: `d` was never published; retiring under the guard is
-            // trivially exclusive.
-            unsafe { retire_chain(&guard, d) };
+            let old = table.load(pid, &guard).unwrap();
+            let Ok((_, unlinked)) = table.cas(pid, old, leaf_base(vec![])) else {
+                panic!("no other thread races this CAS");
+            };
+            retire(&guard, unlinked);
         }
         for _ in 0..64 {
             handle.pin().flush();

@@ -34,7 +34,8 @@
 //!
 //! Memory reclamation uses epoch-based reclamation from `dcs-ebr`: every
 //! replaced chain is retired and freed only after all concurrent readers
-//! have unpinned.
+//! have unpinned. The rule is carried by types in the two modules that
+//! may use `unsafe` (the rest of the crate denies it).
 //!
 //! # Example
 //!
@@ -49,10 +50,22 @@
 //! assert_eq!(tree.get(b"k1"), None);
 //! ```
 
+#![deny(unsafe_code)]
+
 mod audit;
 mod config;
+// The reclamation rule lives in these two modules, and only here may code
+// be `unsafe`: a chain is read only through a `Chain<'g>` loaded under an
+// epoch guard; a node never published is an owned value, freed by
+// dropping it; a node ever published is freed only by `retire`, which
+// takes the mapping table's proof that an unlink removed it.
+#[allow(unsafe_code)]
 mod delta;
 mod iter;
+// The other half of the rule: only the table's unlinks (a won CAS, or
+// emptying a fresh PID) may claim that published nodes are unreachable,
+// and a chain is handed out only under the guard it was loaded with.
+#[allow(unsafe_code)]
 mod mapping;
 mod page;
 mod stats;

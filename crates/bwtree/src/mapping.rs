@@ -6,8 +6,10 @@
 //! relocated to flash and back — with one CAS on its slot, without touching
 //! any other page.
 
-use crate::delta::Node;
+use crate::delta::{Chain, Delta, Fresh, Node, Unlinked};
 use crate::sync::{AtomicPtr, AtomicU64, Mutex, Ordering};
+use dcs_ebr::Guard;
+use std::ptr::NonNull;
 
 /// Logical page identifier: an index into the mapping table.
 pub type PageId = u64;
@@ -66,16 +68,26 @@ impl MappingTable {
         pid
     }
 
-    /// Return a PID to the free pool. The caller must have detached and
-    /// retired its chain (or never published one).
+    /// Return a PID to the free pool. A chain still published there is
+    /// leaked, not freed: the tree unlinks and retires its own pages.
     pub fn free(&self, pid: PageId) {
-        self.slots[pid as usize]
-            .head
-            .store(std::ptr::null_mut(), Ordering::SeqCst);
-        self.free_list.lock().unwrap().push(pid);
+        let _leaked = self.unpublish(pid);
     }
 
-    pub(crate) fn load(&self, pid: PageId) -> *mut Node {
+    /// Empty `pid`'s slot and return the PID to the free pool, with proof
+    /// of the chain that sat there. For a fresh page that no link in the
+    /// tree ever named, this is its unlink.
+    pub(crate) fn unpublish(&self, pid: PageId) -> Option<Unlinked> {
+        let head = self.slots[pid as usize]
+            .head
+            .swap(std::ptr::null_mut(), Ordering::SeqCst);
+        self.free_list.lock().unwrap().push(pid);
+        // SAFETY: the swap took the whole chain out of its one slot.
+        (!head.is_null()).then(|| unsafe { Unlinked::new(head, std::ptr::null()) })
+    }
+
+    /// The head published at `pid`, or null.
+    fn head(&self, pid: PageId) -> *mut Node {
         let head = self.slots[pid as usize].head.load(Ordering::SeqCst);
         // A reader may be preempted between loading a head and walking the
         // chain it names: the window the epoch guard exists for. Yield there
@@ -90,20 +102,81 @@ impl MappingTable {
         head
     }
 
+    /// The chain published at `pid`, readable while `_guard` is pinned.
+    pub(crate) fn load<'g>(&self, pid: PageId, _guard: &'g Guard) -> Option<Chain<'g>> {
+        // SAFETY: a published chain is freed only by a retire after its
+        // unlink, which waits out `_guard`, pinned before this load.
+        NonNull::new(self.head(pid)).map(|head| unsafe { Chain::from_raw(head) })
+    }
+
     /// Install `new` if the slot still holds `expected`.
-    pub(crate) fn cas(&self, pid: PageId, expected: *mut Node, new: *mut Node) -> bool {
+    fn swing(&self, pid: PageId, expected: *mut Node, new: *mut Node) -> bool {
         self.slots[pid as usize]
             .head
             .compare_exchange(expected, new, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
     }
 
-    /// Unconditionally publish a chain at an unpublished PID (fresh
-    /// allocations only: no concurrent reader can hold the PID yet),
-    /// stamped as accessed at `vtime`. A new page is as young as the write
-    /// that made it, not as old as its slot's previous occupant.
-    pub(crate) fn store_new(&self, pid: PageId, head: *mut Node, vtime: u64) {
+    /// Publish `delta` over the chain it was built on, if that is still
+    /// `pid`'s head. Nothing is unlinked; a lost CAS hands the delta back.
+    pub(crate) fn prepend<'g>(
+        &self,
+        pid: PageId,
+        delta: Delta<'g>,
+    ) -> Result<Chain<'g>, Delta<'g>> {
+        if self.swing(pid, delta.onto().as_ptr(), delta.as_ptr()) {
+            Ok(delta.publish())
+        } else {
+            Err(delta)
+        }
+    }
+
+    /// Replace the chain `old` at `pid` by `new`, with proof that `old` is
+    /// unlinked; a lost CAS hands `new` back.
+    pub(crate) fn cas<'g>(
+        &self,
+        pid: PageId,
+        old: Chain<'g>,
+        new: Fresh,
+    ) -> Result<(Chain<'g>, Unlinked), Fresh> {
+        if !self.swing(pid, old.as_ptr(), new.as_ptr()) {
+            return Err(new);
+        }
+        // SAFETY: the CAS took `old` out of its slot, and the fresh chain
+        // in its place shares none of its nodes.
+        let unlinked = unsafe { Unlinked::new(old.as_ptr(), std::ptr::null()) };
+        Ok((new.publish(), unlinked))
+    }
+
+    /// Take the delta `head` back off `pid`, republishing the chain under
+    /// it, with proof that the delta alone is unlinked.
+    pub(crate) fn pop(&self, pid: PageId, head: Chain<'_>) -> Option<Unlinked> {
+        let below = head.below()?;
+        if !self.swing(pid, head.as_ptr(), below.as_ptr()) {
+            return None;
+        }
+        // SAFETY: the CAS took `head` out of its slot; `below`, the rest
+        // of its chain, is published there again.
+        Some(unsafe { Unlinked::new(head.as_ptr(), below.as_ptr()) })
+    }
+
+    /// Empty `pid`'s slot if it still holds `old`, with proof that `old`
+    /// is unlinked. The PID is not recycled.
+    pub(crate) fn clear(&self, pid: PageId, old: Chain<'_>) -> Option<Unlinked> {
+        if !self.swing(pid, old.as_ptr(), std::ptr::null_mut()) {
+            return None;
+        }
+        // SAFETY: the CAS took the whole chain `old` out of its slot.
+        Some(unsafe { Unlinked::new(old.as_ptr(), std::ptr::null()) })
+    }
+
+    /// Publish a fresh chain at an unpublished PID (fresh allocations
+    /// only: no concurrent reader can hold the PID yet), stamped as
+    /// accessed at `vtime`. A new page is as young as the write that made
+    /// it, not as old as its slot's previous occupant.
+    pub(crate) fn store_new(&self, pid: PageId, head: Fresh, vtime: u64) {
         self.touch(pid, vtime);
+        let head = head.publish().as_ptr();
         self.slots[pid as usize].head.store(head, Ordering::SeqCst);
     }
 
@@ -149,7 +222,7 @@ impl MappingTable {
 
     /// Whether `pid` currently has a published chain.
     pub fn is_allocated(&self, pid: PageId) -> bool {
-        (pid as usize) < self.slots.len() && !self.load(pid).is_null()
+        (pid as usize) < self.slots.len() && !self.head(pid).is_null()
     }
 
     /// Table capacity.
@@ -169,7 +242,8 @@ impl Drop for MappingTable {
         for slot in self.slots.iter() {
             let head = slot.head.load(Ordering::SeqCst);
             if !head.is_null() {
-                // SAFETY: `&mut self` proves no concurrent readers.
+                // SAFETY: `&mut self` proves no reader is left, and the
+                // table holds the only link to every chain still in it.
                 unsafe { crate::delta::free_chain_now(head) };
             }
         }
@@ -188,10 +262,10 @@ impl std::fmt::Debug for MappingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::{LeafBase, Node};
+    use crate::delta::{retire, LeafBase, Link, Node};
 
-    fn empty_leaf() -> *mut Node {
-        Node::LeafBase(LeafBase::new(vec![], None, None, None)).into_raw()
+    fn empty_leaf() -> Fresh {
+        Fresh::new(Node::LeafBase(LeafBase::new(vec![], None, None, None)))
     }
 
     #[test]
@@ -209,18 +283,38 @@ mod tests {
     fn cas_succeeds_only_on_expected() {
         let t = MappingTable::new(4);
         let pid = t.allocate();
-        let a = empty_leaf();
-        let b = empty_leaf();
-        t.store_new(pid, a, 0);
-        assert!(!t.cas(pid, b, a));
-        assert!(t.cas(pid, a, b));
-        assert_eq!(t.load(pid), b);
-        // SAFETY: `a` lost the CAS race above, so it was never published
-        // in the table; this test thread is its only owner.
-        unsafe {
-            crate::delta::free_chain_now(a);
-        }
-        // b freed by table drop
+        t.store_new(pid, empty_leaf(), 0);
+        let guard = dcs_ebr::pin();
+        let a = t.load(pid, &guard).unwrap();
+        // A chain that is not the slot's head loses, and gets `b` back.
+        let stranger = empty_leaf();
+        let b = t.cas(pid, stranger.chain(), empty_leaf()).err().unwrap();
+        let b_ptr = b.as_ptr();
+        let (published, unlinked) = t.cas(pid, a, b).ok().unwrap();
+        assert_eq!(published.as_ptr(), b_ptr);
+        assert_eq!(t.load(pid, &guard).unwrap().as_ptr(), b_ptr);
+        retire(&guard, unlinked);
+        // `stranger` drops here; `b` is freed by the table's drop.
+    }
+
+    #[test]
+    fn pop_unlinks_the_head_delta_alone() {
+        let t = MappingTable::new(4);
+        let pid = t.allocate();
+        t.store_new(pid, empty_leaf(), 0);
+        let guard = dcs_ebr::pin();
+        let base = t.load(pid, &guard).unwrap();
+        assert!(t.pop(pid, base).is_none(), "a base has nothing under it");
+        let freeze = Node::RemoveNode {
+            left: 0,
+            next: Link::UNSET,
+        };
+        let frozen = t.prepend(pid, Delta::new(freeze, base)).ok().unwrap();
+        retire(&guard, t.pop(pid, frozen).unwrap());
+        assert_eq!(t.load(pid, &guard).unwrap().as_ptr(), base.as_ptr());
+        // Emptying the PID unlinks the base too.
+        retire(&guard, t.unpublish(pid).unwrap());
+        assert!(t.load(pid, &guard).is_none());
     }
 
     #[test]

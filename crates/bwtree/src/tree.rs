@@ -3,8 +3,8 @@
 
 use crate::config::BwTreeConfig;
 use crate::delta::{
-    chain_iter, chain_shape, free_chain_now, retire_chain, retire_node, ChainShape, InnerBase,
-    LeafBase, Node,
+    chain_iter, chain_shape, retire, Chain, ChainShape, Delta, Fresh, InnerBase, LeafBase, Link,
+    Node,
 };
 use crate::mapping::{MappingTable, PageId};
 use crate::page::{DeltaOp, PageImage};
@@ -181,7 +181,7 @@ impl BwTree {
         let root = mapping.allocate();
         mapping.store_new(
             root,
-            Node::LeafBase(LeafBase::new(Vec::new(), None, None, None)).into_raw(),
+            Fresh::new(Node::LeafBase(LeafBase::new(Vec::new(), None, None, None))),
             0,
         );
         BwTree {
@@ -271,12 +271,11 @@ impl BwTree {
         for page in &chain {
             mapping.store_new(
                 page.pid,
-                Node::FlashBase {
+                Fresh::new(Node::FlashBase {
                     token: page.token,
                     high_key: page.high_key.clone(),
                     right: page.right,
-                }
-                .into_raw(),
+                }),
                 0,
             );
             max_pid = max_pid.max(page.pid);
@@ -301,13 +300,12 @@ impl BwTree {
                 let right = pids.get(ci + 1).copied();
                 mapping.store_new(
                     pids[ci],
-                    Node::InnerBase(InnerBase::new(
+                    Fresh::new(Node::InnerBase(InnerBase::new(
                         first_child,
                         entries,
                         high_key.clone(),
                         right,
-                    ))
-                    .into_raw(),
+                    ))),
                     0,
                 );
                 next.push((high_key, pids[ci]));
@@ -369,17 +367,12 @@ impl BwTree {
     /// post and its fold applies its deltas over the base. The chain is
     /// walked twice — split fences first, then index decisions — so split
     /// fences apply to deltas regardless of their position.
-    ///
-    /// # Safety
-    /// `head` must be a live inner chain protected by `_guard`.
-    unsafe fn route_inner(&self, head: *const Node, key: &[u8], _guard: &Guard) -> Route {
+    fn route_inner(&self, head: Chain<'_>, key: &[u8]) -> Route {
         // Tightest split fence seen anywhere in the chain; the walk ends on
         // the base.
         let mut bound: Option<&Bytes> = None;
         let mut base = None;
-        // SAFETY: forwarding this function's own contract — `head` is a live
-        // chain protected by the caller's guard.
-        for node in unsafe { chain_iter(head) } {
+        for node in chain_iter(head) {
             if let Node::InnerSplit { sep, right, .. } = node {
                 if key >= sep.as_ref() {
                     return Route::Sibling(*right);
@@ -396,8 +389,7 @@ impl BwTree {
         // Per-separator decisions, newest-first: an insert or delete for a
         // separator shadows everything older for that separator.
         let mut decisions: Vec<(&Bytes, Option<PageId>)> = Vec::new();
-        // SAFETY: as above.
-        for node in unsafe { chain_iter(head) } {
+        for node in chain_iter(head) {
             let (sep, decision) = match node {
                 Node::IndexInsert { sep, child, .. } => (sep, Some(*child)),
                 Node::IndexDelete { sep, .. } => (sep, None),
@@ -463,44 +455,26 @@ impl BwTree {
         Route::Child(chosen)
     }
 
-    /// Whether `head` is an inner-page chain (checked at the chain head —
-    /// every node kind identifies its level, except markers, which only
-    /// appear on leaves).
-    ///
-    /// # Safety
-    /// `head` must be live under a guard.
-    unsafe fn head_is_inner(&self, head: *const Node) -> bool {
-        // SAFETY: forwarding this function's own contract — `head` is live
-        // under the caller's guard.
-        unsafe { (*head).is_inner() }
-    }
-
     /// Descend to the leaf owning `key`.
-    ///
-    /// # Safety: caller holds `guard`.
     fn find_leaf(&self, key: &[u8], guard: &Guard) -> PageId {
         let mut pid = self.root_pid();
         let mut hops = 0usize;
         loop {
             hops += 1;
             assert!(hops < 1_000_000, "descent livelock: tree invariant broken");
-            let head = self.mapping.load(pid);
-            if head.is_null() {
+            let Some(head) = self.mapping.load(pid, guard) else {
                 pid = self.root_pid();
                 continue;
-            }
-            // SAFETY: guard pinned before load.
-            unsafe {
-                if self.head_is_inner(head) {
-                    match self.route_inner(head, key, guard) {
-                        Route::Child(c) => pid = c,
-                        Route::Sibling(s) => pid = s,
-                    }
-                } else {
-                    match leaf_route(head, key) {
-                        Some(r) => pid = r,
-                        None => return pid,
-                    }
+            };
+            if head.is_inner() {
+                match self.route_inner(head, key) {
+                    Route::Child(c) => pid = c,
+                    Route::Sibling(s) => pid = s,
+                }
+            } else {
+                match leaf_route(head, key) {
+                    Some(r) => pid = r,
+                    None => return pid,
                 }
             }
         }
@@ -581,14 +555,11 @@ impl BwTree {
         }
         self.mapping.touch(pid, vt);
         loop {
-            let head = self.mapping.load(pid);
-            if head.is_null() {
+            let Some(head) = self.mapping.load(pid, &guard) else {
                 pid = self.find_leaf(key, &guard);
                 continue;
-            }
-            // SAFETY: guard held since before the load.
-            let result = unsafe { search_leaf(head, key) };
-            match result {
+            };
+            match search_leaf(head, key) {
                 LeafSearch::Found {
                     value,
                     from_delta_over_flash,
@@ -635,64 +606,43 @@ impl BwTree {
     fn install_image(&self, pid: PageId, token: u64, img: PageImage) -> bool {
         bump!(self.stats, fetches);
         let guard = dcs_ebr::pin();
-        let head = self.mapping.load(pid);
-        if head.is_null() {
+        let Some(head) = self.mapping.load(pid, &guard) else {
             return false;
-        }
+        };
         // The image is only installable while the chain's durable state is
         // still exactly `token`.
-        // SAFETY: guard held since before the load.
-        let info = unsafe { analyze_leaf_chain(head) };
+        let info = analyze_leaf_chain(head);
         if !matches!(info, LeafChainInfo::FlashBase { durable_token, .. } if durable_token == token)
         {
             return false;
         }
-        let mut new_head = Node::LeafBase(LeafBase::new(
+        let mut new_head = Fresh::new(Node::LeafBase(LeafBase::new(
             img.entries,
             img.high_key,
             img.right,
             Some(token),
-        ))
-        .into_raw();
+        )));
         // Re-hang the unflushed deltas (those above the topmost marker);
         // everything at or below the marker is contained in the image.
-        // SAFETY: guard held.
-        let unflushed = unsafe { collect_nodes_above_marker(head) };
-        for node in unflushed.into_iter().rev() {
-            new_head = clone_delta(node, new_head);
+        for node in collect_nodes_above_marker(head).into_iter().rev() {
+            new_head = new_head.push(clone_delta(node));
         }
-        // SAFETY: `head` was loaded under `guard`; `new_head` is the
-        // unpublished chain built above.
-        unsafe { self.replace_chain(pid, head, new_head, &guard) }
+        self.replace_chain(pid, head, new_head, &guard).is_some()
     }
 
     /// Swing `pid` from the chain `old` to the chain `new` by CAS: on a win
-    /// `old` is retired through `guard`, on a loss `new` is freed. Returns
-    /// whether the CAS won.
-    ///
-    /// # Safety
-    /// `old` must have been loaded from `pid`'s slot while `guard` was
-    /// pinned, and `new` must be a chain the caller built and has not
-    /// published, sharing no node with `old`.
-    unsafe fn replace_chain(
+    /// `old` is retired through `guard` and the published `new` returned;
+    /// on a loss `new` is dropped.
+    fn replace_chain<'g>(
         &self,
         pid: PageId,
-        old: *mut Node,
-        new: *mut Node,
-        guard: &Guard,
-    ) -> bool {
-        if self.mapping.cas(pid, old, new) {
-            // SAFETY: the CAS unlinked `old` atomically, so no new reader
-            // can reach it; readers that loaded it earlier are pinned, and
-            // retiring through `guard` defers the free past their epoch.
-            unsafe { retire_chain(guard, old) };
-            true
-        } else {
-            // SAFETY: `new` never reached the mapping table; this thread
-            // holds the only pointer to it.
-            unsafe { free_chain_now(new) };
-            false
-        }
+        old: Chain<'g>,
+        new: Fresh,
+        guard: &'g Guard,
+    ) -> Option<Chain<'g>> {
+        let (new, unlinked) = self.mapping.cas(pid, old, new).ok()?;
+        retire(guard, unlinked);
+        Some(new)
     }
 
     // ------------------------------------------------------------------
@@ -725,14 +675,12 @@ impl BwTree {
         let mut pid = self.find_leaf(&key, &guard);
         loop {
             self.mapping.touch(pid, vt);
-            let head = self.mapping.load(pid);
-            if head.is_null() {
+            let Some(head) = self.mapping.load(pid, &guard) else {
                 pid = self.find_leaf(&key, &guard);
                 continue;
-            }
+            };
             // Re-check fencing at this leaf (it may have split since descent).
-            // SAFETY: guard held.
-            if let Some(r) = unsafe { leaf_route(head, &key) } {
+            if let Some(r) = leaf_route(head, &key) {
                 pid = r;
                 continue;
             }
@@ -740,21 +688,18 @@ impl BwTree {
                 Some(v) => Node::Put {
                     key: key.clone(),
                     value: v.clone(),
-                    next: head,
+                    next: Link::UNSET,
                 },
                 None => Node::Del {
                     key: key.clone(),
-                    next: head,
+                    next: Link::UNSET,
                 },
             };
-            let ptr = node.into_raw();
-            if self.mapping.cas(pid, head, ptr) {
+            if self.mapping.prepend(pid, Delta::new(node, head)).is_ok() {
                 self.stats.mm_op();
                 self.maybe_consolidate_leaf(pid, &guard);
                 return;
             }
-            // SAFETY: never published; `next` is raw so the drop is shallow.
-            unsafe { drop(Box::from_raw(ptr)) };
         }
     }
 
@@ -763,12 +708,10 @@ impl BwTree {
     // ------------------------------------------------------------------
 
     fn maybe_consolidate_leaf(&self, pid: PageId, guard: &Guard) {
-        let head = self.mapping.load(pid);
-        if head.is_null() {
+        let Some(head) = self.mapping.load(pid, guard) else {
             return;
-        }
-        // SAFETY: guard held.
-        let shape = unsafe { chain_shape(head) };
+        };
+        let shape = chain_shape(head);
         if shape.flash_base() {
             // Blind updates have been accumulating above an evicted base.
             // Past the healing threshold, fault the base in so the chain
@@ -789,12 +732,10 @@ impl BwTree {
     /// Best-effort: store failures leave the chain as-is (still correct,
     /// just long).
     fn heal_partial_page(&self, pid: PageId, guard: &Guard) {
-        let head = self.mapping.load(pid);
-        if head.is_null() {
+        let Some(head) = self.mapping.load(pid, guard) else {
             return;
-        }
-        // SAFETY: guard held.
-        let token = match unsafe { analyze_leaf_chain(head) } {
+        };
+        let token = match analyze_leaf_chain(head) {
             LeafChainInfo::FlashBase { durable_token, .. } => durable_token,
             LeafChainInfo::MemBase { .. } => {
                 self.consolidate_leaf(pid, guard);
@@ -809,12 +750,10 @@ impl BwTree {
     }
 
     fn consolidate_leaf(&self, pid: PageId, guard: &Guard) {
-        let head = self.mapping.load(pid);
-        if head.is_null() {
+        let Some(head) = self.mapping.load(pid, guard) else {
             return;
-        }
-        // SAFETY: guard held.
-        let Some(merged) = (unsafe { merge_leaf_chain(head) }) else {
+        };
+        let Some(merged) = merge_leaf_chain(head) else {
             return;
         };
         if merged.deltas == 0 {
@@ -824,15 +763,13 @@ impl BwTree {
             "bwtree.consolidate_leaf",
             dcs_telemetry::CostClass::Maintenance,
         );
-        let new_base = Node::LeafBase(LeafBase::new(
+        let new_base = Fresh::new(Node::LeafBase(LeafBase::new(
             merged.entries,
             merged.high_key,
             merged.right,
             None,
-        ))
-        .into_raw();
-        // SAFETY: `head` was loaded under `guard`; `new_base` is unpublished.
-        if unsafe { self.replace_chain(pid, head, new_base, guard) } {
+        )));
+        if let Some(new_base) = self.replace_chain(pid, head, new_base, guard) {
             bump!(self.stats, consolidations);
             self.stats.maintenance();
             self.maybe_split_leaf(pid, new_base, guard);
@@ -844,13 +781,9 @@ impl BwTree {
     // Structure modifications
     // ------------------------------------------------------------------
 
-    fn maybe_split_leaf(&self, pid: PageId, base_ptr: *mut Node, guard: &Guard) {
-        // SAFETY: base_ptr is the chain we just installed; guard held.
-        let base = unsafe {
-            match &*base_ptr {
-                Node::LeafBase(b) => b,
-                _ => return,
-            }
+    fn maybe_split_leaf(&self, pid: PageId, chain: Chain<'_>, guard: &Guard) {
+        let Node::LeafBase(base) = chain.head() else {
+            return;
         };
         if base.payload_bytes() <= self.config.max_leaf_bytes || base.entries.len() < 2 {
             return;
@@ -869,25 +802,21 @@ impl BwTree {
         idx = idx.clamp(1, base.entries.len() - 1);
         let sep = base.entries[idx].0.clone();
         let qid = self.mapping.allocate();
-        let right_base = Node::LeafBase(LeafBase::new(
+        let right_base = Fresh::new(Node::LeafBase(LeafBase::new(
             base.entries[idx..].to_vec(),
             base.high_key.clone(),
             base.right,
             None,
-        ))
-        .into_raw();
+        )));
         self.mapping.store_new(qid, right_base, self.vtime());
         let split = Node::LeafSplit {
             sep: sep.clone(),
             right: qid,
-            next: base_ptr,
-        }
-        .into_raw();
-        if !self.mapping.cas(pid, base_ptr, split) {
+            next: Link::UNSET,
+        };
+        if self.mapping.prepend(pid, Delta::new(split, chain)).is_err() {
             // Lost a race; take the right page back.
-            self.unpublish_new(qid, right_base, guard);
-            // SAFETY: never published; `next` is raw so the drop is shallow.
-            unsafe { drop(Box::from_raw(split)) };
+            self.unpublish_new(qid, guard);
             return;
         }
         bump!(self.stats, leaf_splits);
@@ -907,16 +836,12 @@ impl BwTree {
     /// the sibling's folded records and fences; (3) post an index-term
     /// delete at the parent. Any failure before step 2 rolls the freeze
     /// back; accessors reaching the frozen page redirect left.
-    fn maybe_merge_leaf(&self, pid: PageId, base_ptr: *mut Node, guard: &Guard) {
+    fn maybe_merge_leaf(&self, pid: PageId, chain: Chain<'_>, guard: &Guard) {
         if self.config.min_leaf_bytes == 0 {
             return;
         }
-        // SAFETY: base_ptr is the chain we just installed; guard held.
-        let base = unsafe {
-            match &*base_ptr {
-                Node::LeafBase(b) => b,
-                _ => return,
-            }
+        let Node::LeafBase(base) = chain.head() else {
+            return;
         };
         if base.payload_bytes() >= self.config.min_leaf_bytes {
             return;
@@ -929,77 +854,69 @@ impl BwTree {
         };
 
         // Step 1: freeze the right sibling.
-        let r_head = self.mapping.load(right_pid);
-        if r_head.is_null() {
+        let Some(r_head) = self.mapping.load(right_pid, guard) else {
             return;
-        }
-        // SAFETY: guard held.
-        unsafe {
-            // A page frozen by a concurrent merge of the same pair stays
-            // that merge's to absorb or roll back: stacking a second freeze
-            // on it would make the first merge's unlink CAS fail.
-            if (*r_head).is_inner() || matches!(*r_head, Node::RemoveNode { .. }) {
-                return;
-            }
+        };
+        // A page frozen by a concurrent merge of the same pair stays that
+        // merge's to absorb or roll back: stacking a second freeze on it
+        // would make the first merge's unlink CAS fail.
+        if r_head.is_inner() || matches!(r_head.head(), Node::RemoveNode { .. }) {
+            return;
         }
         let remove = Node::RemoveNode {
             left: pid,
-            next: r_head,
-        }
-        .into_raw();
-        if !self.mapping.cas(right_pid, r_head, remove) {
-            // SAFETY: never published; shallow drop.
-            unsafe { drop(Box::from_raw(remove)) };
+            next: Link::UNSET,
+        };
+        let Ok(frozen) = self.mapping.prepend(right_pid, Delta::new(remove, r_head)) else {
             return;
-        }
+        };
 
         // Merges must not cross parent boundaries: the dead page needs an
         // explicit routing entry `(sep → right_pid)` to delete in step 3.
         // A page reachable only as its parent's first child (sep is that
         // parent's low fence) cannot be merged from the left.
         if !self.parent_has_exact_entry(right_pid, pid, &sep, guard) {
-            self.unfreeze(right_pid, remove, r_head, guard);
+            self.unfreeze(right_pid, frozen, guard);
             return;
         }
 
         // Step 2: fold the frozen sibling and absorb it. The fold fails on
         // flash-resident or already-merging chains: roll the freeze back.
-        // SAFETY: the chain below the freeze is immutable now.
-        let folded = unsafe { merge_leaf_chain(r_head) };
-        let Some(folded) = folded else {
-            self.unfreeze(right_pid, remove, r_head, guard);
+        // The chain below the freeze is immutable now.
+        let Some(folded) = merge_leaf_chain(r_head) else {
+            self.unfreeze(right_pid, frozen, guard);
             return;
         };
         let mut attempts = 0;
         loop {
             attempts += 1;
-            let l_head = self.mapping.load(pid);
-            // Abort if we ourselves are being frozen, or if our base was
-            // concurrently evicted: an absorb delta may only sit on a
-            // memory-resident chain (flush and swap-in paths fold it via
-            // consolidation, which needs the base).
-            // SAFETY: guard held.
-            let l_unmergeable = unsafe {
-                chain_iter(l_head)
-                    .any(|n| matches!(n, Node::RemoveNode { .. } | Node::FlashBase { .. }))
-            };
-            if l_unmergeable || attempts > 8 {
-                self.unfreeze(right_pid, remove, r_head, guard);
+            // Abort if our page vanished or is being frozen itself, or if
+            // our base was concurrently evicted: an absorb delta may only
+            // sit on a memory-resident chain (flush and swap-in paths fold
+            // it via consolidation, which needs the base).
+            let l_head = self.mapping.load(pid, guard).filter(|l| {
+                let unmergeable = chain_iter(*l)
+                    .any(|n| matches!(n, Node::RemoveNode { .. } | Node::FlashBase { .. }));
+                !unmergeable && attempts <= 8
+            });
+            let Some(l_head) = l_head else {
+                self.unfreeze(right_pid, frozen, guard);
                 return;
-            }
+            };
             let absorb = Node::Absorb {
                 sep: sep.clone(),
                 entries: folded.entries.clone(),
                 high_key: folded.high_key.clone(),
                 right: folded.right,
-                next: l_head,
-            }
-            .into_raw();
-            if self.mapping.cas(pid, l_head, absorb) {
+                next: Link::UNSET,
+            };
+            if self
+                .mapping
+                .prepend(pid, Delta::new(absorb, l_head))
+                .is_ok()
+            {
                 break;
             }
-            // SAFETY: never published; shallow drop.
-            unsafe { drop(Box::from_raw(absorb)) };
         }
         bump!(self.stats, leaf_merges);
         self.stats.maintenance();
@@ -1015,33 +932,33 @@ impl BwTree {
         // it becomes crash-atomic with the absorbing page's next flush at
         // the following checkpoint barrier.
         let _ = self.store.retire_page(right_pid);
-        let ok = self.mapping.cas(right_pid, remove, std::ptr::null_mut());
-        debug_assert!(ok, "nobody else may replace a frozen chain");
-        // SAFETY: unlinked by the CAS above.
-        unsafe { retire_chain(guard, remove) };
+        let unlinked = self.mapping.clear(right_pid, frozen);
+        debug_assert!(unlinked.is_some(), "nobody else may replace a frozen chain");
+        if let Some(unlinked) = unlinked {
+            retire(guard, unlinked);
+        }
     }
 
-    /// Roll a merge freeze back: swing `pid` from the published `remove`
-    /// delta back to `r_head`, which is live again, and retire `remove`
-    /// alone. A reader that loaded the frozen head may still be walking
-    /// it, so it is not freed before the grace period.
-    fn unfreeze(&self, pid: PageId, remove: *mut Node, r_head: *mut Node, guard: &Guard) {
-        let ok = self.mapping.cas(pid, remove, r_head);
-        debug_assert!(ok, "freeze rollback must succeed");
-        // SAFETY: unlinked by the CAS above (only this merge may replace
-        // its own freeze), and retired once, here.
-        unsafe { retire_node(guard, remove) };
+    /// Roll a merge freeze back: pop the published freeze delta `frozen`
+    /// off `pid`, leaving the chain under it live again, and retire the
+    /// delta alone. A reader that loaded the frozen head may still be
+    /// walking it, so it is not freed before the grace period.
+    fn unfreeze(&self, pid: PageId, frozen: Chain<'_>, guard: &Guard) {
+        let unlinked = self.mapping.pop(pid, frozen);
+        debug_assert!(unlinked.is_some(), "freeze rollback must succeed");
+        if let Some(unlinked) = unlinked {
+            retire(guard, unlinked);
+        }
     }
 
     /// Take back a page published at the fresh `pid` that no link in the
     /// tree ever named: its split or root swap lost a race. A walk over
     /// the mapping table (`pages()`) may have loaded it meanwhile, so it is
     /// retired through `guard`, not freed.
-    fn unpublish_new(&self, pid: PageId, head: *mut Node, guard: &Guard) {
-        self.mapping.free(pid);
-        // SAFETY: `free` unlinked `head` from its slot, the only link to
-        // it, and it is retired once, here.
-        unsafe { retire_chain(guard, head) };
+    fn unpublish_new(&self, pid: PageId, guard: &Guard) {
+        if let Some(unlinked) = self.mapping.unpublish(pid) {
+            retire(guard, unlinked);
+        }
     }
 
     /// Whether some inner page holds an explicit routing entry
@@ -1061,31 +978,27 @@ impl BwTree {
             if hops > 100_000 {
                 return false; // give up conservatively
             }
-            let head = self.mapping.load(cur);
-            if head.is_null() {
+            let Some(head) = self.mapping.load(cur, guard) else {
+                return false;
+            };
+            if !head.is_inner() {
                 return false;
             }
-            // SAFETY: guard held.
-            unsafe {
-                if !self.head_is_inner(head) {
-                    return false;
+            match self.route_inner(head, sep.as_ref()) {
+                Route::Sibling(s) => cur = s,
+                Route::Child(c) if c == child => {
+                    // Fold this inner page and look for the exact entry.
+                    let Some(m) = merge_inner_chain(head) else {
+                        return false;
+                    };
+                    return m
+                        .entries
+                        .binary_search_by(|(k, _)| k.cmp(sep))
+                        .map(|i| m.entries[i].1 == child)
+                        .unwrap_or(false);
                 }
-                match self.route_inner(head, sep.as_ref(), guard) {
-                    Route::Sibling(s) => cur = s,
-                    Route::Child(c) if c == child => {
-                        // Fold this inner page and look for the exact entry.
-                        let Some(m) = merge_inner_chain(head) else {
-                            return false;
-                        };
-                        return m
-                            .entries
-                            .binary_search_by(|(k, _)| k.cmp(sep))
-                            .map(|i| m.entries[i].1 == child)
-                            .unwrap_or(false);
-                    }
-                    Route::Child(c) if c == left_pid => return false,
-                    Route::Child(c) => cur = c,
-                }
+                Route::Child(c) if c == left_pid => return false,
+                Route::Child(c) => cur = c,
             }
         }
     }
@@ -1104,35 +1017,28 @@ impl BwTree {
                 if hops > 100_000 {
                     continue 'outer;
                 }
-                let head = self.mapping.load(cur);
-                if head.is_null() {
+                let Some(head) = self.mapping.load(cur, guard) else {
                     continue 'outer;
+                };
+                if !head.is_inner() {
+                    // Entry already gone (or never reachable): done.
+                    return;
                 }
-                // SAFETY: guard held.
-                unsafe {
-                    if !self.head_is_inner(head) {
-                        // Entry already gone (or never reachable): done.
-                        return;
-                    }
-                    match self.route_inner(head, sep.as_ref(), guard) {
-                        Route::Sibling(s) => cur = s,
-                        Route::Child(c) if c == dead_pid => {
-                            let delta = Node::IndexDelete {
-                                sep: sep.clone(),
-                                next: head,
-                            }
-                            .into_raw();
-                            if self.mapping.cas(cur, head, delta) {
-                                self.maybe_consolidate_inner(cur, guard);
-                                return;
-                            }
-                            // SAFETY: never published.
-                            drop(Box::from_raw(delta));
-                            continue 'outer;
+                match self.route_inner(head, sep.as_ref()) {
+                    Route::Sibling(s) => cur = s,
+                    Route::Child(c) if c == dead_pid => {
+                        let delta = Node::IndexDelete {
+                            sep: sep.clone(),
+                            next: Link::UNSET,
+                        };
+                        if self.mapping.prepend(cur, Delta::new(delta, head)).is_ok() {
+                            self.maybe_consolidate_inner(cur, guard);
+                            return;
                         }
-                        Route::Child(c) if c == left_pid => return, // already deleted
-                        Route::Child(c) => cur = c,
+                        continue 'outer;
                     }
+                    Route::Child(c) if c == left_pid => return, // already deleted
+                    Route::Child(c) => cur = c,
                 }
             }
         }
@@ -1149,13 +1055,12 @@ impl BwTree {
                 ParentSearch::AlreadyPosted => return,
                 ParentSearch::SplitPageIsRoot => {
                     let rid = self.mapping.allocate();
-                    let new_root = Node::InnerBase(InnerBase::new(
+                    let new_root = Fresh::new(Node::InnerBase(InnerBase::new(
                         split_pid,
                         vec![(sep.clone(), qid)],
                         None,
                         None,
-                    ))
-                    .into_raw();
+                    )));
                     self.mapping.store_new(rid, new_root, self.vtime());
                     if self
                         .root
@@ -1165,25 +1070,21 @@ impl BwTree {
                         return;
                     }
                     // Someone else grew the tree first; retry via descent.
-                    self.unpublish_new(rid, new_root, guard);
+                    self.unpublish_new(rid, guard);
                 }
                 ParentSearch::Parent(ppid) => {
-                    let head = self.mapping.load(ppid);
-                    if head.is_null() {
+                    let Some(head) = self.mapping.load(ppid, guard) else {
                         continue;
-                    }
+                    };
                     let delta = Node::IndexInsert {
                         sep: sep.clone(),
                         child: qid,
-                        next: head,
-                    }
-                    .into_raw();
-                    if self.mapping.cas(ppid, head, delta) {
+                        next: Link::UNSET,
+                    };
+                    if self.mapping.prepend(ppid, Delta::new(delta, head)).is_ok() {
                         self.maybe_consolidate_inner(ppid, guard);
                         return;
                     }
-                    // SAFETY: never published.
-                    unsafe { drop(Box::from_raw(delta)) };
                 }
             }
         }
@@ -1211,15 +1112,13 @@ impl BwTree {
         if cur == split_pid {
             return ParentSearch::SplitPageIsRoot;
         }
-        let split_head = self.mapping.load(split_pid);
-        if split_head.is_null() {
+        let Some(split_head) = self.mapping.load(split_pid, guard) else {
             // The split page was merged away concurrently; its absorb delta
             // carries the (sep, qid) fence, so readers reach qid through
             // sibling links. Nothing to post.
             return ParentSearch::AlreadyPosted;
-        }
-        // SAFETY: guard held; checked non-null above.
-        let split_is_leaf = unsafe { !self.head_is_inner(split_head) };
+        };
+        let split_is_leaf = !split_head.is_inner();
         // The node we most recently descended from (a parent-level
         // candidate); sibling steps stay on the same level and keep it.
         let mut last_from: Option<PageId> = None;
@@ -1227,12 +1126,11 @@ impl BwTree {
         loop {
             hops += 1;
             assert!(hops < 1_000_000, "find_parent livelock");
-            let head = self.mapping.load(cur);
-            if head.is_null() {
+            let Some(head) = self.mapping.load(cur, guard) else {
                 cur = self.root_pid();
                 last_from = None;
                 continue;
-            }
+            };
             if cur == split_pid || cur == qid {
                 // A sibling walk arrived at the split level itself.
                 if let Some(p) = last_from {
@@ -1244,31 +1142,28 @@ impl BwTree {
                 }
                 continue;
             }
-            // SAFETY: guard held.
-            unsafe {
-                if !self.head_is_inner(head) {
-                    // Landed on a foreign leaf. If the split page is a leaf
-                    // too, the node we came from covers `sep` one level up.
-                    if split_is_leaf {
-                        if let Some(p) = last_from {
-                            return ParentSearch::Parent(p);
-                        }
+            if !head.is_inner() {
+                // Landed on a foreign leaf. If the split page is a leaf too,
+                // the node we came from covers `sep` one level up.
+                if split_is_leaf {
+                    if let Some(p) = last_from {
+                        return ParentSearch::Parent(p);
                     }
-                    cur = self.root_pid();
-                    last_from = None;
-                    if cur == split_pid {
-                        return ParentSearch::SplitPageIsRoot;
-                    }
-                    continue;
                 }
-                match self.route_inner(head, sep.as_ref(), guard) {
-                    Route::Sibling(s) => cur = s,
-                    Route::Child(c) if c == qid => return ParentSearch::AlreadyPosted,
-                    Route::Child(c) if c == split_pid => return ParentSearch::Parent(cur),
-                    Route::Child(c) => {
-                        last_from = Some(cur);
-                        cur = c;
-                    }
+                cur = self.root_pid();
+                last_from = None;
+                if cur == split_pid {
+                    return ParentSearch::SplitPageIsRoot;
+                }
+                continue;
+            }
+            match self.route_inner(head, sep.as_ref()) {
+                Route::Sibling(s) => cur = s,
+                Route::Child(c) if c == qid => return ParentSearch::AlreadyPosted,
+                Route::Child(c) if c == split_pid => return ParentSearch::Parent(cur),
+                Route::Child(c) => {
+                    last_from = Some(cur);
+                    cur = c;
                 }
             }
         }
@@ -1280,40 +1175,31 @@ impl BwTree {
     /// never fold, and every descent would route through it. A fold that
     /// loses its CAS leaves the chain for the page's next SMO.
     fn maybe_consolidate_inner(&self, pid: PageId, guard: &Guard) {
-        let head = self.mapping.load(pid);
-        if head.is_null() {
-            return;
-        }
-        // SAFETY: guard held.
-        if unsafe { chain_shape(head) }.deltas == 0 {
-            return;
-        }
-        // SAFETY: guard held.
-        let Some(merged) = (unsafe { merge_inner_chain(head) }) else {
+        let Some(head) = self.mapping.load(pid, guard) else {
             return;
         };
-        let new_base = Node::InnerBase(InnerBase::new(
+        if chain_shape(head).deltas == 0 {
+            return;
+        }
+        let Some(merged) = merge_inner_chain(head) else {
+            return;
+        };
+        let new_base = Fresh::new(Node::InnerBase(InnerBase::new(
             merged.first_child,
             merged.entries,
             merged.high_key,
             merged.right,
-        ))
-        .into_raw();
-        // SAFETY: `head` was loaded under `guard`; `new_base` is unpublished.
-        if unsafe { self.replace_chain(pid, head, new_base, guard) } {
+        )));
+        if let Some(new_base) = self.replace_chain(pid, head, new_base, guard) {
             bump!(self.stats, consolidations);
             self.stats.maintenance();
             self.maybe_split_inner(pid, new_base, guard);
         }
     }
 
-    fn maybe_split_inner(&self, pid: PageId, base_ptr: *mut Node, guard: &Guard) {
-        // SAFETY: just-installed chain; guard held.
-        let base = unsafe {
-            match &*base_ptr {
-                Node::InnerBase(b) => b,
-                _ => return,
-            }
+    fn maybe_split_inner(&self, pid: PageId, chain: Chain<'_>, guard: &Guard) {
+        let Node::InnerBase(base) = chain.head() else {
+            return;
         };
         if base.child_count() <= self.config.max_inner_children || base.entries.len() < 3 {
             return;
@@ -1321,24 +1207,20 @@ impl BwTree {
         let m = base.entries.len() / 2;
         let sep = base.entries[m].0.clone();
         let qid = self.mapping.allocate();
-        let right_base = Node::InnerBase(InnerBase::new(
+        let right_base = Fresh::new(Node::InnerBase(InnerBase::new(
             base.entries[m].1,
             base.entries[m + 1..].to_vec(),
             base.high_key.clone(),
             base.right,
-        ))
-        .into_raw();
+        )));
         self.mapping.store_new(qid, right_base, self.vtime());
         let split = Node::InnerSplit {
             sep: sep.clone(),
             right: qid,
-            next: base_ptr,
-        }
-        .into_raw();
-        if !self.mapping.cas(pid, base_ptr, split) {
-            self.unpublish_new(qid, right_base, guard);
-            // SAFETY: never published; `next` is raw so the drop is shallow.
-            unsafe { drop(Box::from_raw(split)) };
+            next: Link::UNSET,
+        };
+        if self.mapping.prepend(pid, Delta::new(split, chain)).is_err() {
+            self.unpublish_new(qid, guard);
             return;
         }
         bump!(self.stats, inner_splits);
@@ -1363,12 +1245,10 @@ impl BwTree {
         loop {
             spins += 1;
             assert!(spins < 1_000_000, "flush livelock");
-            let head = self.mapping.load(pid);
-            if head.is_null() {
+            let Some(head) = self.mapping.load(pid, &guard) else {
                 return Err(TreeError::PageNotFound(pid));
-            }
-            // SAFETY: guard held.
-            if unsafe { self.head_is_inner(head) } {
+            };
+            if head.is_inner() {
                 return Err(TreeError::InnerPageNotEvictable(pid));
             }
             match self.flush_attempt(pid, head, kind, &guard)? {
@@ -1379,15 +1259,14 @@ impl BwTree {
     }
 
     /// One flush attempt against an observed chain head. `Ok(None)` = raced.
-    fn flush_attempt(
+    fn flush_attempt<'g>(
         &self,
         pid: PageId,
-        head: *mut Node,
+        head: Chain<'g>,
         kind: FlushKind,
-        guard: &Guard,
+        guard: &'g Guard,
     ) -> Result<Option<u64>, TreeError> {
-        // SAFETY: guard held.
-        let analysis = unsafe { analyze_leaf_chain(head) };
+        let analysis = analyze_leaf_chain(head);
         let (token, new_head) = match analysis {
             LeafChainInfo::Frozen => {
                 // Mid-merge: the page is about to disappear into its left
@@ -1404,12 +1283,11 @@ impl BwTree {
                 // writes nothing and folds nothing; only its fences stay.
                 let (high_key, right) = (base.high_key.clone(), base.right);
                 let new_head = match kind {
-                    FlushKind::EvictAll => Node::FlashBase {
+                    FlushKind::EvictAll => Fresh::new(Node::FlashBase {
                         token,
                         high_key,
                         right,
-                    }
-                    .into_raw(),
+                    }),
                     _ => record_cache_over_flash(token, high_key, right, &[]),
                 };
                 (token, new_head)
@@ -1420,14 +1298,12 @@ impl BwTree {
                 stored,
                 ..
             } => {
-                // SAFETY: guard held (merge re-walks the same chain).
-                let merged = unsafe { merge_leaf_chain(head) }.expect("mem base merges");
+                let merged = merge_leaf_chain(head).expect("mem base merges");
                 let token = match stored {
                     Some(t) if deltas == 0 => t, // clean page, no write needed
                     Some(t) if !has_split => {
                         // Incremental flush: only the deltas travel.
-                        // SAFETY: guard held.
-                        let ops = unsafe { collect_unflushed_ops(head) };
+                        let ops = collect_unflushed_ops(head);
                         let img = PageImage::delta(ops, merged.high_key.clone(), merged.right);
                         bump!(self.stats, incremental_flushes);
                         self.store.write(pid, &img, Some(t))?
@@ -1443,22 +1319,19 @@ impl BwTree {
                     }
                 };
                 let new_head = match kind {
-                    FlushKind::FlushOnly => Node::LeafBase(LeafBase::new(
+                    FlushKind::FlushOnly => Fresh::new(Node::LeafBase(LeafBase::new(
                         merged.entries,
                         merged.high_key,
                         merged.right,
                         Some(token),
-                    ))
-                    .into_raw(),
-                    FlushKind::EvictAll => Node::FlashBase {
+                    ))),
+                    FlushKind::EvictAll => Fresh::new(Node::FlashBase {
                         token,
                         high_key: merged.high_key,
                         right: merged.right,
-                    }
-                    .into_raw(),
+                    }),
                     FlushKind::EvictBaseKeepDeltas => {
-                        // SAFETY: guard held.
-                        let nodes: Vec<&Node> = unsafe { chain_iter(head) }.collect();
+                        let nodes: Vec<&Node> = chain_iter(head).collect();
                         record_cache_over_flash(token, merged.high_key, merged.right, &nodes)
                     }
                 };
@@ -1477,31 +1350,27 @@ impl BwTree {
                     durable_token
                 } else {
                     // Incremental flush of the unflushed deltas.
-                    // SAFETY: guard held.
-                    let ops = unsafe { collect_unflushed_ops(head) };
+                    let ops = collect_unflushed_ops(head);
                     let img = PageImage::delta(ops, high_key.clone(), right);
                     bump!(self.stats, incremental_flushes);
                     self.store.write(pid, &img, Some(durable_token))?
                 };
                 let new_head = match kind {
-                    FlushKind::EvictAll => Node::FlashBase {
+                    FlushKind::EvictAll => Fresh::new(Node::FlashBase {
                         token,
                         high_key: high_key.clone(),
                         right,
-                    }
-                    .into_raw(),
+                    }),
                     FlushKind::FlushOnly | FlushKind::EvictBaseKeepDeltas => {
                         // Only the just-flushed deltas stay cached.
-                        // SAFETY: guard held.
-                        let nodes = unsafe { collect_nodes_above_marker(head) };
+                        let nodes = collect_nodes_above_marker(head);
                         record_cache_over_flash(token, high_key.clone(), right, &nodes)
                     }
                 };
                 (token, new_head)
             }
         };
-        // SAFETY: `head` was loaded under `guard`; `new_head` is unpublished.
-        if !unsafe { self.replace_chain(pid, head, new_head, guard) } {
+        if self.replace_chain(pid, head, new_head, guard).is_none() {
             return Ok(None);
         }
         match kind {
@@ -1549,13 +1418,9 @@ impl BwTree {
     }
 
     /// Describe `pid` from one walk of its chain.
-    fn describe(&self, pid: PageId, _guard: &Guard) -> Option<PageInfo> {
-        let head = self.mapping.load(pid);
-        if head.is_null() {
-            return None;
-        }
-        // SAFETY: guard held since before the load.
-        let (is_leaf, shape) = unsafe { (!self.head_is_inner(head), chain_shape(head)) };
+    fn describe(&self, pid: PageId, guard: &Guard) -> Option<PageInfo> {
+        let head = self.mapping.load(pid, guard)?;
+        let (is_leaf, shape) = (!head.is_inner(), chain_shape(head));
         let residency = match shape.base {
             Node::FlashBase { .. } if shape.records > 0 => ResidencyState::Partial,
             Node::FlashBase { .. } => ResidencyState::Evicted,
@@ -1595,30 +1460,25 @@ impl BwTree {
         loop {
             spins += 1;
             assert!(spins < 1_000_000, "scan snapshot livelock");
-            let head = self.mapping.load(pid);
-            if head.is_null() {
+            let Some(head) = self.mapping.load(pid, &guard) else {
                 pid = self.find_leaf(key, &guard);
                 continue;
+            };
+            if let Some(r) = leaf_route(head, key) {
+                pid = r;
+                continue;
             }
-            // SAFETY: guard held since before the load.
-            unsafe {
-                if let Some(r) = leaf_route(head, key) {
-                    pid = r;
-                    continue;
+            match merge_leaf_chain(head) {
+                Some(m) => {
+                    self.mapping.touch(pid, self.vtime());
+                    return Ok((m.entries, m.high_key));
                 }
-                match merge_leaf_chain(head) {
-                    Some(m) => {
-                        self.mapping.touch(pid, self.vtime());
-                        return Ok((m.entries, m.high_key));
-                    }
-                    None => {
-                        // Flash-resident: fault the base in and retry.
-                        if let LeafChainInfo::FlashBase { durable_token, .. } =
-                            analyze_leaf_chain(head)
-                        {
-                            let img = self.store.fetch(pid, durable_token)?;
-                            self.install_fetched(pid, durable_token, img);
-                        }
+                None => {
+                    // Flash-resident: fault the base in and retry.
+                    if let LeafChainInfo::FlashBase { durable_token, .. } = analyze_leaf_chain(head)
+                    {
+                        let img = self.store.fetch(pid, durable_token)?;
+                        self.install_fetched(pid, durable_token, img);
                     }
                 }
             }
@@ -1647,12 +1507,8 @@ enum ParentSearch {
 // ----------------------------------------------------------------------
 
 /// If `key` is fenced out of this leaf, the sibling to chase.
-///
-/// # Safety: live chain under a guard.
-unsafe fn leaf_route(head: *const Node, key: &[u8]) -> Option<PageId> {
-    // SAFETY: forwarding this function's own contract — `head` is a live
-    // chain protected by the caller's guard.
-    for node in unsafe { chain_iter(head) } {
+fn leaf_route(head: Chain<'_>, key: &[u8]) -> Option<PageId> {
+    for node in chain_iter(head) {
         match node {
             Node::RemoveNode { left, .. } => return Some(*left),
             Node::Absorb {
@@ -1694,15 +1550,11 @@ unsafe fn leaf_route(head: *const Node, key: &[u8]) -> Option<PageId> {
 }
 
 /// Search a leaf chain for `key`.
-///
-/// # Safety: live chain under a guard.
-unsafe fn search_leaf(head: *const Node, key: &[u8]) -> LeafSearch {
+fn search_leaf(head: Chain<'_>, key: &[u8]) -> LeafSearch {
     let mut passed_marker = false;
     let mut first_answer: Option<(bool, Option<Bytes>)> = None;
     let mut first_marker_token: Option<u64> = None;
-    // SAFETY: forwarding this function's own contract — `head` is a live
-    // chain protected by the caller's guard.
-    for node in unsafe { chain_iter(head) } {
+    for node in chain_iter(head) {
         match node {
             Node::Put { key: k, value, .. } => {
                 if first_answer.is_none() && k.as_ref() == key {
@@ -1831,12 +1683,8 @@ struct MergedLeaf {
 
 /// Fold a leaf chain into its logical record set. `None` if the base is on
 /// flash (cannot merge without it).
-///
-/// # Safety: live chain under a guard.
-unsafe fn merge_leaf_chain(head: *const Node) -> Option<MergedLeaf> {
-    // SAFETY: forwarding this function's own contract — `head` is a live
-    // chain protected by the caller's guard.
-    let nodes: Vec<&Node> = unsafe { chain_iter(head) }.collect();
+fn merge_leaf_chain(head: Chain<'_>) -> Option<MergedLeaf> {
+    let nodes: Vec<&Node> = chain_iter(head).collect();
     if nodes.iter().any(|n| matches!(n, Node::RemoveNode { .. })) {
         return None; // frozen for merging; do not consolidate
     }
@@ -1906,12 +1754,8 @@ struct MergedInner {
 }
 
 /// Fold an inner chain into its routing table.
-///
-/// # Safety: live chain under a guard.
-unsafe fn merge_inner_chain(head: *const Node) -> Option<MergedInner> {
-    // SAFETY: forwarding this function's own contract — `head` is a live
-    // chain protected by the caller's guard.
-    let nodes: Vec<&Node> = unsafe { chain_iter(head) }.collect();
+fn merge_inner_chain(head: Chain<'_>) -> Option<MergedInner> {
+    let nodes: Vec<&Node> = chain_iter(head).collect();
     let base = match nodes.last()? {
         Node::InnerBase(b) => b,
         _ => return None,
@@ -2007,23 +1851,15 @@ impl<'g> LeafChainInfo<'g> {
 }
 
 /// Classify a leaf chain for the flush paths.
-///
-/// # Safety: live chain under a guard.
-unsafe fn analyze_leaf_chain<'g>(head: *const Node) -> LeafChainInfo<'g> {
-    // SAFETY: forwarding this function's own contract — `head` is a live
-    // chain protected by the caller's guard.
-    LeafChainInfo::of(&unsafe { chain_shape(head) })
+fn analyze_leaf_chain(head: Chain<'_>) -> LeafChainInfo<'_> {
+    LeafChainInfo::of(&chain_shape(head))
 }
 
 /// Collect record ops above the topmost flush marker (or the whole delta
 /// section if no marker), newest first — the payload of an incremental flush.
-///
-/// # Safety: live chain under a guard.
-unsafe fn collect_unflushed_ops(head: *const Node) -> Vec<DeltaOp> {
+fn collect_unflushed_ops(head: Chain<'_>) -> Vec<DeltaOp> {
     let mut ops = Vec::new();
-    // SAFETY: forwarding this function's own contract — `head` is a live
-    // chain protected by the caller's guard.
-    for node in unsafe { chain_iter(head) } {
+    for node in chain_iter(head) {
         match node {
             Node::Put { key, value, .. } => {
                 ops.push(DeltaOp::Put(key.clone(), value.clone()));
@@ -2038,13 +1874,9 @@ unsafe fn collect_unflushed_ops(head: *const Node) -> Vec<DeltaOp> {
 }
 
 /// Collect the nodes above the topmost marker (exclusive).
-///
-/// # Safety: live chain under a guard; references valid while guard held.
-unsafe fn collect_nodes_above_marker<'g>(head: *const Node) -> Vec<&'g Node> {
+fn collect_nodes_above_marker(head: Chain<'_>) -> Vec<&Node> {
     let mut out = Vec::new();
-    // SAFETY: forwarding this function's own contract — `head` is a live
-    // chain protected by the caller's guard.
-    for node in unsafe { chain_iter(head) } {
+    for node in chain_iter(head) {
         match node {
             Node::FlushMarker { .. } | Node::LeafBase(_) | Node::FlashBase { .. } => break,
             n => out.push(n),
@@ -2062,24 +1894,27 @@ fn record_cache_over_flash(
     high_key: Option<Bytes>,
     right: Option<PageId>,
     nodes: &[&Node],
-) -> *mut Node {
-    let mut chain = Node::FlashBase {
+) -> Fresh {
+    let mut chain = Fresh::new(Node::FlashBase {
         token,
         high_key,
         right,
-    }
-    .into_raw();
+    });
     for node in nodes.iter().rev() {
         if matches!(node, Node::Put { .. } | Node::Del { .. }) {
-            chain = clone_delta(node, chain);
+            chain = chain.push(clone_delta(node));
         }
     }
-    Node::FlushMarker { token, next: chain }.into_raw()
+    chain.push(Node::FlushMarker {
+        token,
+        next: Link::UNSET,
+    })
 }
 
-/// Clone a delta node onto a new `next` pointer.
-fn clone_delta(node: &Node, next: *mut Node) -> *mut Node {
-    let cloned = match node {
+/// Clone a delta node, not yet hung on a chain.
+fn clone_delta(node: &Node) -> Node {
+    let next = Link::UNSET;
+    match node {
         Node::Put { key, value, .. } => Node::Put {
             key: key.clone(),
             value: value.clone(),
@@ -2099,8 +1934,7 @@ fn clone_delta(node: &Node, next: *mut Node) -> *mut Node {
             next,
         },
         _ => unreachable!("only leaf deltas are cloned"),
-    };
-    cloned.into_raw()
+    }
 }
 
 #[cfg(test)]
@@ -2620,45 +2454,52 @@ mod tests {
         let n = std::mem::size_of::<Node>();
         let base = |stored| {
             let entries = vec![(b("a"), b("1")), (b("bb"), b("22"))];
-            Node::LeafBase(LeafBase::new(entries, None, None, stored)).into_raw()
+            Fresh::new(Node::LeafBase(LeafBase::new(entries, None, None, stored)))
         };
         let base_bytes = n + 6 + 2 * 8;
-        let put = |key: &str, value: &str, next: *mut Node| {
+        let put = |key: &str, value: &str, below: Fresh| {
             let (key, value) = (b(key), b(value));
-            Node::Put { key, value, next }.into_raw()
+            let next = Link::UNSET;
+            below.push(Node::Put { key, value, next })
         };
-        let del = |key: &str, next: *mut Node| Node::Del { key: b(key), next }.into_raw();
-        let marker = |next: *mut Node| Node::FlushMarker { token: 7, next }.into_raw();
+        let del = |key: &str, below: Fresh| {
+            let next = Link::UNSET;
+            below.push(Node::Del { key: b(key), next })
+        };
+        let marker = |below: Fresh| {
+            let next = Link::UNSET;
+            below.push(Node::FlushMarker { token: 7, next })
+        };
         let flash = || {
             let (high_key, right) = (Some(b("zz")), Some(4));
-            Node::FlashBase {
+            Fresh::new(Node::FlashBase {
                 token: 3,
                 high_key,
                 right,
-            }
-            .into_raw()
+            })
         };
-        let split = Node::LeafSplit {
+        let split = base(Some(5)).push(Node::LeafSplit {
             sep: b("b"),
             right: 99,
-            next: base(Some(5)),
-        };
-        let absorb = Node::Absorb {
+            next: Link::UNSET,
+        });
+        let absorb = base(Some(5)).push(Node::Absorb {
             sep: b("m"),
             entries: vec![(b("m"), b("9")), (b("n"), b("10"))],
             high_key: None,
             right: None,
-            next: base(Some(5)),
-        };
-        let frozen = Node::RemoveNode {
+            next: Link::UNSET,
+        });
+        let frozen = put("x", "1", base(None)).push(Node::RemoveNode {
             left: 0,
-            next: put("x", "1", base(None)),
-        };
-        let inner = Node::IndexInsert {
+            next: Link::UNSET,
+        });
+        let inner_base = InnerBase::new(1, vec![(b("g"), 2)], None, None);
+        let inner = Fresh::new(Node::InnerBase(inner_base)).push(Node::IndexInsert {
             sep: b("q"),
             child: 5,
-            next: Node::InnerBase(InnerBase::new(1, vec![(b("g"), 2)], None, None)).into_raw(),
-        };
+            next: Link::UNSET,
+        });
         // (is_leaf, residency, dirty, chain_len, mem_bytes)
         let cases = [
             (
@@ -2673,12 +2514,12 @@ mod tests {
             ),
             (
                 "split over a base",
-                split.into_raw(),
+                split,
                 (true, Resident, true, 1, (n + 1) + base_bytes),
             ),
             (
                 "absorb over a base",
-                absorb.into_raw(),
+                absorb,
                 (true, Resident, true, 1, (n + 5 + 2 * 8) + base_bytes),
             ),
             (
@@ -2694,12 +2535,12 @@ mod tests {
             ("bare flash base", flash(), (true, Evicted, false, 0, n + 2)),
             (
                 "frozen",
-                frozen.into_raw(),
+                frozen,
                 (true, Resident, false, 2, n + (n + 2) + base_bytes),
             ),
             (
                 "inner chain",
-                inner.into_raw(),
+                inner,
                 (false, Resident, false, 1, (n + 1 + 8) + (n + 1 + 8 + 8)),
             ),
         ];

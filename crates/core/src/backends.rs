@@ -5,7 +5,7 @@
 
 use crate::store::{CachingStore, StoreBuilder, SubmittedGet};
 use bytes::Bytes;
-use dcs_bwtree::{BwTree, BwTreeConfig};
+use dcs_bwtree::BwTree;
 use dcs_lsm::{LsmConfig, LsmGet, LsmTree};
 use dcs_masstree::MassTree;
 use dcs_workload::{AsyncGet, AsyncKvStore, CompletedGet, KvStore, StoreFailure};
@@ -18,8 +18,6 @@ use std::sync::Arc;
 pub enum BackendKind {
     /// The paper's cost-governed caching store (`dcs-core`).
     Caching,
-    /// The latch-free Bw-tree comparator.
-    BwTree,
     /// The Masstree comparator.
     MassTree,
     /// The LSM comparator over the flash simulator.
@@ -28,18 +26,16 @@ pub enum BackendKind {
 
 impl BackendKind {
     /// All kinds, for enumeration in benches and CI matrices.
-    pub const ALL: [BackendKind; 4] = [
+    pub const ALL: [BackendKind; 3] = [
         BackendKind::Caching,
-        BackendKind::BwTree,
         BackendKind::MassTree,
         BackendKind::Lsm,
     ];
 
-    /// Parse a CLI name (`caching`, `bwtree`, `masstree`, `lsm`).
+    /// Parse a CLI name (`caching`, `masstree`, `lsm`).
     pub fn parse(name: &str) -> Option<BackendKind> {
         match name.to_ascii_lowercase().as_str() {
             "caching" => Some(BackendKind::Caching),
-            "bwtree" => Some(BackendKind::BwTree),
             "masstree" => Some(BackendKind::MassTree),
             "lsm" => Some(BackendKind::Lsm),
             _ => None,
@@ -50,7 +46,6 @@ impl BackendKind {
     pub fn name(&self) -> &'static str {
         match self {
             BackendKind::Caching => "caching",
-            BackendKind::BwTree => "bwtree",
             BackendKind::MassTree => "masstree",
             BackendKind::Lsm => "lsm",
         }
@@ -77,16 +72,6 @@ impl BackendKind {
                     kv: store.clone(),
                     device: Some(store.device().clone()),
                     async_kv: Some(store),
-                }
-            }
-            BackendKind::BwTree => {
-                let t = Arc::new(BwTreeBackend(
-                    BwTree::in_memory(BwTreeConfig::small_pages()),
-                ));
-                BuiltBackend {
-                    kv: t,
-                    async_kv: None,
-                    device: None,
                 }
             }
             BackendKind::MassTree => {
@@ -435,8 +420,8 @@ mod tests {
     fn async_handles_agree_with_blocking_path() {
         for kind in BackendKind::ALL {
             let built = kind.build_with(BackendOpts::default());
-            // The in-memory trees never touch a device on a read and have
-            // no submit/poll handle: the shard serves them blocking.
+            // The in-memory tree never touches a device on a read and has
+            // no submit/poll handle: the shard serves it blocking.
             let Some(a) = built.async_kv.as_ref() else {
                 assert!(built.device.is_none(), "{}", kind.name());
                 continue;

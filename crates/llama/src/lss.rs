@@ -1199,11 +1199,6 @@ impl LogStructuredStore {
             std::thread::yield_now();
         }
     }
-
-    /// The store's I/O queue pair (diagnostics and tests).
-    pub fn io_queue(&self) -> &IoQueuePair {
-        &self.qp
-    }
 }
 
 impl PageStore for LogStructuredStore {

@@ -48,11 +48,6 @@ impl BloomFilter {
             self.bits[bit / 64] & (1 << (bit % 64)) != 0
         })
     }
-
-    /// Size of the filter in bytes.
-    pub fn byte_size(&self) -> usize {
-        self.bits.len() * 8
-    }
 }
 
 #[cfg(test)]

@@ -883,17 +883,6 @@ impl LsmTree {
         self.state.read().levels.iter().map(|l| l.len()).collect()
     }
 
-    /// Total bytes held in tables.
-    pub fn table_bytes(&self) -> usize {
-        self.state
-            .read()
-            .levels
-            .iter()
-            .flatten()
-            .map(|t| t.len)
-            .sum()
-    }
-
     /// In-memory footprint (memtable payload).
     pub fn memtable_bytes(&self) -> usize {
         self.state.read().memtable.approx_bytes()

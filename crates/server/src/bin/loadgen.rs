@@ -100,7 +100,7 @@ fn parse_args() -> Args {
         if flag == "--help" || flag == "-h" {
             eprintln!(
                 "loadgen: wire-level load generator for dcs-server\n\
-                 --backend caching|bwtree|masstree|lsm   (default caching)\n\
+                 --backend caching|masstree|lsm   (default caching)\n\
                  --mode closed|open                      (default closed)\n\
                  --rate OPS_PER_SEC                      (open loop; default 50000)\n\
                  --ops N                                 (default 100000)\n\

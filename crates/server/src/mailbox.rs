@@ -198,11 +198,6 @@ impl<T> Mailbox<T> {
         self.notempty.notify_all();
     }
 
-    /// Whether `close` has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap().closed
-    }
-
     /// Items currently queued.
     pub fn len(&self) -> usize {
         self.inner.lock().unwrap().queue.len()

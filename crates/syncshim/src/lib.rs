@@ -5,8 +5,11 @@
 //! the deterministic checker (`dcs-check`) can replace them under a `check`
 //! feature. Those facades used to be copy-pasted per crate, which let
 //! instrumentation drift: a primitive added to one shim but not another
-//! silently escaped the scheduler. This crate is the single source of truth;
-//! the per-crate `sync.rs` modules are now thin re-exports of it.
+//! silently escaped the scheduler. This crate is the single source of truth
+//! for those four crates: their `sync.rs` modules are thin re-exports of it.
+//! The lock-free crates (`dcs-bwtree`, `dcs-ebr`, `dcs-masstree`) do not use
+//! it; their `sync.rs` modules pick between `std` and `dcs_check::sync`
+//! directly.
 //!
 //! Two lock dialects are exported because the workspace uses both:
 //!

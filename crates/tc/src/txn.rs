@@ -121,11 +121,6 @@ impl Transaction {
     pub fn delete(&mut self, key: impl Into<Bytes>) {
         self.writes.insert(key.into(), None);
     }
-
-    /// Keys written so far.
-    pub fn write_set(&self) -> impl Iterator<Item = &Bytes> {
-        self.writes.keys()
-    }
 }
 
 impl TransactionalStore {
@@ -221,15 +216,6 @@ impl TransactionalStore {
         self.read_cache
             .insert(Bytes::copy_from_slice(key), v.clone(), txn.read_ts);
         Ok(v)
-    }
-
-    /// Convenience for [`TransactionalStore::read`] at an explicit snapshot.
-    pub fn get_at(&self, read_ts: u64, key: &[u8]) -> Result<Option<Bytes>, TreeError> {
-        let txn = Transaction {
-            read_ts,
-            writes: BTreeMap::new(),
-        };
-        self.read(&txn, key)
     }
 
     /// Commit: validate (first-committer-wins), log, install versions, and

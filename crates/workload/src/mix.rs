@@ -56,11 +56,6 @@ impl OpMix {
         OpMix::new(vec![(OpKind::Read, 0.95), (OpKind::Update, 0.05)])
     }
 
-    /// 100 % updates — the blind-update stress of §6.2.
-    pub fn blind_update_only() -> Self {
-        OpMix::new(vec![(OpKind::BlindUpdate, 1.0)])
-    }
-
     /// Pick a kind given a uniform sample in [0,1).
     pub fn pick(&self, u: f64) -> OpKind {
         let total: f64 = self.weights.iter().map(|(_, w)| w.max(0.0)).sum();

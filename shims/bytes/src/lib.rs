@@ -37,12 +37,6 @@ impl Bytes {
         }
     }
 
-    /// Creates a `Bytes` from a static slice without copying semantics
-    /// mattering (this shim copies; fine for correctness).
-    pub fn from_static(data: &'static [u8]) -> Self {
-        Bytes::copy_from_slice(data)
-    }
-
     /// Number of bytes.
     pub fn len(&self) -> usize {
         self.end - self.start
