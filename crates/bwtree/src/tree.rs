@@ -159,6 +159,18 @@ enum LeafSearch {
     },
 }
 
+/// What a leaf probe counts: one logical get, one MRC access and, on an
+/// answer, one main-memory op.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Count {
+    /// A read's first probe, whatever it finds.
+    Always,
+    /// A memory-only probe: counted only when it answers.
+    IfHit,
+    /// A resumed read, already counted.
+    Never,
+}
+
 /// A merged leaf snapshot and the key to resume a scan from.
 pub(crate) type LeafSnapshot = (Vec<(Bytes, Bytes)>, Option<Bytes>);
 
@@ -494,8 +506,7 @@ impl BwTree {
     /// that failed ([`TryGetAsync::needs_token`]): a concurrent flush may
     /// have superseded it and the store reclaimed the old state.
     pub fn try_get(&self, key: &[u8]) -> Result<Option<Bytes>, TreeError> {
-        bump!(self.stats, gets);
-        let mut probe = self.probe_get(key, true, None);
+        let mut probe = self.probe_get(key, Count::Always, None);
         loop {
             let (pid, token) = match probe {
                 TryGetAsync::Hit(found) => return Ok(found),
@@ -504,7 +515,7 @@ impl BwTree {
             // No guard is pinned here: a device read must not hold an epoch.
             let fetch = self.store.fetch(pid, token);
             let fetch = fetch.map(|img| self.install_fetched(pid, token, img));
-            probe = self.probe_get(key, false, Some(pid));
+            probe = self.probe_get(key, Count::Never, Some(pid));
             if let Err(e) = fetch {
                 if probe.needs_token(token) {
                     return Err(e.into());
@@ -528,8 +539,19 @@ impl BwTree {
     /// Counts one logical get; a hit additionally counts one main-memory
     /// operation, matching [`BwTree::try_get`].
     pub fn try_get_async(&self, key: &[u8]) -> TryGetAsync {
-        bump!(self.stats, gets);
-        self.probe_get(key, true, None)
+        self.probe_get(key, Count::Always, None)
+    }
+
+    /// Point lookup answered only from memory: `None` when the read would
+    /// need a flash fetch, in which case nothing is counted, so the caller
+    /// can retry through [`BwTree::try_get_async`] and the read still
+    /// counts once. An answer counts exactly as a
+    /// [`BwTree::try_get_async`] hit does.
+    pub fn try_get_resident(&self, key: &[u8]) -> Option<Option<Bytes>> {
+        match self.probe_get(key, Count::IfHit, None) {
+            TryGetAsync::Hit(found) => Some(found),
+            TryGetAsync::NeedFetch { .. } => None,
+        }
     }
 
     /// Re-probe after [`BwTree::install_fetched`]. Does **not** count a new
@@ -537,22 +559,38 @@ impl BwTree {
     /// counts no main-memory op either — the install already charged the
     /// secondary-storage op, as the blocking miss path does.
     pub fn resume_get(&self, key: &[u8]) -> TryGetAsync {
-        self.probe_get(key, false, None)
+        self.probe_get(key, Count::Never, None)
     }
 
-    /// The tree's one leaf probe. `count_hit` marks a read's first probe;
-    /// `start` names the leaf a resumed read halted at, sparing it the
-    /// descent (sibling links and a null slot correct a stale one, as on
-    /// the write path).
-    fn probe_get(&self, key: &[u8], count_hit: bool, start: Option<PageId>) -> TryGetAsync {
+    /// One logical get and one MRC access at the leaf it descended to.
+    fn count_get(&self, leaf: PageId) {
+        bump!(self.stats, gets);
+        self.mrc.record(leaf, self.config.max_leaf_bytes as u64);
+    }
+
+    /// The tree's one leaf probe. `count` says whether it is a read's
+    /// first probe; `start` names the leaf a resumed read halted at,
+    /// sparing it the descent (sibling links and a null slot correct a
+    /// stale one, as on the write path).
+    fn probe_get(&self, key: &[u8], count: Count, start: Option<PageId>) -> TryGetAsync {
         let guard = dcs_ebr::pin();
         let vt = self.vtime();
         let mut pid = start.unwrap_or_else(|| self.find_leaf(key, &guard));
-        if count_hit {
-            // One logical get, one MRC access; the resume probe after an
-            // install must not count the page twice.
-            self.mrc.record(pid, self.config.max_leaf_bytes as u64);
+        let leaf = pid;
+        if count == Count::Always {
+            self.count_get(leaf);
         }
+        let answer = |found| {
+            match count {
+                Count::Always => self.stats.mm_op(),
+                Count::IfHit => {
+                    self.count_get(leaf);
+                    self.stats.mm_op();
+                }
+                Count::Never => {}
+            }
+            TryGetAsync::Hit(found)
+        };
         self.mapping.touch(pid, vt);
         loop {
             let Some(head) = self.mapping.load(pid, &guard) else {
@@ -567,17 +605,9 @@ impl BwTree {
                     if from_delta_over_flash {
                         bump!(self.stats, record_cache_hits);
                     }
-                    if count_hit {
-                        self.stats.mm_op();
-                    }
-                    return TryGetAsync::Hit(Some(value));
+                    return answer(Some(value));
                 }
-                LeafSearch::Deleted | LeafSearch::Missing => {
-                    if count_hit {
-                        self.stats.mm_op();
-                    }
-                    return TryGetAsync::Hit(None);
-                }
+                LeafSearch::Deleted | LeafSearch::Missing => return answer(None),
                 LeafSearch::GoRight(r) => {
                     pid = r;
                     self.mapping.touch(pid, vt);

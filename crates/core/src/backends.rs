@@ -360,6 +360,10 @@ impl AsyncKvStore for CachingStore {
     fn kv_inflight(&self) -> usize {
         self.gets_inflight()
     }
+
+    fn kv_get_resident(&self, key: &[u8]) -> Option<Result<Option<Vec<u8>>, StoreFailure>> {
+        self.get_resident(key).map(|v| Ok(v.map(|b| b.to_vec())))
+    }
 }
 
 impl AsyncKvStore for LsmBackend {

@@ -282,6 +282,17 @@ impl CachingStore {
         r
     }
 
+    /// Point lookup answered only from memory, with no device I/O: `None`
+    /// when the read would need flash, and then nothing is counted — not
+    /// the get, the MRC access or the sweep tick — so the caller can retry
+    /// with [`CachingStore::get_submit`] and the read still counts once.
+    pub fn get_resident(&self, key: &[u8]) -> Option<Option<Bytes>> {
+        let found = self.tree.try_get_resident(key)?;
+        self.mrc_record(key, found.as_ref().map_or(0, |v| v.len()));
+        self.tick();
+        Some(found)
+    }
+
     /// Drive a read on from `probe` until it is answered or parked on a
     /// device fetch: images the LSS has at hand are installed and the tree
     /// re-probed. `miss_token` is the handle of a miss being resumed (a

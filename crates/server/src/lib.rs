@@ -14,8 +14,9 @@
 //! * [`shard`] — shard-per-thread execution over range-partitioned
 //!   backends, write batching, and group commit through the TC's
 //!   [`dcs_tc::RecoveryLog`] (a write is acked only once durable);
-//! * [`server`] — the accept loop, per-connection reader/writer threads,
-//!   and drain-and-flush shutdown;
+//! * [`server`] — the accept loop, per-connection reader/writer threads
+//!   (the reader answers in-memory GET hits itself; the writer carries
+//!   shard replies), and drain-and-flush shutdown;
 //! * [`client`] — a pooled, pipelined client that is itself a
 //!   [`dcs_workload::KvStore`], so every existing harness can drive a
 //!   server over the wire unchanged;

@@ -21,6 +21,9 @@ pub use dcs_telemetry::Histogram as LatencyHistogram;
 pub struct ShardMetrics {
     /// Reads (GET) served.
     pub gets: AtomicU64,
+    /// Of `gets`, those a connection reader answered from memory without
+    /// the mailbox.
+    pub inline_gets: AtomicU64,
     /// Upserts (PUT) applied.
     pub puts: AtomicU64,
     /// Deletes applied.
@@ -50,7 +53,8 @@ pub struct ShardMetrics {
     /// Most misses parked concurrently (0 for a store with no async
     /// handle, which never parks).
     pub parked_peak: AtomicUsize,
-    /// Read-class latency (GET/SCAN), mailbox-entry to reply.
+    /// Read-class latency (GET/SCAN), mailbox entry (decode, for a GET a
+    /// connection reader answered) to reply.
     pub read_latency: LatencyHistogram,
     /// Write-class latency (PUT/DELETE/RMW), mailbox-entry to reply — this
     /// includes the group-commit flush wait.

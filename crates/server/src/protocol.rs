@@ -305,70 +305,73 @@ impl<'a> Cursor<'a> {
 
 /// Append `frame` to `out` in wire format.
 pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
-    let (kind, id) = match frame {
-        Frame::Request { id, req } => (
-            match req {
-                Request::Get { .. } => OP_GET,
-                Request::Put { .. } => OP_PUT,
-                Request::Delete { .. } => OP_DELETE,
-                Request::Scan { .. } => OP_SCAN,
-                Request::Rmw { .. } => OP_RMW,
-                Request::Stats => OP_STATS,
-            },
-            *id,
-        ),
-        Frame::Response { id, resp } => (
-            match resp {
-                Response::Value(_) => RE_VALUE,
-                Response::Ok => RE_OK,
-                Response::Count(_) => RE_COUNT,
-                Response::Busy => RE_BUSY,
-                Response::Err(_) => RE_ERR,
-                Response::Stats(_) => RE_STATS,
-                Response::Moved { .. } => RE_MOVED,
-            },
-            *id,
-        ),
+    // Kind, id, and the payload's variable-length bytes: every fixed
+    // field of a payload fits in 12 more, so one reserve covers the frame.
+    let (kind, id, var) = match frame {
+        Frame::Request { id, req } => match req {
+            Request::Get { key } => (OP_GET, id, key.len()),
+            Request::Put { key, value } => (OP_PUT, id, key.len() + value.len()),
+            Request::Delete { key } => (OP_DELETE, id, key.len()),
+            Request::Scan { start, .. } => (OP_SCAN, id, start.len()),
+            Request::Rmw { key, value } => (OP_RMW, id, key.len() + value.len()),
+            Request::Stats => (OP_STATS, id, 0),
+        },
+        Frame::Response { id, resp } => match resp {
+            Response::Value(v) => (RE_VALUE, id, v.as_ref().map_or(0, Vec::len)),
+            Response::Ok => (RE_OK, id, 0),
+            Response::Count(_) => (RE_COUNT, id, 0),
+            Response::Busy => (RE_BUSY, id, 0),
+            Response::Err(msg) => (RE_ERR, id, msg.len()),
+            Response::Stats(doc) => (RE_STATS, id, doc.len()),
+            Response::Moved { .. } => (RE_MOVED, id, 0),
+        },
     };
-    let mut payload = Vec::new();
+    out.reserve(HEADER_LEN + var + 12);
+    // The header goes first with its length and checksum zeroed; the
+    // payload is written in place after it and the two are patched in.
+    out.extend_from_slice(&MAGIC.to_le_bytes());
+    out.push(kind);
+    out.extend_from_slice(&id.to_le_bytes());
+    let patch = out.len();
+    out.extend_from_slice(&[0; 12]);
+    let body = out.len();
     match frame {
         Frame::Request { req, .. } => match req {
-            Request::Get { key } | Request::Delete { key } => put_key(&mut payload, key),
+            Request::Get { key } | Request::Delete { key } => put_key(out, key),
             Request::Put { key, value } | Request::Rmw { key, value } => {
-                put_key(&mut payload, key);
-                put_val(&mut payload, value);
+                put_key(out, key);
+                put_val(out, value);
             }
             Request::Scan { start, limit } => {
-                put_key(&mut payload, start);
-                payload.extend_from_slice(&limit.to_le_bytes());
+                put_key(out, start);
+                out.extend_from_slice(&limit.to_le_bytes());
             }
             Request::Stats => {}
         },
         Frame::Response { resp, .. } => match resp {
             Response::Value(v) => match v {
                 Some(v) => {
-                    payload.push(1);
-                    put_val(&mut payload, v);
+                    out.push(1);
+                    put_val(out, v);
                 }
-                None => payload.push(0),
+                None => out.push(0),
             },
             Response::Ok | Response::Busy => {}
-            Response::Count(n) => payload.extend_from_slice(&n.to_le_bytes()),
-            Response::Err(msg) | Response::Stats(msg) => put_val(&mut payload, msg.as_bytes()),
+            Response::Count(n) => out.extend_from_slice(&n.to_le_bytes()),
+            Response::Err(msg) | Response::Stats(msg) => put_val(out, msg.as_bytes()),
             Response::Moved { epoch, shard } => {
-                payload.extend_from_slice(&epoch.to_le_bytes());
-                payload.extend_from_slice(&shard.to_le_bytes());
+                out.extend_from_slice(&epoch.to_le_bytes());
+                out.extend_from_slice(&shard.to_le_bytes());
             }
         },
     }
-    debug_assert!(payload.len() <= MAX_PAYLOAD, "frame payload too large");
-    out.reserve(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.push(kind);
-    out.extend_from_slice(&id.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv64(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let len = out.len() - body;
+    debug_assert!(len <= MAX_PAYLOAD, "frame payload too large");
+    let sum = out.get(body..).map_or(0, fnv64);
+    if let Some((len_at, sum_at)) = out.get_mut(patch..body).map(|h| h.split_at_mut(4)) {
+        len_at.copy_from_slice(&(len as u32).to_le_bytes());
+        sum_at.copy_from_slice(&sum.to_le_bytes());
+    }
 }
 
 /// Encode a frame into a fresh buffer.

@@ -2,11 +2,16 @@
 //! request routing into shard mailboxes, and drain-and-flush shutdown.
 //!
 //! Thread model per connection: a **reader** thread decodes frames off the
-//! socket and routes each request to the owning shard's mailbox (answering
-//! BUSY itself when the mailbox is full), and a **writer** thread drains an
-//! outbox of encoded response frames onto the socket. Responses carry the
-//! client's request id, so they may be delivered out of order relative to
-//! other requests — that is what makes pipelining useful.
+//! socket and routes each request by the live map. It answers STATS, and a
+//! GET whose owning store holds it in memory while nothing else on the
+//! connection is unanswered, itself: the replies of one read burst are
+//! written under the socket lock before the next `read`, so a depth-1 GET
+//! hit never leaves the reader. Everything else goes to the owning shard's
+//! mailbox (BUSY when full), and a **writer** thread drains the outbox of
+//! shard replies onto the socket — a shard never blocks on a socket.
+//! Responses carry the client's request id, so they may be delivered out
+//! of order relative to other requests — that is what makes pipelining
+//! useful.
 //!
 //! Shutdown ([`Server::shutdown`]) is a drain: stop accepting, half-close
 //! the read side of every connection (so no new requests arrive but
@@ -19,7 +24,7 @@
 
 use crate::mailbox::{Mailbox, MailboxStats};
 use crate::metrics::ShardSnapshot;
-use crate::protocol::{decode_frame, encode_to_vec, Frame, ProtoError, Request, Response};
+use crate::protocol::{decode_frame, encode_frame, encode_to_vec, Frame, Request, Response};
 use crate::rebalance::{MigrationStats, RebalanceConfig, Rebalancer};
 use crate::shard::{Mail, Partitioner, ReplySink, Shard, ShardConfig};
 use dcs_rebalance::{PartitionMap, Router};
@@ -29,7 +34,7 @@ use dcs_workload::{AsyncKvStore, KvStore};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// Server-wide configuration.
@@ -75,28 +80,58 @@ pub struct ServerReport {
 
 /// Per-connection shared state; the shard side sees it as a [`ReplySink`].
 struct ConnState {
-    /// Encoded response frames awaiting the writer thread. Unbounded in
-    /// practice (capacity `usize::MAX >> 1`), and nothing else bounds it:
-    /// shards drain their mailboxes whatever the writer does, and
-    /// `Shard::offer` writes `BUSY` straight in here. A client that sends
-    /// but never reads grows this queue without limit.
+    /// Encoded shard response frames awaiting the writer thread. Unbounded
+    /// in practice (capacity `usize::MAX >> 1`): shards drain their
+    /// mailboxes whatever the writer does, and `Shard::offer` writes
+    /// `BUSY` straight in here. A client that sends but never reads grows
+    /// it with every request that reaches a shard; replies the reader
+    /// makes itself block the reader instead.
     outbox: Mailbox<Vec<u8>>,
-    /// Requests routed but not yet answered.
+    /// The socket's write half, shared by the writer thread (one lock per
+    /// drained batch) and the reader (one lock per read burst).
+    socket: Mutex<TcpStream>,
+    /// Requests routed but not yet answered, dropped only after the reply
+    /// is queued: the outbox closes when this reaches 0 after EOF.
     inflight: AtomicU64,
+    /// The same count, dropped *before* the reply is queued: 0 means the
+    /// client cannot be waiting on any shard, so the reader may answer a
+    /// GET itself without overtaking an earlier request.
+    unanswered: AtomicU64,
     /// Reader saw EOF (or shutdown half-closed the read side).
     eof: AtomicBool,
-    /// Writer hit a socket error; further replies are dropped.
+    /// A socket write failed; further replies are dropped.
     dead: AtomicBool,
 }
 
 impl ConnState {
-    fn new() -> Self {
+    fn new(socket: TcpStream) -> Self {
         ConnState {
             outbox: Mailbox::new(usize::MAX >> 1),
+            socket: Mutex::new(socket),
             inflight: AtomicU64::new(0),
+            unanswered: AtomicU64::new(0),
             eof: AtomicBool::new(false),
             dead: AtomicBool::new(false),
         }
+    }
+
+    fn socket(&self) -> MutexGuard<'_, TcpStream> {
+        self.socket
+            .lock()
+            .expect("socket lock poisoned by a panicked connection thread")
+    }
+
+    /// Write `frames` under the socket lock unless the connection is
+    /// dead, then clear them. Returns whether the connection is alive.
+    fn write(&self, frames: &mut Vec<u8>) -> bool {
+        if !frames.is_empty()
+            && !self.dead.load(Ordering::SeqCst)
+            && self.socket().write_all(frames).is_err()
+        {
+            self.dead.store(true, Ordering::SeqCst);
+        }
+        frames.clear();
+        !self.dead.load(Ordering::SeqCst)
     }
 
     /// One routed request finished; close the outbox once the reader is
@@ -118,6 +153,7 @@ impl ConnState {
 
 impl ReplySink for ConnState {
     fn deliver(&self, id: u64, resp: Response) {
+        self.unanswered.fetch_sub(1, Ordering::SeqCst);
         if !self.dead.load(Ordering::Relaxed) {
             let bytes = encode_to_vec(&Frame::Response { id, resp });
             // Closed/full outbox means the connection is going away; the
@@ -219,7 +255,8 @@ impl Server {
                         }
                         let Ok(stream) = stream else { break };
                         stream.set_nodelay(true).ok();
-                        let state = Arc::new(ConnState::new());
+                        let state =
+                            Arc::new(ConnState::new(stream.try_clone().expect("clone stream")));
                         conns
                             .lock()
                             .unwrap()
@@ -238,16 +275,13 @@ impl Server {
                                     .expect("spawn reader"),
                             );
                         }
-                        // Writer: drain outbox onto the socket.
-                        {
-                            let state = state.clone();
-                            handles.push(
-                                std::thread::Builder::new()
-                                    .name("dcs-conn-wr".into())
-                                    .spawn(move || write_loop(stream, &state))
-                                    .expect("spawn writer"),
-                            );
-                        }
+                        // Writer: drain shard replies onto the socket.
+                        handles.push(
+                            std::thread::Builder::new()
+                                .name("dcs-conn-wr".into())
+                                .spawn(move || write_loop(&state))
+                                .expect("spawn writer"),
+                        );
                         conn_threads.lock().unwrap().extend(handles);
                     }
                 })?
@@ -388,6 +422,9 @@ impl Server {
     }
 }
 
+/// Reply bytes a connection reader holds before writing them mid-burst.
+const BURST_FLUSH: usize = 64 * 1024;
+
 fn read_loop(
     mut stream: TcpStream,
     state: &Arc<ConnState>,
@@ -397,6 +434,8 @@ fn read_loop(
     let mut buf: Vec<u8> = Vec::with_capacity(64 * 1024);
     let mut tmp = [0u8; 64 * 1024];
     let mut consumed = 0usize;
+    // Replies this thread makes itself, written before its next read.
+    let mut burst: Vec<u8> = Vec::new();
     'io: loop {
         match stream.read(&mut tmp) {
             Ok(0) | Err(_) => break 'io,
@@ -406,40 +445,18 @@ fn read_loop(
             match decode_frame(&buf[consumed..]) {
                 Ok(Some((frame, used))) => {
                     consumed += used;
-                    match frame {
-                        Frame::Request { id, req } => {
-                            state.inflight.fetch_add(1, Ordering::SeqCst);
-                            // STATS is answered here on the connection: a
-                            // scrape must work even when every shard
-                            // mailbox is refusing with BUSY.
-                            if req == Request::Stats {
-                                state.deliver(id, Response::Stats(stats_doc(shards, router)));
-                                continue;
-                            }
-                            // Route by the live map (not the static
-                            // partitioner) and feed the per-range heat
-                            // counters the rebalancer's policy reads.
-                            let map = router.map().load();
-                            let range = map.range_of(req.routing_key());
-                            router.heat().record(&map, range);
-                            let idx = map.owner_of_range(range).unwrap_or(0);
-                            let Some(shard) = shards.get(idx) else {
-                                state.deliver(
-                                    id,
-                                    Response::Err(format!("no shard {idx} for range {range}")),
-                                );
-                                continue;
-                            };
-                            shard.offer(Mail {
-                                id,
-                                req,
-                                reply: state.clone() as Arc<dyn ReplySink>,
-                                enqueued: dcs_telemetry::now_nanos(),
-                            });
+                    // A client has no business sending response frames;
+                    // treat it like any other framing corruption.
+                    let Frame::Request { id, req } = frame else {
+                        break 'io;
+                    };
+                    if let Some(resp) = serve(id, req, state, shards, router) {
+                        encode_frame(&Frame::Response { id, resp }, &mut burst);
+                        // Bound the burst: one read of GETs for big values
+                        // must not become one big buffer.
+                        if burst.len() >= BURST_FLUSH && !state.write(&mut burst) {
+                            break 'io;
                         }
-                        // A client has no business sending response frames;
-                        // treat it like any other framing corruption.
-                        Frame::Response { .. } => break 'io,
                     }
                 }
                 Ok(None) => break,
@@ -447,7 +464,8 @@ fn read_loop(
                     // Framing is unrecoverable: we cannot trust any later
                     // byte boundary. Tell the client (best effort, id 0)
                     // and close.
-                    report_proto_error(state, &e);
+                    let resp = Response::Err(format!("protocol error: {e}"));
+                    encode_frame(&Frame::Response { id: 0, resp }, &mut burst);
                     break 'io;
                 }
             }
@@ -456,9 +474,55 @@ fn read_loop(
             buf.drain(..consumed);
             consumed = 0;
         }
+        if !state.write(&mut burst) {
+            break;
+        }
     }
+    state.write(&mut burst);
     let _ = stream.shutdown(Shutdown::Read);
     state.reader_done();
+}
+
+/// Route one request by the live map (feeding the per-range heat the
+/// rebalancer reads) and answer it here when no shard needs to see it:
+/// STATS (a scrape must work even when every mailbox refuses with BUSY),
+/// and a GET its owner's store holds in memory while nothing else on this
+/// connection is unanswered. Everything else goes to the owning shard's
+/// mailbox and returns `None`.
+fn serve(
+    id: u64,
+    req: Request,
+    state: &Arc<ConnState>,
+    shards: &[Arc<Shard>],
+    router: &Router,
+) -> Option<Response> {
+    if req == Request::Stats {
+        return Some(Response::Stats(stats_doc(shards, router)));
+    }
+    let decoded = dcs_telemetry::now_nanos();
+    let map = router.map().load();
+    let range = map.range_of(req.routing_key());
+    router.heat().record(&map, range);
+    let idx = map.owner_of_range(range).unwrap_or(0);
+    let Some(shard) = shards.get(idx) else {
+        return Some(Response::Err(format!("no shard {idx} for range {range}")));
+    };
+    if let Request::Get { key } = &req {
+        if state.unanswered.load(Ordering::SeqCst) == 0 {
+            if let Some(resp) = shard.get_resident(key, decoded) {
+                return Some(resp);
+            }
+        }
+    }
+    state.inflight.fetch_add(1, Ordering::SeqCst);
+    state.unanswered.fetch_add(1, Ordering::SeqCst);
+    shard.offer(Mail {
+        id,
+        req,
+        reply: state.clone() as Arc<dyn ReplySink>,
+        enqueued: decoded,
+    });
+    None
 }
 
 /// The STATS response: `{"stats_epoch", "registry", "mrc"}`. The map
@@ -492,7 +556,7 @@ fn registry_json(shards: &[Arc<Shard>], router: &Router) -> Json {
     let mut write = dcs_telemetry::HistogramSnapshot::default();
     let mut miss = dcs_telemetry::HistogramSnapshot::default();
     let mut depth = dcs_telemetry::HistogramSnapshot::default();
-    let (mut gets, mut puts, mut misses, mut busy, mut moved) = (0u64, 0u64, 0u64, 0u64, 0u64);
+    let (mut gets, mut inline, mut puts, mut misses, mut busy, mut moved) = (0, 0, 0, 0, 0, 0);
     for s in shards {
         let m = s.metrics();
         read.merge(&m.read_latency.snapshot());
@@ -500,6 +564,7 @@ fn registry_json(shards: &[Arc<Shard>], router: &Router) -> Json {
         miss.merge(&m.miss_latency.snapshot());
         depth.merge(&s.mailbox().stats().depth);
         gets += m.gets.load(Ordering::Relaxed);
+        inline += m.inline_gets.load(Ordering::Relaxed);
         puts += m.puts.load(Ordering::Relaxed);
         misses += m.misses_submitted.load(Ordering::Relaxed);
         busy += m.busy_rejections.load(Ordering::Relaxed);
@@ -521,6 +586,7 @@ fn registry_json(shards: &[Arc<Shard>], router: &Router) -> Json {
         .insert("server.miss_latency_nanos".into(), miss);
     snap.histograms.insert("server.mailbox_depth".into(), depth);
     snap.counters.insert("server.gets".into(), gets);
+    snap.counters.insert("server.inline_gets".into(), inline);
     snap.counters.insert("server.puts".into(), puts);
     snap.counters
         .insert("server.misses_submitted".into(), misses);
@@ -528,32 +594,19 @@ fn registry_json(shards: &[Arc<Shard>], router: &Router) -> Json {
     snap.json()
 }
 
-fn report_proto_error(state: &ConnState, e: &ProtoError) {
-    if !state.dead.load(Ordering::Relaxed) {
-        let bytes = encode_to_vec(&Frame::Response {
-            id: 0,
-            resp: Response::Err(format!("protocol error: {e}")),
-        });
-        let _ = state.outbox.send(bytes);
-    }
-}
-
-fn write_loop(stream: TcpStream, state: &Arc<ConnState>) {
-    let mut stream = stream;
+fn write_loop(state: &ConnState) {
     let mut batch: Vec<Vec<u8>> = Vec::new();
     let mut wire: Vec<u8> = Vec::with_capacity(64 * 1024);
     while state.outbox.recv_batch(256, &mut batch) {
-        wire.clear();
         for frame in batch.drain(..) {
             wire.extend_from_slice(&frame);
         }
-        if stream.write_all(&wire).is_err() {
-            state.dead.store(true, Ordering::SeqCst);
+        if !state.write(&mut wire) {
             break;
         }
     }
     // Either the outbox closed (drain complete) or the socket died; stop
     // accepting replies and let the peer see EOF.
     state.dead.store(true, Ordering::SeqCst);
-    let _ = stream.shutdown(Shutdown::Write);
+    let _ = state.socket().shutdown(Shutdown::Write);
 }

@@ -5,9 +5,14 @@
 //! owns `[split[i-1], split[i])` and serves it from its own backend store
 //! instance (shared-nothing — no cross-shard locks on the data path).
 //! A connection reader routes each request to the owning shard's bounded
-//! [`Mailbox`]; the shard worker drains the mailbox in batches and:
+//! [`Mailbox`], except a GET its connection has nothing else outstanding
+//! for and the store holds in memory: the reader answers that one itself
+//! through `Shard::get_resident`, so only misses, GETs pipelined behind
+//! another request, and GETs to a store without that memory-only probe
+//! reach a shard as reads. The shard worker drains the mailbox in batches
+//! and:
 //!
-//! 1. executes reads immediately (replying as it goes),
+//! 1. executes reads immediately (replying as it goes; misses park),
 //! 2. applies writes to the backend but **defers their replies**,
 //! 3. appends all of the batch's redo records to the shard's TC WAL with
 //!    one [`RecoveryLog::commit_batch`] — a single durability barrier —
@@ -59,8 +64,8 @@ pub struct Mail {
     pub req: Request,
     /// Where the response goes.
     pub reply: Arc<dyn ReplySink>,
-    /// When the request entered the mailbox, in telemetry-clock nanos
-    /// (`dcs_telemetry::now_nanos`) — the latency measurement origin,
+    /// When the request was routed to the mailbox, in telemetry-clock
+    /// nanos (`dcs_telemetry::now_nanos`) — the latency measurement origin,
     /// on the same timeline the spans are recorded against.
     pub enqueued: u64,
 }
@@ -245,6 +250,25 @@ impl Shard {
                     .deliver(mail.id, Response::Err("server shutting down".into()));
             }
         }
+    }
+
+    /// Answer a GET on the calling connection reader when this shard's
+    /// store holds the answer in memory, counting it here as the worker
+    /// would; `None` (a miss, or a store without the memory-only probe)
+    /// leaves the GET to the mailbox, uncounted. The caller routed `key` to this
+    /// shard by the live map it just loaded, which is the worker's
+    /// misroute check. `decoded` is when the request left the socket.
+    pub(crate) fn get_resident(&self, key: &[u8], decoded: u64) -> Option<Response> {
+        let found = self.async_backend.as_ref()?.kv_get_resident(key)?;
+        self.metrics.gets.fetch_add(1, Ordering::Relaxed);
+        self.metrics.inline_gets.fetch_add(1, Ordering::Relaxed);
+        let waited = dcs_telemetry::now_nanos().saturating_sub(decoded);
+        self.metrics.read_latency.record(waited);
+        let _span = dcs_telemetry::span_at("server.get", dcs_telemetry::CostClass::Mm, decoded);
+        Some(match found {
+            Ok(v) => Response::Value(v),
+            Err(e) => Response::Err(e.to_string()),
+        })
     }
 
     /// The worker loop. Run on a dedicated thread.
@@ -903,6 +927,10 @@ mod tests {
         fn kv_inflight(&self) -> usize {
             self.pending.lock().unwrap().len()
         }
+
+        fn kv_get_resident(&self, key: &[u8]) -> Option<Result<Option<Vec<u8>>, StoreFailure>> {
+            (!key.starts_with(b"cold")).then(|| self.inner.kv_get(key))
+        }
     }
 
     fn slow_shard(delay_ms: u64) -> (Arc<Shard>, Arc<SlowAsyncStore>) {
@@ -983,6 +1011,28 @@ mod tests {
         assert_eq!(shard.metrics().misses_submitted.load(Ordering::Relaxed), 1);
         assert_eq!(shard.metrics().miss_latency.count(), 1);
         assert_eq!(shard.metrics().read_latency.count(), 4);
+    }
+
+    #[test]
+    fn get_resident_answers_hits_and_counts_only_them() {
+        let (shard, _store) = slow_shard(40);
+        let m = shard.metrics();
+        let hot = shard.get_resident(b"hot", dcs_telemetry::now_nanos());
+        assert_eq!(hot, Some(Response::Value(Some(b"h".to_vec()))));
+        // A miss is declined uncounted: the mailbox path will count it.
+        assert_eq!(
+            shard.get_resident(b"cold1", dcs_telemetry::now_nanos()),
+            None
+        );
+        assert_eq!(m.gets.load(Ordering::Relaxed), 1);
+        assert_eq!(m.inline_gets.load(Ordering::Relaxed), 1);
+        assert_eq!(m.read_latency.count(), 1);
+        assert_eq!(shard.mailbox().stats().accepted, 0);
+        // A store without an async handle never answers off the worker.
+        let (s0, _s1, backends) = two_shards();
+        backends[0].kv_put(b"a".to_vec(), b"1".to_vec()).unwrap();
+        assert_eq!(s0.get_resident(b"a", dcs_telemetry::now_nanos()), None);
+        assert_eq!(s0.metrics().gets.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use dcs_workload::{
     keys, AsyncGet, AsyncKvStore, CompletedGet, KvStore, Runner, StoreFailure, WorkloadSpec,
 };
 use std::collections::HashSet;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -472,4 +473,153 @@ fn workload_runner_drives_server_over_the_wire() {
     let report = server.shutdown();
     let served: u64 = report.shards.iter().map(|s| s.total_ops()).sum();
     assert!(served >= 2_000 + RECORDS);
+}
+
+/// GETs the connection readers answered themselves, and requests the
+/// shard mailboxes accepted, summed over the shards.
+fn inline_and_mailed(server: &Server) -> (u64, u64) {
+    server.shards().iter().fold((0, 0), |(inline, mailed), s| {
+        (
+            inline + s.metrics().inline_gets.load(Ordering::Relaxed),
+            mailed + s.mailbox().stats().accepted,
+        )
+    })
+}
+
+/// A GET hit on a connection with nothing else outstanding is answered
+/// by the connection reader: it never enters a shard mailbox, and STATS
+/// counts it under `server.inline_gets`.
+#[test]
+fn idle_connection_get_hits_skip_the_mailbox() {
+    const RECORDS: u64 = 500;
+    let (server, _partitioner) = start_caching(2, RECORDS);
+    let client = Client::connect(
+        server.addr(),
+        ClientConfig {
+            connections: 1,
+            ..ClientConfig::default()
+        },
+    )
+    .unwrap();
+    for id in 0..RECORDS {
+        client
+            .put(&keys::encode(id), &keys::value_for(id, 1, 64))
+            .unwrap();
+    }
+    let (inline0, mailed0) = inline_and_mailed(&server);
+    for id in 0..RECORDS {
+        let v = client.get(&keys::encode(id)).unwrap().expect("hit");
+        assert_eq!(keys::parse_value(&v), Some((id, 1)));
+    }
+    let (inline1, mailed1) = inline_and_mailed(&server);
+    assert_eq!(
+        inline1 - inline0,
+        RECORDS,
+        "every idle-connection hit inline"
+    );
+    assert_eq!(mailed1, mailed0, "an inline GET entered a shard mailbox");
+    let doc = dcs_telemetry::Json::parse(&client.stats().unwrap()).unwrap();
+    assert_eq!(
+        doc.at(&["registry", "counters", "server.inline_gets"]),
+        Some(&dcs_telemetry::Json::UInt(inline1))
+    );
+    client.close();
+    server.shutdown();
+}
+
+/// A GET pipelined behind an unanswered PUT on one connection reads that
+/// PUT, whichever path serves it.
+#[test]
+fn pipelined_put_then_get_reads_the_put() {
+    let (server, _partitioner) = start_caching(2, 1_000);
+    let client = Client::connect(
+        server.addr(),
+        ClientConfig {
+            connections: 1,
+            ..ClientConfig::default()
+        },
+    )
+    .unwrap();
+    let key = keys::encode(7).to_vec();
+    for i in 0..1_000u32 {
+        let value = keys::value_for(7, i, 32);
+        let put = client
+            .submit(Request::Put {
+                key: key.clone(),
+                value: value.clone(),
+            })
+            .unwrap();
+        let get = client.submit(Request::Get { key: key.clone() }).unwrap();
+        assert_eq!(put.wait().unwrap(), Response::Ok);
+        assert_eq!(
+            get.wait().unwrap(),
+            Response::Value(Some(value)),
+            "round {i}"
+        );
+    }
+    client.close();
+    server.shutdown();
+}
+
+/// A GET whose leaf was evicted to flash is declined by the connection
+/// reader's memory-only probe and answered through the shard's
+/// parked-miss path; the store counts every GET once on either path.
+#[test]
+fn evicted_get_is_served_by_the_shard_and_counted_once() {
+    const RECORDS: u64 = 2_000;
+    let store = Arc::new(
+        dcs_core::StoreBuilder::small_test()
+            .memory_budget(64 << 10)
+            .build(),
+    );
+    let server = Server::start_with(
+        vec![ShardBackend {
+            kv: store.clone(),
+            async_kv: Some(store.clone()),
+        }],
+        Partitioner::single(),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let client = Client::connect(
+        server.addr(),
+        ClientConfig {
+            connections: 1,
+            ..ClientConfig::default()
+        },
+    )
+    .unwrap();
+    for id in 0..RECORDS {
+        client
+            .put(&keys::encode(id), &keys::value_for(id, 1, 100))
+            .unwrap();
+    }
+    store.sweep().unwrap();
+    // A declined probe counts nothing, so it can pick the evicted key.
+    let cold = (0..RECORDS)
+        .find(|&id| store.get_resident(&keys::encode(id)).is_none())
+        .expect("sweep evicted no leaf");
+    let shard = &server.shards()[0];
+    let get = |id: u64| {
+        let (gets, inline, misses) = (
+            store.stats().tree.gets,
+            shard.metrics().inline_gets.load(Ordering::Relaxed),
+            shard.metrics().misses_submitted.load(Ordering::Relaxed),
+        );
+        let v = client.get(&keys::encode(id)).unwrap().expect("present");
+        assert_eq!(keys::parse_value(&v), Some((id, 1)));
+        assert_eq!(
+            store.stats().tree.gets,
+            gets + 1,
+            "GET {id} not counted once"
+        );
+        (
+            shard.metrics().inline_gets.load(Ordering::Relaxed) - inline,
+            shard.metrics().misses_submitted.load(Ordering::Relaxed) - misses,
+        )
+    };
+    assert_eq!(get(cold), (0, 1), "evicted GET: parked miss at the shard");
+    assert_eq!(get(cold), (1, 0), "re-read of the fetched leaf: inline");
+    client.close();
+    server.shutdown();
 }

@@ -16,6 +16,7 @@ use dcs_core::{BackendKind, BackendOpts};
 use dcs_lin::{ConcurrentMap, Recorded, ScanSemantics};
 use dcs_server::{Client, ClientConfig, Partitioner, Server, ServerConfig, ShardBackend};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// The server seen through its own client: the unit under test is the
@@ -133,6 +134,14 @@ fn wire_ops_racing_range_moves_are_linearizable() {
         server.router().map().load().epoch() >= (ROUNDS as u64) * 2,
         "migrations did not install new map epochs"
     );
+    // And reads raced them on both paths: some were answered by a
+    // connection reader from memory, not by a shard worker.
+    let inline: u64 = server
+        .shards()
+        .iter()
+        .map(|s| s.metrics().inline_gets.load(Ordering::Relaxed))
+        .sum();
+    assert!(inline > 0, "no GET was served inline");
     client.close();
     server.shutdown();
 }

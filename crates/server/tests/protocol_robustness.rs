@@ -428,3 +428,91 @@ fn abort_resolves_every_inflight_ticket() {
         .expect("tickets must resolve, not hang");
     assert_eq!(answered + failed, 256);
 }
+
+/// A client that pipelines GETs for big values and never reads its
+/// replies blocks only its own connection: the reader that answers those
+/// GETs waits on the full socket instead of queueing replies without
+/// bound, another connection keeps being served, and once the hostile
+/// socket is dropped the server still shuts down.
+#[test]
+fn client_that_never_reads_blocks_only_its_own_connection() {
+    const GETS: u64 = 1_600;
+    const VALUE: usize = 32 << 10;
+    let backends = dcs_core::BackendKind::Caching
+        .build_shards_with(1, dcs_core::BackendOpts::default())
+        .into_iter()
+        .map(dcs_server::ShardBackend::from)
+        .collect();
+    let server = dcs_server::Server::start_with(
+        backends,
+        dcs_server::Partitioner::single(),
+        dcs_server::ServerConfig::default(),
+    )
+    .unwrap();
+    let client = Client::connect(
+        server.addr(),
+        ClientConfig {
+            connections: 1,
+            ..ClientConfig::default()
+        },
+    )
+    .unwrap();
+    client.put(b"big", &vec![7u8; VALUE]).unwrap();
+
+    // 50 MiB of replies, far more than both socket buffers hold; the
+    // requests fit in one read.
+    let mut hostile = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut frames = Vec::new();
+    for id in 0..GETS {
+        let req = Request::Get {
+            key: b"big".to_vec(),
+        };
+        frames.extend_from_slice(&encode_to_vec(&Frame::Request { id, req }));
+    }
+    hostile.write_all(&frames).unwrap();
+
+    within_20s(
+        "a second connection starved behind a client that never reads",
+        move || {
+            for i in 0..50u32 {
+                let key = format!("k{i}");
+                client.put(key.as_bytes(), b"v").unwrap();
+                assert_eq!(
+                    client.get(key.as_bytes()).unwrap().as_deref(),
+                    Some(&b"v"[..])
+                );
+            }
+            client.close();
+        },
+    );
+    let answered: u64 = server
+        .shards()
+        .iter()
+        .map(|s| s.metrics().gets.load(std::sync::atomic::Ordering::Relaxed))
+        .sum();
+    assert!(
+        answered < GETS,
+        "all {GETS} GETs answered into a socket nobody reads"
+    );
+
+    drop(hostile);
+    within_20s(
+        "shutdown hung on a dropped client's connection",
+        move || {
+            server.shutdown();
+        },
+    );
+}
+
+/// Run `f` on a thread of its own; fail with `what` unless it returns
+/// within 20 s.
+fn within_20s(what: &str, f: impl FnOnce() + Send + 'static) {
+    let t = std::thread::spawn(f);
+    for _ in 0..2_000 {
+        if t.is_finished() {
+            return t.join().unwrap();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    panic!("{what}");
+}

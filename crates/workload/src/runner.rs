@@ -87,6 +87,14 @@ pub trait AsyncKvStore: KvStore {
     fn kv_poll(&self, out: &mut Vec<CompletedGet>) -> usize;
     /// Misses currently in flight.
     fn kv_inflight(&self) -> usize;
+    /// A point read answered only if it needs no I/O: `None` means "ask
+    /// [`AsyncKvStore::kv_get_submit`]", and a `None` must count nothing,
+    /// so the read is counted once whichever call answers it. The default
+    /// never answers.
+    fn kv_get_resident(&self, key: &[u8]) -> Option<Result<Option<Vec<u8>>, StoreFailure>> {
+        let _ = key;
+        None
+    }
 }
 
 /// Per-kind operation counts from a run.
