@@ -113,6 +113,9 @@ struct DeviceState {
     open: Option<SegmentId>,
     /// Erase (trim) count per physical segment — flash wear.
     erase_counts: Vec<u32>,
+    /// Segments [`FlashDevice::append`] wrote to since the last sync: the
+    /// only ones that can hold bytes a barrier has not made durable.
+    unsynced: Vec<SegmentId>,
 }
 
 /// The simulated flash SSD.
@@ -191,6 +194,7 @@ impl FlashDevice {
             free: (0..config.segment_count as SegmentId).rev().collect(),
             open: None,
             erase_counts: vec![0; config.segment_count],
+            unsynced: Vec::new(),
         };
         FlashDevice {
             config,
@@ -285,6 +289,15 @@ impl FlashDevice {
             let offset = seg.written;
             seg.data[offset..offset + buf.len()].copy_from_slice(buf);
             seg.written += buf.len();
+            if st.unsynced.last() != Some(&id) {
+                st.unsynced.push(id);
+                // Ids recycled by trims between syncs repeat; keep at most
+                // one entry per segment.
+                if st.unsynced.len() > self.config.segment_count {
+                    st.unsynced.sort_unstable();
+                    st.unsynced.dedup();
+                }
+            }
             FlashAddress {
                 segment: id,
                 offset: offset as u32,
@@ -514,11 +527,18 @@ impl FlashDevice {
     }
 
     /// Mark all appended data durable (as a flush barrier / FUA would).
+    /// Touches only the segments appended to since the last sync, so a
+    /// barrier costs what it makes durable, not the device's size.
     pub fn sync(&self) {
         let _span = crate::stats::service_span("flashsim.sync", dcs_telemetry::CostClass::Wal);
         let mut st = self.state.lock();
-        for seg in st.segments.iter_mut().flatten() {
-            seg.durable = seg.written;
+        let st = &mut *st;
+        for id in st.unsynced.drain(..) {
+            // A segment trimmed since its append is gone (or reopened,
+            // fresh); either way there is nothing stale to mark.
+            if let Some(Some(seg)) = st.segments.get_mut(id as usize) {
+                seg.durable = seg.written;
+            }
         }
         self.stats.record_sync();
     }
@@ -709,6 +729,94 @@ mod tests {
         let a = d.append(b"volatile").unwrap();
         assert_eq!(d.crash_torn(1 << 20), 0);
         assert_eq!(d.read(a, 8).unwrap(), b"volatile");
+    }
+
+    /// The power cuts a barrier test checks against: a clean `crash()`,
+    /// and torn crashes keeping 0 and 3 bytes of the open segment's tail.
+    const CUTS: [Option<usize>; 3] = [None, Some(0), Some(3)];
+
+    fn cut(d: &FlashDevice, torn_keep: Option<usize>) -> u64 {
+        match torn_keep {
+            None => d.crash(),
+            Some(keep) => d.crash_torn(keep),
+        }
+    }
+
+    fn small_segments() -> FlashDevice {
+        FlashDevice::new(DeviceConfig {
+            segment_bytes: 256,
+            ..DeviceConfig::small_test()
+        })
+    }
+
+    #[test]
+    fn sync_covers_sealed_segments_and_loses_exactly_the_later_bytes() {
+        for torn_keep in CUTS {
+            let d = small_segments();
+            // Three unsynced appends: two sealed segments and an open one.
+            let pre: Vec<FlashAddress> = (1..=3u8).map(|b| d.append(&[b; 200]).unwrap()).collect();
+            assert_eq!(d.free_segments(), 64 - 3);
+            d.sync();
+            let tail = d.append(&[4; 50]).unwrap(); // fills the open segment
+            let open = d.append(&[5; 100]).unwrap(); // opens a fourth
+            assert_eq!((tail.segment, tail.offset), (pre[2].segment, 200));
+            assert_ne!(open.segment, tail.segment);
+            let kept = torn_keep.unwrap_or(0);
+            assert_eq!(cut(&d, torn_keep), 150 - kept as u64, "{torn_keep:?}");
+            for (b, a) in (1..=3u8).zip(&pre) {
+                assert_eq!(d.read(*a, 200).unwrap(), [b; 200]);
+            }
+            assert!(d.read(tail, 1).is_err(), "a sealed tail is never torn");
+            assert!(d.read(open, kept + 1).is_err());
+            assert_eq!(d.read(open, kept).unwrap(), vec![5; kept]);
+        }
+    }
+
+    #[test]
+    fn unsynced_segment_trimmed_before_sync_stays_gone() {
+        for torn_keep in CUTS {
+            let d = small_segments();
+            let a = d.append(&[1; 200]).unwrap();
+            let b = d.append(&[2; 200]).unwrap(); // seals `a`
+            d.trim_segment(a.segment);
+            let free = d.free_segments();
+            d.sync();
+            assert_eq!(cut(&d, torn_keep), 0);
+            assert_eq!(d.free_segments(), free, "{torn_keep:?}");
+            assert_eq!(d.read(a, 1), Err(DeviceError::BadAddress(a)));
+            assert_eq!(d.read(b, 200).unwrap(), [2; 200]);
+            // Reopened by a buffered append, the id holds only new bytes,
+            // and a crash before the next sync loses them.
+            let c = d.append(&[3; 100]).unwrap();
+            assert_eq!(c.segment, a.segment);
+            let kept = torn_keep.unwrap_or(0);
+            assert_eq!(cut(&d, torn_keep), 100 - kept as u64);
+            assert_eq!(d.segment_written(a.segment), kept);
+            assert_eq!(d.read(c, kept).unwrap(), vec![3; kept]);
+        }
+    }
+
+    #[test]
+    fn append_durable_interleaved_with_buffered_appends() {
+        for torn_keep in CUTS {
+            let d = test_device();
+            let x = d.append(b"synced").unwrap();
+            d.sync();
+            let y = d.append_durable(b"fua-1").unwrap();
+            let z = d.append(b"buffered").unwrap();
+            let w = d.append_durable(b"fua-2").unwrap();
+            assert_eq!(
+                z.segment, x.segment,
+                "FUA writes leave the open segment open"
+            );
+            let kept = torn_keep.unwrap_or(0);
+            assert_eq!(cut(&d, torn_keep), 8 - kept as u64, "{torn_keep:?}");
+            assert_eq!(d.read(x, 6).unwrap(), b"synced");
+            assert_eq!(d.read(y, 5).unwrap(), b"fua-1");
+            assert_eq!(d.read(w, 5).unwrap(), b"fua-2");
+            assert_eq!(d.read(z, kept).unwrap(), &b"buffered"[..kept]);
+            assert!(d.read(z, 8).is_err());
+        }
     }
 
     #[test]

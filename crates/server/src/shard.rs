@@ -391,6 +391,10 @@ impl Shard {
                 }
                 Request::Put { key, value } => {
                     self.metrics.puts.fetch_add(1, Ordering::Relaxed);
+                    if !self.wal.fits(key, Some(value)) {
+                        deferred.push((mail, Self::too_large()));
+                        continue;
+                    }
                     match self.router.admit_write(self.index, key, Some(value)) {
                         WriteAdmission::Moved { epoch, shard } => {
                             self.reply_redirect(mail, epoch, shard);
@@ -446,6 +450,10 @@ impl Shard {
                         Ok(cur) => {
                             let mut new = cur.unwrap_or_default();
                             new.extend_from_slice(value);
+                            if !self.wal.fits(key, Some(&new)) {
+                                deferred.push((mail, Self::too_large()));
+                                continue;
+                            }
                             match self.router.admit_write(self.index, key, Some(&new)) {
                                 WriteAdmission::Moved { epoch, shard } => {
                                     self.reply_redirect(mail, epoch, shard);
@@ -551,6 +559,12 @@ impl Shard {
             class,
             dcs_telemetry::now_nanos().saturating_sub(elapsed_nanos),
         )
+    }
+
+    /// The answer to a write whose redo record cannot fit one WAL frame:
+    /// it is refused before the backend sees it, so nothing is applied.
+    fn too_large() -> Response {
+        Response::Err("write too large for one WAL frame".into())
     }
 
     fn redo(&self, key: &[u8], value: Option<&[u8]>) -> LogRecord {

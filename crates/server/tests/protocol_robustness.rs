@@ -504,6 +504,40 @@ fn client_that_never_reads_blocks_only_its_own_connection() {
     );
 }
 
+/// A write whose redo record cannot fit one frame of the shard's WAL
+/// device (64 KiB segments; the wire allows 1 MiB) is answered `ERR` and
+/// applies nothing, and the shard goes on serving.
+#[test]
+fn oversized_write_gets_err_and_the_shard_keeps_serving() {
+    within_20s("a shard stopped answering after an oversized write", || {
+        let backends = dcs_core::BackendKind::Caching
+            .build_shards_with(1, dcs_core::BackendOpts::default())
+            .into_iter()
+            .map(dcs_server::ShardBackend::from)
+            .collect();
+        let server = dcs_server::Server::start_with(
+            backends,
+            dcs_server::Partitioner::single(),
+            dcs_server::ServerConfig::default(),
+        )
+        .unwrap();
+        let client = Client::connect(server.addr(), ClientConfig::default()).unwrap();
+        client.put(b"k", b"before").unwrap();
+        let put = client.put(b"k", &[7; 64 << 10]);
+        assert!(matches!(put, Err(ClientError::Server(_))), "{put:?}");
+        assert_eq!(client.get(b"k").unwrap().as_deref(), Some(&b"before"[..]));
+        // Each half fits; appended together they do not.
+        client.put(b"r", &[1; 40 << 10]).unwrap();
+        let rmw = client.rmw(b"r", &[2; 30 << 10]);
+        assert!(matches!(rmw, Err(ClientError::Server(_))), "{rmw:?}");
+        assert_eq!(client.get(b"r").unwrap(), Some(vec![1; 40 << 10]));
+        client.put(b"k", b"after").unwrap();
+        assert_eq!(client.get(b"k").unwrap().as_deref(), Some(&b"after"[..]));
+        client.close();
+        server.shutdown();
+    });
+}
+
 /// Run `f` on a thread of its own; fail with `what` unless it returns
 /// within 20 s.
 fn within_20s(what: &str, f: impl FnOnce() + Send + 'static) {

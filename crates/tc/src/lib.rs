@@ -8,10 +8,13 @@
 //! * **MVCC with timestamp ordering** ([`VersionStore`]): the TC keeps versions
 //!   themselves (not proxies) in its version store, visibility governed by
 //!   transaction timestamps, with first-committer-wins write validation.
-//! * **The recovery log as a record cache** (§6.3, Figure 6): redo records
-//!   live in log buffers that are *retained in memory after flush*; the
-//!   MVCC hash table doubles as the index over this updated-record cache.
-//!   A TC cache hit avoids not only the I/O but the entire DC visit.
+//! * **The recovery log as a record cache** (§6.3, Figure 6): an
+//!   in-memory [`RecoveryLog`] retains its redo records after flush, and
+//!   the MVCC hash table doubles as the index over this updated-record
+//!   cache. A TC cache hit avoids not only the I/O but the entire DC visit.
+//!   A device-backed log keeps nothing past its barrier: a record leaves
+//!   memory once a barrier has made it durable on the device, which then
+//!   serves replay.
 //! * **A log-structured read cache** ([`ReadCache`]): records read from
 //!   the DC are retained in a bounded, log-structured ring.
 //! * **All updates are blind at the DC** (§6.2): commit posts each write
