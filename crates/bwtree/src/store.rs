@@ -52,6 +52,14 @@ pub trait PageStore: Send + Sync {
     /// folding every part of the page's flash chain.
     fn fetch(&self, pid: PageId, token: u64) -> Result<PageImage, StoreError>;
 
+    /// [`PageStore::fetch`] for a write that heals a partial page: the tree
+    /// faults an evicted base in once the blind deltas above it reach
+    /// `max_partial_deltas`. A store may sanction this stall on a thread
+    /// that must not otherwise block. Default: `fetch`.
+    fn fetch_to_heal(&self, pid: PageId, token: u64) -> Result<PageImage, StoreError> {
+        self.fetch(pid, token)
+    }
+
     /// Durably retire a page that no longer exists (merge SMOs): its parts
     /// become dead and recovery must not resurrect it. Default: no-op (for
     /// stores without durability semantics).

@@ -773,7 +773,7 @@ impl BwTree {
             }
             LeafChainInfo::Frozen => return,
         };
-        if let Ok(img) = self.store.fetch(pid, token) {
+        if let Ok(img) = self.store.fetch_to_heal(pid, token) {
             self.install_image(pid, token, img);
             self.consolidate_leaf(pid, guard);
         }

@@ -278,6 +278,10 @@ pub(crate) fn fail_current(message: String) -> ! {
     panic!("{message}");
 }
 
+// The scheduler hands the one runnable turn between real OS threads by
+// parking them on `cv`; it sits beneath `dcs-syncshim` (which depends on
+// this crate), so it cannot use the checked waits there.
+#[allow(clippy::disallowed_methods)]
 impl Execution {
     fn new(seed: u64, policy: Policy, max_steps: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);

@@ -175,7 +175,7 @@ impl PendingRead {
         if let Some(deadline) = self.wall_deadline {
             let now = std::time::Instant::now();
             if deadline > now {
-                std::thread::sleep(deadline - now);
+                dcs_syncshim::block::sleep(deadline - now);
             }
         }
     }
@@ -265,9 +265,8 @@ impl FlashDevice {
             let mut st = self.state.lock();
             let need_new = match st.open {
                 Some(id) => {
-                    // LINT: allow(effect-panic): state-machine invariant
-                    // (`open` always indexes a live segment), not reachable
-                    // from peer input.
+                    // State-machine invariant (`open` always indexes a
+                    // live segment), not reachable from peer input.
                     let seg = st.segments[id as usize]
                         .as_ref()
                         .expect("open segment exists");
@@ -280,12 +279,12 @@ impl FlashDevice {
                 st.segments[id as usize] = Some(Segment::new(self.config.segment_bytes));
                 st.open = Some(id);
             }
-            // LINT: allow(effect-panic): `need_new` just set `open`; both
-            // expects assert the same segment-table invariant as above.
+            // `need_new` just set `open`; both expects assert the same
+            // segment-table invariant as above.
             let id = st.open.expect("segment just opened");
             let seg = st.segments[id as usize]
                 .as_mut()
-                .expect("open segment exists"); // LINT: allow(effect-panic): same segment-table invariant.
+                .expect("open segment exists");
             let offset = seg.written;
             seg.data[offset..offset + buf.len()].copy_from_slice(buf);
             seg.written += buf.len();
@@ -365,8 +364,11 @@ impl FlashDevice {
     /// A thin submit+poll wrapper over the asynchronous engine: the command
     /// is submitted, the caller sleeps out any wall-clock latency, and the
     /// completion is reaped inline — identical costs and error behaviour to
-    /// the historical blocking implementation.
+    /// the historical blocking implementation. Blocking by contract, so a
+    /// debug build panics if this thread is in a
+    /// [`dcs_syncshim::block::non_blocking`] scope.
     pub fn read(&self, addr: FlashAddress, len: usize) -> Result<Vec<u8>, DeviceError> {
+        dcs_syncshim::block::assert_may_block("FlashDevice::read");
         let _span = crate::stats::service_span("flashsim.read", dcs_telemetry::CostClass::SsRead);
         let pending = self.submit_read(addr, len, true);
         pending.wall_wait();

@@ -1115,6 +1115,11 @@ impl LogStructuredStore {
                         }
                         Err(SubmitError::QueueFull { .. }) => {
                             // Bounded-queue degradation: read synchronously.
+                            // A stall by design, so it is exempt from the
+                            // caller's non-blocking scope: a served shard
+                            // with more misses parked than the queue holds
+                            // waits here (ROADMAP item 1).
+                            let _stall = dcs_syncshim::block::exempt();
                             self.device
                                 .read(payload_addr, meta.len as usize)
                                 .map_err(device_err)?
@@ -1212,7 +1217,13 @@ impl PageStore for LogStructuredStore {
             if let Some(prev_lsn) = prev {
                 let chain_len = inner.parts.get(&prev_lsn).map(|m| m.chain_len).unwrap_or(0);
                 if chain_len >= self.config.max_flush_chain {
-                    let mut full = self.fetch_locked(&inner, prev_lsn)?;
+                    let mut full = {
+                        // A flush on a serving thread stalls on this read:
+                        // a stall by design, exempt from the caller's
+                        // non-blocking scope (ROADMAP item 1).
+                        let _stall = dcs_syncshim::block::exempt();
+                        self.fetch_locked(&inner, prev_lsn)?
+                    };
                     full.apply_delta(image);
                     // ORDERING: statistics counter only.
                     self.stats.rollups.fetch_add(1, Ordering::Relaxed);
@@ -1257,6 +1268,14 @@ impl PageStore for LogStructuredStore {
     fn fetch(&self, _pid: PageId, token: u64) -> Result<PageImage, StoreError> {
         let inner = self.inner.lock();
         self.fetch_locked(&inner, token)
+    }
+
+    fn fetch_to_heal(&self, pid: PageId, token: u64) -> Result<PageImage, StoreError> {
+        // A write on a serving thread stalls on this read: a stall by
+        // design, exempt from the caller's non-blocking scope (ROADMAP
+        // item 1).
+        let _stall = dcs_syncshim::block::exempt();
+        self.fetch(pid, token)
     }
 
     fn retire_page(&self, pid: PageId) -> Result<(), StoreError> {

@@ -391,8 +391,10 @@ impl LsmTree {
             }
             // Device queue saturated: degrade to the blocking probe order
             // (stop at the first table that answers). Correctness never
-            // depends on a free queue slot.
+            // depends on a free queue slot. A stall by design, so it is
+            // exempt from the caller's non-blocking scope (ROADMAP item 1).
             Err(SubmitError::QueueFull { .. }) => {
+                let _stall = dcs_syncshim::block::exempt();
                 let mut result = None;
                 for (t, s, e) in &cands {
                     let block = self.device.read(t.block_addr(*s), e - s)?;

@@ -747,6 +747,9 @@ unsafe impl Send for MassTree {}
 unsafe impl Sync for MassTree {}
 
 #[cfg(test)]
+// Tests pace real threads with sleeps; masstree has no serving loop to
+// check them against.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

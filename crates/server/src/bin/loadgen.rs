@@ -433,7 +433,7 @@ fn run_open(args: &Args, client: &Arc<Client>, spec: &WorkloadSpec, harness: &Ar
             }
             let remain = offset - elapsed;
             if remain > Duration::from_millis(2) {
-                std::thread::sleep(remain - Duration::from_millis(1));
+                dcs_syncshim::block::sleep(remain - Duration::from_millis(1));
             } else {
                 std::hint::spin_loop();
             }
@@ -630,7 +630,7 @@ fn main() {
         std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
                 dcs_telemetry::flight().tick();
-                std::thread::sleep(Duration::from_millis(25));
+                dcs_syncshim::block::sleep(Duration::from_millis(25));
             }
         })
     });

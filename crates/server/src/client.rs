@@ -10,6 +10,7 @@
 //! rather than hanging — the kill-mid-pipeline contract.
 
 use crate::protocol::{decode_frame, encode_to_vec, Frame, Request, Response};
+use dcs_syncshim::block;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -86,7 +87,7 @@ impl Slot {
             if let Some(result) = state.take() {
                 return result;
             }
-            state = self.ready.wait(state).unwrap();
+            state = block::wait(&self.ready, state).unwrap();
         }
     }
 }
@@ -374,7 +375,7 @@ impl Client {
                     busy_tries += 1;
                     // The shard is saturated; back off (exponentially,
                     // jittered) instead of hammering the mailbox.
-                    std::thread::sleep(self.backoff(busy_tries, &mut rng));
+                    block::sleep(self.backoff(busy_tries, &mut rng));
                 }
                 Err(ClientError::Moved { epoch, .. }) if moved_tries < self.moved_retries => {
                     moved_tries += 1;
@@ -383,7 +384,7 @@ impl Client {
                     // short jittered pause lets an in-flight epoch
                     // install land instead of bouncing off the freeze
                     // window again.
-                    std::thread::sleep(self.backoff(moved_tries, &mut rng));
+                    block::sleep(self.backoff(moved_tries, &mut rng));
                 }
                 other => return other,
             }

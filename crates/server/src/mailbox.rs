@@ -132,9 +132,8 @@ impl<T> Mailbox<T> {
         // each iteration a schedule point.
         #[cfg(not(feature = "check"))]
         {
-            // LINT: allow(effect-panic): a poisoned mailbox means a sibling
-            // shard thread already aborted; crash loudly rather than serve
-            // from a torn queue.
+            // A poisoned mailbox means a sibling shard thread already
+            // aborted; crash loudly rather than serve from a torn queue.
             let mut inner = self.inner.lock().unwrap();
             loop {
                 if !inner.queue.is_empty() {
@@ -144,18 +143,14 @@ impl<T> Mailbox<T> {
                 if inner.closed {
                     return false;
                 }
-                // LINT: allow(effect-block): the drain loop parks here only
-                // when no misses are in flight and the queue is empty — the
-                // async-shard guarantee is "never block *with work parked*",
-                // and Shard::run switches to try_recv_batch in that state.
-                // LINT: allow(effect-panic): poisoning, as above.
-                inner = self.notempty.wait(inner).unwrap();
+                // The idle park: `Shard::run` calls this only with no miss
+                // parked, and outside its non-blocking scope.
+                inner = dcs_syncshim::block::wait(&self.notempty, inner).unwrap();
             }
         }
         #[cfg(feature = "check")]
         loop {
             {
-                // LINT: allow(effect-panic): poisoned-mailbox abort, as above.
                 let mut inner = self.inner.lock().unwrap();
                 if !inner.queue.is_empty() {
                     Self::take(&mut inner, max, out);
@@ -173,8 +168,6 @@ impl<T> Mailbox<T> {
     /// mailbox can still produce items later (open, or closed but
     /// non-empty).
     pub fn try_recv_batch(&self, max: usize, out: &mut Vec<T>) -> bool {
-        // LINT: allow(effect-panic): poisoned-mailbox abort, same rationale
-        // as `recv_batch` above.
         let mut inner = self.inner.lock().unwrap();
         if !inner.queue.is_empty() {
             Self::take(&mut inner, max, out);
@@ -293,7 +286,7 @@ mod tests {
             out
         });
         // Give the receiver a chance to park first.
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        dcs_syncshim::block::sleep(std::time::Duration::from_millis(10));
         mb.send(7u32).unwrap();
         assert_eq!(t.join().unwrap(), vec![7]);
     }
@@ -306,7 +299,7 @@ mod tests {
             let mut out = Vec::new();
             mb2.recv_batch(8, &mut out)
         });
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        dcs_syncshim::block::sleep(std::time::Duration::from_millis(10));
         mb.close();
         assert!(!t.join().unwrap());
     }

@@ -271,10 +271,8 @@ fn run_loop(
             let (lock, cv) = stop;
             let mut stopped = lock.lock().unwrap_or_else(|e| e.into_inner());
             if !*stopped {
-                let (g, _) = cv
-                    .wait_timeout(stopped, Duration::from_millis(cfg.tick_ms.max(1)))
-                    .unwrap_or_else(|e| e.into_inner());
-                stopped = g;
+                let tick = Duration::from_millis(cfg.tick_ms.max(1));
+                stopped = dcs_syncshim::block::wait_timeout(cv, stopped, tick);
             }
             if *stopped {
                 return;

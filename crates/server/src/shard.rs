@@ -259,7 +259,11 @@ impl Shard {
     /// shard by the live map it just loaded, which is the worker's
     /// misroute check. `decoded` is when the request left the socket.
     pub(crate) fn get_resident(&self, key: &[u8], decoded: u64) -> Option<Response> {
-        let found = self.async_backend.as_ref()?.kv_get_resident(key)?;
+        let found = {
+            // The reader must not stall its socket in the store.
+            let _nb = dcs_syncshim::block::non_blocking();
+            self.async_backend.as_ref()?.kv_get_resident(key)?
+        };
         self.metrics.gets.fetch_add(1, Ordering::Relaxed);
         self.metrics.inline_gets.fetch_add(1, Ordering::Relaxed);
         let waited = dcs_telemetry::now_nanos().saturating_sub(decoded);
@@ -282,6 +286,13 @@ impl Shard {
     /// order, by request id, as their fetches complete. A shard without an
     /// async handle never parks, so it only ever blocks in `recv_batch`.
     ///
+    /// Each batch's work (execution, completion poll, replies) runs in a
+    /// [`dcs_syncshim::block::non_blocking`] scope: a debug build panics at
+    /// any blocking call there outside a named exemption (`Shard::stall`
+    /// and the stores' own, ROADMAP item 1). The two waits the loop does
+    /// make, the idle park in `recv_batch` and the backoff sleep, sit
+    /// outside it.
+    ///
     /// The loop ends once the mailbox is closed *and* empty and every
     /// parked request has been answered; then a final WAL barrier makes
     /// every acknowledged write durable before shutdown completes.
@@ -296,6 +307,7 @@ impl Shard {
                 self.mailbox.try_recv_batch(self.batch_max, &mut batch)
             };
             let got_mail = !batch.is_empty();
+            let nb = dcs_syncshim::block::non_blocking();
             if got_mail {
                 self.process_batch(&mut batch, &mut parked);
                 self.metrics
@@ -321,6 +333,7 @@ impl Shard {
                     }
                 }
             }
+            drop(nb);
             if parked.is_empty() {
                 if !more {
                     break;
@@ -328,10 +341,9 @@ impl Shard {
             } else if !got_mail && reaped == 0 {
                 // Nothing arrived and nothing completed: back off briefly
                 // instead of hot-spinning against wall-clock device latency.
-                // LINT: allow(effect-block): bounded 20µs idle backoff, not
-                // I/O — it caps the poll rate, it cannot stall parked misses
-                // (they are already submitted to the device).
-                std::thread::sleep(Duration::from_micros(20));
+                // Parked misses are already submitted, so this cannot stall
+                // them; it only caps the poll rate.
+                dcs_syncshim::block::sleep(Duration::from_micros(20));
             }
         }
         let _ = self.wal.commit_batch(&[]);
@@ -383,7 +395,7 @@ impl Shard {
                 }
                 Request::Scan { start, limit } => {
                     self.metrics.scans.fetch_add(1, Ordering::Relaxed);
-                    let resp = match self.scan_from(start, *limit as usize) {
+                    let resp = match Self::stall(|| self.scan_from(start, *limit as usize)) {
                         Ok(n) => Response::Count(n as u64),
                         Err(e) => Response::Err(e),
                     };
@@ -417,6 +429,10 @@ impl Shard {
                 }
                 Request::Delete { key } => {
                     self.metrics.deletes.fetch_add(1, Ordering::Relaxed);
+                    if !self.wal.fits(key, None) {
+                        deferred.push((mail, Self::too_large()));
+                        continue;
+                    }
                     match self.router.admit_write(self.index, key, None) {
                         WriteAdmission::Moved { epoch, shard } => {
                             self.reply_redirect(mail, epoch, shard);
@@ -446,7 +462,7 @@ impl Shard {
                     // merged post-image is computed before admission so a
                     // copying migration mirrors the complete value into its
                     // tail, not the delta.
-                    let resp = match self.backend.kv_get(key) {
+                    let resp = match Self::stall(|| self.backend.kv_get(key)) {
                         Ok(cur) => {
                             let mut new = cur.unwrap_or_default();
                             new.extend_from_slice(value);
@@ -559,6 +575,17 @@ impl Shard {
             class,
             dcs_telemetry::now_nanos().saturating_sub(elapsed_nanos),
         )
+    }
+
+    /// The shard's own sanctioned stall, exempt from `run`'s non-blocking
+    /// scope: an RMW's read and a SCAN go through the blocking store
+    /// interface, so a cold page is read from the device on this thread
+    /// while the mailbox waits. On a 64 KiB caching shard holding 4 000
+    /// records, 20 cold 20-record SCANs made 86 such reads and 50 cold RMWs
+    /// 30. Making them submit/poll like GET is ROADMAP item 1.
+    fn stall<R>(read: impl FnOnce() -> R) -> R {
+        let _exempt = dcs_syncshim::block::exempt();
+        read()
     }
 
     /// The answer to a write whose redo record cannot fit one WAL frame:

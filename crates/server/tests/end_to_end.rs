@@ -131,6 +131,9 @@ fn four_shards_pipelined_no_acked_write_lost() {
 /// tiny mailbox must hit the BUSY path.
 struct SlowStore(std::sync::Mutex<std::collections::BTreeMap<Vec<u8>, Vec<u8>>>);
 
+// The 1 ms stands for store work on the shard thread, so it sleeps around
+// the shard's blocking check rather than through it.
+#[allow(clippy::disallowed_methods)]
 impl KvStore for SlowStore {
     fn kv_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreFailure> {
         std::thread::sleep(std::time::Duration::from_millis(1));
@@ -242,7 +245,7 @@ impl ColdKeyStore {
 impl KvStore for ColdKeyStore {
     fn kv_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreFailure> {
         if key.starts_with(b"cold") {
-            std::thread::sleep(self.delay);
+            dcs_syncshim::block::sleep(self.delay);
         }
         Ok(self.map.lock().unwrap().get(key).cloned())
     }

@@ -538,6 +538,65 @@ fn oversized_write_gets_err_and_the_shard_keeps_serving() {
     });
 }
 
+/// A DELETE whose key alone overflows a WAL frame is refused before the
+/// backend sees it, so the writes batched with it still commit: every PUT
+/// written in the same burst is acked `Ok`.
+#[test]
+fn huge_key_delete_does_not_fail_its_batch() {
+    within_20s("a shard stopped answering after a huge-key DELETE", || {
+        let backends = dcs_core::BackendKind::Caching
+            .build_shards_with(1, dcs_core::BackendOpts::default())
+            .into_iter()
+            .map(dcs_server::ShardBackend::from)
+            .collect();
+        let server = dcs_server::Server::start_with(
+            backends,
+            dcs_server::Partitioner::single(),
+            dcs_server::ServerConfig::default(),
+        )
+        .unwrap();
+        // One write: 16 PUTs, the DELETE, 16 more PUTs, twenty times over,
+        // so the shard drains the DELETE in a batch with PUTs.
+        const DELETE_AT: u64 = 16;
+        let mut frames = Vec::new();
+        for id in 0..20 * 33u64 {
+            let req = if id % 33 == DELETE_AT {
+                Request::Delete {
+                    key: vec![b'd'; u16::MAX as usize],
+                }
+            } else {
+                Request::Put {
+                    key: format!("k{id:04}").into_bytes(),
+                    value: id.to_le_bytes().to_vec(),
+                }
+            };
+            frames.extend_from_slice(&encode_to_vec(&Frame::Request { id, req }));
+        }
+        let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(&frames).unwrap();
+        let (mut buf, mut tmp, mut answered) = (Vec::new(), [0u8; 4096], 0);
+        while answered < 20 * 33 {
+            let n = stream.read(&mut tmp).unwrap();
+            assert!(n > 0, "server closed the connection");
+            buf.extend_from_slice(&tmp[..n]);
+            while let Some((frame, used)) = decode_frame(&buf).unwrap() {
+                buf.drain(..used);
+                answered += 1;
+                let Frame::Response { id, resp } = frame else {
+                    panic!("request frame from the server");
+                };
+                if id % 33 == DELETE_AT {
+                    assert!(matches!(resp, Response::Err(_)), "{resp:?}");
+                } else {
+                    assert_eq!(resp, Response::Ok, "PUT {id}");
+                }
+            }
+        }
+        drop(stream);
+        server.shutdown();
+    });
+}
+
 /// Run `f` on a thread of its own; fail with `what` unless it returns
 /// within 20 s.
 fn within_20s(what: &str, f: impl FnOnce() + Send + 'static) {
@@ -546,7 +605,7 @@ fn within_20s(what: &str, f: impl FnOnce() + Send + 'static) {
         if t.is_finished() {
             return t.join().unwrap();
         }
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        dcs_syncshim::block::sleep(std::time::Duration::from_millis(10));
     }
     panic!("{what}");
 }

@@ -25,6 +25,11 @@
 //! Blocking differs across builds: the check build must never park the only
 //! runnable OS thread, so wait loops spin cooperatively through
 //! [`yield_thread`], each iteration a schedule point.
+//!
+//! [`block`] holds the workspace's only `sleep` and condvar waits, checked
+//! against the thread's non-blocking scope in debug builds.
+
+pub mod block;
 
 /// `parking_lot`-shaped locks: `lock()`/`read()`/`write()` return guards
 /// directly and never poison.
