@@ -10,7 +10,7 @@ use dcs_check::explore_with;
 use dcs_server::protocol::{Request, Response};
 use dcs_server::shard::{Mail, Partitioner, ReplySink, Shard, ShardConfig};
 use dcs_tc::RecoveryLog;
-use dcs_workload::{AsyncGet, AsyncKvStore, CompletedGet, KvStore, StoreFailure};
+use dcs_workload::{AsyncGet, CompletedGet, KvStore, MemStore, StoreFailure};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -21,57 +21,37 @@ use std::sync::{Arc, Mutex};
 /// live in the instrumented mailbox and the shard's park/drain loop).
 #[derive(Default)]
 struct ColdStore {
-    map: Mutex<BTreeMap<Vec<u8>, Vec<u8>>>,
+    map: MemStore,
     next_token: AtomicU64,
     pending: Mutex<Vec<(u64, Vec<u8>)>>,
 }
 
 impl KvStore for ColdStore {
     fn kv_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreFailure> {
-        Ok(self.map.lock().unwrap().get(key).cloned())
+        self.map.kv_get(key)
     }
     fn kv_put(&self, key: Vec<u8>, value: Vec<u8>) -> Result<(), StoreFailure> {
-        self.map.lock().unwrap().insert(key, value);
-        Ok(())
+        self.map.kv_put(key, value)
     }
     fn kv_delete(&self, key: Vec<u8>) -> Result<(), StoreFailure> {
-        self.map.lock().unwrap().remove(&key);
-        Ok(())
+        self.map.kv_delete(key)
     }
-    fn kv_scan(&self, start: &[u8], limit: usize) -> Result<usize, StoreFailure> {
-        Ok(self
-            .map
-            .lock()
-            .unwrap()
-            .range(start.to_vec()..)
-            .take(limit)
-            .count())
-    }
-}
-
-impl AsyncKvStore for ColdStore {
     fn kv_get_submit(&self, key: &[u8]) -> Result<AsyncGet, StoreFailure> {
-        if key.starts_with(b"cold") {
-            let token = self.next_token.fetch_add(1, Ordering::Relaxed) + 1;
-            self.pending.lock().unwrap().push((token, key.to_vec()));
-            Ok(AsyncGet::Pending(token))
-        } else {
-            Ok(AsyncGet::Ready(self.map.lock().unwrap().get(key).cloned()))
+        if !key.starts_with(b"cold") {
+            return self.map.kv_get(key).map(AsyncGet::Ready);
         }
+        let token = self.next_token.fetch_add(1, Ordering::Relaxed) + 1;
+        self.pending.lock().unwrap().push((token, key.to_vec()));
+        Ok(AsyncGet::Pending(token))
     }
     fn kv_poll(&self, out: &mut Vec<CompletedGet>) -> usize {
         let mut pending = self.pending.lock().unwrap();
         let n = pending.len();
         for (token, key) in pending.drain(..) {
-            out.push(CompletedGet {
-                token,
-                result: Ok(self.map.lock().unwrap().get(&key).cloned()),
-            });
+            let result = self.map.kv_get(&key);
+            out.push(CompletedGet { token, result });
         }
         n
-    }
-    fn kv_inflight(&self) -> usize {
-        self.pending.lock().unwrap().len()
     }
 }
 
@@ -109,16 +89,13 @@ fn shutdown_answers_every_parked_miss() {
                 batch_max: 2,
                 ..ShardConfig::default()
             };
-            let shard = Arc::new(
-                Shard::new(
-                    0,
-                    &cfg,
-                    backends,
-                    Arc::new(Partitioner::single()),
-                    Arc::new(RecoveryLog::in_memory()),
-                )
-                .with_async_backend(Some(store.clone())),
-            );
+            let shard = Arc::new(Shard::new(
+                0,
+                &cfg,
+                backends,
+                Arc::new(Partitioner::single()),
+                Arc::new(RecoveryLog::in_memory()),
+            ));
             let ledger = Arc::new(Ledger::default());
 
             let worker = {
@@ -168,7 +145,10 @@ fn shutdown_answers_every_parked_miss() {
                     other => panic!("request {id}: unexpected {other:?}"),
                 }
             }
-            assert_eq!(store.kv_inflight(), 0, "fetches left dangling");
+            assert!(
+                store.pending.lock().unwrap().is_empty(),
+                "fetches left dangling"
+            );
             assert_eq!(
                 shard.metrics().misses_submitted.load(Ordering::Relaxed),
                 3,

@@ -8,7 +8,7 @@ use bytes::Bytes;
 use dcs_bwtree::BwTree;
 use dcs_lsm::{LsmConfig, LsmGet, LsmTree};
 use dcs_masstree::MassTree;
-use dcs_workload::{AsyncGet, AsyncKvStore, CompletedGet, KvStore, StoreFailure};
+use dcs_workload::{AsyncGet, CompletedGet, KvStore, StoreFailure};
 use std::sync::Arc;
 
 /// The serveable store families, by name. This is the single place that
@@ -51,9 +51,8 @@ impl BackendKind {
         }
     }
 
-    /// Build one instance (test-scale configuration), returning both the
-    /// blocking handle and (for the flash-backed stores) the asynchronous
-    /// submit/poll handle.
+    /// Build one instance (test-scale configuration), with its flash
+    /// device when it has one.
     pub fn build_with(&self, opts: BackendOpts) -> BuiltBackend {
         let device_config = |mut c: dcs_flashsim::DeviceConfig| {
             c.segment_count = 1024;
@@ -69,19 +68,14 @@ impl BackendKind {
                 }
                 let store = Arc::new(b.build());
                 BuiltBackend {
-                    kv: store.clone(),
                     device: Some(store.device().clone()),
-                    async_kv: Some(store),
+                    kv: store,
                 }
             }
-            BackendKind::MassTree => {
-                let t = Arc::new(MassTreeBackend(MassTree::new()));
-                BuiltBackend {
-                    kv: t,
-                    async_kv: None,
-                    device: None,
-                }
-            }
+            BackendKind::MassTree => BuiltBackend {
+                kv: Arc::new(MassTreeBackend(MassTree::new())),
+                device: None,
+            },
             BackendKind::Lsm => {
                 let t = Arc::new(LsmBackend(LsmTree::new(
                     Arc::new(dcs_flashsim::FlashDevice::new(device_config(
@@ -90,9 +84,8 @@ impl BackendKind {
                     LsmConfig::default(),
                 )));
                 BuiltBackend {
-                    kv: t.clone(),
                     device: Some(t.0.device().clone()),
-                    async_kv: Some(t),
+                    kv: t,
                 }
             }
         }
@@ -117,15 +110,11 @@ pub struct BackendOpts {
     pub wall_read_latency: u64,
 }
 
-/// A constructed backend: the blocking [`KvStore`] handle plus, where the
-/// store supports it, the non-blocking [`AsyncKvStore`] handle over the
-/// same instance. Two fields because the traits are still two
-/// (ROADMAP item 4) and `benchmark/` names both fields.
+/// A constructed backend: its [`KvStore`] handle and, when it has one,
+/// its flash device.
 pub struct BuiltBackend {
-    /// Blocking operations (always available).
+    /// The store.
     pub kv: Arc<dyn KvStore + Send + Sync>,
-    /// Submit/poll point reads, when the backend implements them.
-    pub async_kv: Option<Arc<dyn AsyncKvStore + Send + Sync>>,
     /// The simulated flash device under the store, when there is one —
     /// lets harnesses read [`dcs_flashsim::DeviceStats`] (achieved I/O
     /// depth, submit charges) without knowing the concrete store type.
@@ -158,18 +147,6 @@ impl KvStore for CachingStore {
         Ok(())
     }
 
-    fn kv_scan(&self, start: &[u8], limit: usize) -> Result<usize, StoreFailure> {
-        // Count without materializing: scans only report how many records
-        // they produced, so collecting the key/value pairs first was pure
-        // allocation overhead.
-        self.tree()
-            .range(start, None)
-            .take(limit)
-            .try_fold(0, |n, r| {
-                r.map(|_| n + 1).map_err(|e| StoreFailure(e.to_string()))
-            })
-    }
-
     fn kv_blind_update(&self, key: Vec<u8>, value: Vec<u8>) -> Result<(), StoreFailure> {
         self.blind_update(key, value);
         Ok(())
@@ -193,6 +170,30 @@ impl KvStore for CachingStore {
                 Err(e) => Err(StoreFailure(e.to_string())),
             })
     }
+
+    fn kv_get_submit(&self, key: &[u8]) -> Result<AsyncGet, StoreFailure> {
+        match self
+            .get_submit(key)
+            .map_err(|e| StoreFailure(e.to_string()))?
+        {
+            SubmittedGet::Ready(v) => Ok(AsyncGet::Ready(v.map(|b| b.to_vec()))),
+            SubmittedGet::Pending(token) => Ok(AsyncGet::Pending(token)),
+        }
+    }
+
+    fn kv_poll(&self, out: &mut Vec<CompletedGet>) -> usize {
+        let mut finished = Vec::new();
+        let n = self.poll_gets(&mut finished);
+        out.extend(finished.into_iter().map(|g| CompletedGet {
+            token: g.token,
+            result: vecify(g.result),
+        }));
+        n
+    }
+
+    fn kv_get_resident(&self, key: &[u8]) -> Option<Result<Option<Vec<u8>>, StoreFailure>> {
+        self.get_resident(key).map(|v| Ok(v.map(|b| b.to_vec())))
+    }
 }
 
 impl KvStore for BwTreeBackend {
@@ -211,12 +212,6 @@ impl KvStore for BwTreeBackend {
     fn kv_delete(&self, key: Vec<u8>) -> Result<(), StoreFailure> {
         self.0.delete(key);
         Ok(())
-    }
-
-    fn kv_scan(&self, start: &[u8], limit: usize) -> Result<usize, StoreFailure> {
-        self.0.range(start, None).take(limit).try_fold(0, |n, r| {
-            r.map(|_| n + 1).map_err(|e| StoreFailure(e.to_string()))
-        })
     }
 
     fn kv_blind_update(&self, key: Vec<u8>, value: Vec<u8>) -> Result<(), StoreFailure> {
@@ -259,10 +254,6 @@ impl KvStore for MassTreeBackend {
         Ok(())
     }
 
-    fn kv_scan(&self, start: &[u8], limit: usize) -> Result<usize, StoreFailure> {
-        Ok(self.0.scan_limited(start, None, limit).len())
-    }
-
     fn kv_range(
         &self,
         start: &[u8],
@@ -296,14 +287,6 @@ impl KvStore for LsmBackend {
         self.0.delete(key).map_err(|e| StoreFailure(e.to_string()))
     }
 
-    fn kv_scan(&self, start: &[u8], limit: usize) -> Result<usize, StoreFailure> {
-        Ok(self
-            .0
-            .scan_limited(start, limit)
-            .map_err(|e| StoreFailure(e.to_string()))?
-            .len())
-    }
-
     fn kv_range(
         &self,
         start: &[u8],
@@ -327,46 +310,7 @@ impl KvStore for LsmBackend {
         }
         Ok(n)
     }
-}
 
-fn vecify(
-    v: Result<Option<Bytes>, impl std::fmt::Display>,
-) -> Result<Option<Vec<u8>>, StoreFailure> {
-    v.map(|o| o.map(|b| b.to_vec()))
-        .map_err(|e| StoreFailure(e.to_string()))
-}
-
-impl AsyncKvStore for CachingStore {
-    fn kv_get_submit(&self, key: &[u8]) -> Result<AsyncGet, StoreFailure> {
-        match self
-            .get_submit(key)
-            .map_err(|e| StoreFailure(e.to_string()))?
-        {
-            SubmittedGet::Ready(v) => Ok(AsyncGet::Ready(v.map(|b| b.to_vec()))),
-            SubmittedGet::Pending(token) => Ok(AsyncGet::Pending(token)),
-        }
-    }
-
-    fn kv_poll(&self, out: &mut Vec<CompletedGet>) -> usize {
-        let mut finished = Vec::new();
-        let n = self.poll_gets(&mut finished);
-        out.extend(finished.into_iter().map(|g| CompletedGet {
-            token: g.token,
-            result: vecify(g.result),
-        }));
-        n
-    }
-
-    fn kv_inflight(&self) -> usize {
-        self.gets_inflight()
-    }
-
-    fn kv_get_resident(&self, key: &[u8]) -> Option<Result<Option<Vec<u8>>, StoreFailure>> {
-        self.get_resident(key).map(|v| Ok(v.map(|b| b.to_vec())))
-    }
-}
-
-impl AsyncKvStore for LsmBackend {
     fn kv_get_submit(&self, key: &[u8]) -> Result<AsyncGet, StoreFailure> {
         match self
             .0
@@ -387,10 +331,13 @@ impl AsyncKvStore for LsmBackend {
         }));
         n
     }
+}
 
-    fn kv_inflight(&self) -> usize {
-        self.0.gets_inflight()
-    }
+fn vecify(
+    v: Result<Option<Bytes>, impl std::fmt::Display>,
+) -> Result<Option<Vec<u8>>, StoreFailure> {
+    v.map(|o| o.map(|b| b.to_vec()))
+        .map_err(|e| StoreFailure(e.to_string()))
 }
 
 #[cfg(test)]
@@ -423,34 +370,26 @@ mod tests {
     #[test]
     fn async_handles_agree_with_blocking_path() {
         for kind in BackendKind::ALL {
-            let built = kind.build_with(BackendOpts::default());
-            // The in-memory tree never touches a device on a read and has
-            // no submit/poll handle: the shard serves it blocking.
-            let Some(a) = built.async_kv.as_ref() else {
-                assert!(built.device.is_none(), "{}", kind.name());
-                continue;
-            };
+            // The in-memory tree answers every submit through the provided
+            // default, the flash-backed stores through their own.
+            let kv = kind.build_with(BackendOpts::default()).kv;
             for i in 0..500u32 {
-                built
-                    .kv
-                    .kv_put(
-                        format!("k{i:05}").into_bytes(),
-                        format!("v{i}").into_bytes(),
-                    )
-                    .unwrap();
+                kv.kv_put(
+                    format!("k{i:05}").into_bytes(),
+                    format!("v{i}").into_bytes(),
+                )
+                .unwrap();
             }
             let mut out = Vec::new();
             for i in (0..600u32).step_by(7) {
                 let key = format!("k{i:05}").into_bytes();
-                let expected = built.kv.kv_get(&key).unwrap();
-                match a.kv_get_submit(&key).unwrap() {
-                    dcs_workload::AsyncGet::Ready(v) => {
-                        assert_eq!(v, expected, "{}: key {i}", kind.name())
-                    }
-                    dcs_workload::AsyncGet::Pending(token) => {
+                let expected = kv.kv_get(&key).unwrap();
+                match kv.kv_get_submit(&key).unwrap() {
+                    AsyncGet::Ready(v) => assert_eq!(v, expected, "{}: key {i}", kind.name()),
+                    AsyncGet::Pending(token) => {
                         out.clear();
-                        while a.kv_inflight() > 0 {
-                            a.kv_poll(&mut out);
+                        while !out.iter().any(|f: &CompletedGet| f.token == token) {
+                            kv.kv_poll(&mut out);
                         }
                         let f = out.iter().find(|f| f.token == token).expect("completed");
                         assert_eq!(
@@ -467,35 +406,40 @@ mod tests {
 
     #[test]
     fn kv_range_enumerates_bounded_ascending_on_every_backend() {
-        for kind in BackendKind::ALL {
-            let built = kind.build_with(BackendOpts::default());
+        let mut stores: Vec<(&str, Arc<dyn KvStore + Send + Sync>)> = BackendKind::ALL
+            .iter()
+            .map(|kind| (kind.name(), kind.build_with(BackendOpts::default()).kv))
+            .collect();
+        stores.push(("reference", Arc::new(dcs_workload::MemStore::default())));
+        for (name, kv) in stores {
             for i in 0..50u32 {
-                built
-                    .kv
-                    .kv_put(
-                        format!("k{i:03}").into_bytes(),
-                        format!("v{i}").into_bytes(),
-                    )
-                    .unwrap();
+                kv.kv_put(
+                    format!("k{i:03}").into_bytes(),
+                    format!("v{i}").into_bytes(),
+                )
+                .unwrap();
             }
             let mut got = Vec::new();
-            let n = built
-                .kv
+            let n = kv
                 .kv_range(b"k010", Some(b"k020"), usize::MAX, &mut |k, v| {
                     got.push((k.to_vec(), v.to_vec()))
                 })
                 .unwrap();
-            assert_eq!(n, 10, "{}", kind.name());
-            assert_eq!(got.first().unwrap().0, b"k010".to_vec(), "{}", kind.name());
-            assert_eq!(got.last().unwrap().0, b"k019".to_vec(), "{}", kind.name());
-            assert_eq!(got.first().unwrap().1, b"v10".to_vec(), "{}", kind.name());
+            assert_eq!(n, 10, "{name}");
+            assert_eq!(got.first().unwrap().0, b"k010".to_vec(), "{name}");
+            assert_eq!(got.last().unwrap().0, b"k019".to_vec(), "{name}");
+            assert_eq!(got.first().unwrap().1, b"v10".to_vec(), "{name}");
             assert!(
                 got.windows(2).all(|w| w[0].0 < w[1].0),
-                "{}: ascending, no duplicates",
-                kind.name()
+                "{name}: ascending, no duplicates"
             );
-            let m = built.kv.kv_range(b"", None, 7, &mut |_, _| {}).unwrap();
-            assert_eq!(m, 7, "{}: limit respected", kind.name());
+            let m = kv.kv_range(b"", None, 7, &mut |_, _| {}).unwrap();
+            assert_eq!(m, 7, "{name}: limit respected");
+            // The provided scan counts what the range enumerates.
+            for (start, limit) in [(&b""[..], 7), (b"k045", 100), (b"k100", 3)] {
+                let range = kv.kv_range(start, None, limit, &mut |_, _| {}).unwrap();
+                assert_eq!(kv.kv_scan(start, limit).unwrap(), range, "{name}");
+            }
         }
     }
 

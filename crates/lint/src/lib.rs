@@ -54,7 +54,8 @@ use std::path::{Path, PathBuf};
 
 /// Run every lint over the workspace at `root` (the directory holding
 /// `crates/`) under `<root>/lint-hotpaths.toml`. The report's violations
-/// are the CI gate: any one fails it.
+/// are the CI gate: any one fails it, and so does a `[dispatch]` row that
+/// names no workspace function (an `Err`).
 pub fn run(root: &Path) -> Result<Report, String> {
     let manifest_path = root.join("lint-hotpaths.toml");
     let manifest = if manifest_path.exists() {
@@ -63,6 +64,19 @@ pub fn run(root: &Path) -> Result<Report, String> {
         Manifest::default()
     };
     let files = collect_files(root)?;
+    // A row naming no function would drop its calls from the graph unseen.
+    let graph = callgraph::CallGraph::build(&files, &manifest);
+    for (method, targets) in &manifest.dispatch {
+        if let Some(t) = targets
+            .iter()
+            .find(|t| graph.lookup(&t.krate, &t.func).is_empty())
+        {
+            return Err(format!(
+                "[dispatch] {method}: no function dcs-{}::{}",
+                t.krate, t.func
+            ));
+        }
+    }
     Ok(analyze(&files, &manifest))
 }
 

@@ -290,7 +290,12 @@ fn classify_brace(toks: &[Token], window: &[usize]) -> BraceKind {
             // keywords never reach here with `impl`/`mod`/`trait` first.
             "impl" => return BraceKind::Impl(impl_type_name(pos, &idents)),
             "mod" => return BraceKind::Mod,
-            "trait" => return BraceKind::Other,
+            // A trait's provided methods are named `Trait::method`.
+            "trait" => {
+                return idents.get(pos + 1).map_or(BraceKind::Other, |(_, name)| {
+                    BraceKind::Impl(name.to_string())
+                })
+            }
             "match" | "if" | "while" | "for" | "loop" | "else" | "unsafe" | "move" | "async"
             | "return" | "let" | "static" | "const" | "struct" | "enum" | "union" => {
                 // `unsafe fn`/`const fn`/`async fn` keep scanning for an

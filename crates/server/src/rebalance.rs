@@ -333,53 +333,8 @@ mod tests {
     use crate::protocol::{Request, Response};
     use crate::shard::{Mail, Partitioner, ReplySink, Shard, ShardConfig};
     use dcs_tc::RecoveryLog;
-    use dcs_workload::{KvStore, StoreFailure};
-    use std::collections::BTreeMap;
+    use dcs_workload::{KvStore, MemStore};
     use std::sync::atomic::Ordering;
-
-    #[derive(Default)]
-    struct MapStore(Mutex<BTreeMap<Vec<u8>, Vec<u8>>>);
-
-    impl KvStore for MapStore {
-        fn kv_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreFailure> {
-            Ok(self.0.lock().unwrap().get(key).cloned())
-        }
-        fn kv_put(&self, key: Vec<u8>, value: Vec<u8>) -> Result<(), StoreFailure> {
-            self.0.lock().unwrap().insert(key, value);
-            Ok(())
-        }
-        fn kv_delete(&self, key: Vec<u8>) -> Result<(), StoreFailure> {
-            self.0.lock().unwrap().remove(&key);
-            Ok(())
-        }
-        fn kv_scan(&self, start: &[u8], limit: usize) -> Result<usize, StoreFailure> {
-            Ok(self
-                .0
-                .lock()
-                .unwrap()
-                .range(start.to_vec()..)
-                .take(limit)
-                .count())
-        }
-        fn kv_range(
-            &self,
-            start: &[u8],
-            end: Option<&[u8]>,
-            limit: usize,
-            visit: &mut dyn FnMut(&[u8], &[u8]),
-        ) -> Result<usize, StoreFailure> {
-            let m = self.0.lock().unwrap();
-            let mut n = 0;
-            for (k, v) in m.range(start.to_vec()..) {
-                if n == limit || end.is_some_and(|e| k.as_slice() >= e) {
-                    break;
-                }
-                visit(k, v);
-                n += 1;
-            }
-            Ok(n)
-        }
-    }
 
     #[derive(Default)]
     struct CollectSink(Mutex<Vec<(u64, Response)>>);
@@ -392,8 +347,8 @@ mod tests {
 
     fn two_shard_fixture() -> (Vec<Arc<Shard>>, Arc<Router>) {
         let backends: Arc<Vec<Arc<dyn KvStore + Send + Sync>>> = Arc::new(vec![
-            Arc::new(MapStore::default()),
-            Arc::new(MapStore::default()),
+            Arc::new(MemStore::default()),
+            Arc::new(MemStore::default()),
         ]);
         let part = Arc::new(Partitioner::from_splits(vec![b"m".to_vec()]));
         let cfg = ShardConfig::default();

@@ -30,7 +30,7 @@ use crate::shard::{Mail, Partitioner, ReplySink, Shard, ShardConfig};
 use dcs_rebalance::{PartitionMap, Router};
 use dcs_tc::RecoveryLog;
 use dcs_telemetry::{obj, Json};
-use dcs_workload::{AsyncKvStore, KvStore};
+use dcs_workload::KvStore;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,24 +47,21 @@ pub struct ServerConfig {
     pub rebalance: RebalanceConfig,
 }
 
-/// One shard's store handles: the blocking [`KvStore`] plus, when the
-/// store supports submit/poll reads, the [`AsyncKvStore`] over the same
-/// instance (two fields because the traits are still two — ROADMAP item
-/// 4 — and `benchmark/` constructs this struct by field).
+/// One shard's store.
 pub struct ShardBackend {
-    /// Blocking operations (always required).
+    /// The store the shard serves; its GETs are submitted, so a miss that
+    /// waits on a device parks instead of stalling the shard.
     pub kv: Arc<dyn KvStore + Send + Sync>,
-    /// Non-blocking point reads. Required by any store whose reads can
-    /// wait on a device: the shard parks such a GET instead of stalling.
-    /// `None` only for stores that answer every read from memory.
-    pub async_kv: Option<Arc<dyn AsyncKvStore + Send + Sync>>,
+    /// The same store again, or `None`. Unused: it remains because
+    /// `benchmark/` builds this struct by field (ROADMAP item 4).
+    pub async_kv: Option<Arc<dyn KvStore + Send + Sync>>,
 }
 
 impl From<dcs_core::BuiltBackend> for ShardBackend {
     fn from(b: dcs_core::BuiltBackend) -> Self {
         ShardBackend {
             kv: b.kv,
-            async_kv: b.async_kv,
+            async_kv: None,
         }
     }
 }
@@ -187,8 +184,8 @@ pub struct Server {
 
 impl Server {
     /// Bind to `127.0.0.1:0` and start serving `backends`, one per shard
-    /// of `partitioner`. A store that supplies an async handle gets
-    /// submit/poll GETs whose misses park (see [`Shard::run`]).
+    /// of `partitioner`. A GET that misses to a store's device parks (see
+    /// [`Shard::run`]).
     pub fn start_with(
         backends: Vec<ShardBackend>,
         partitioner: Partitioner,
@@ -199,12 +196,15 @@ impl Server {
             partitioner.shards(),
             "one backend per shard"
         );
-        let mut async_handles = Vec::with_capacity(backends.len());
-        let mut kv_backends = Vec::with_capacity(backends.len());
-        for b in backends {
-            kv_backends.push(b.kv);
-            async_handles.push(b.async_kv);
+        for b in &backends {
+            debug_assert!(
+                b.async_kv
+                    .iter()
+                    .all(|a| Arc::as_ptr(a).cast::<()>() == Arc::as_ptr(&b.kv).cast::<()>()),
+                "a shard's async_kv must be its kv"
+            );
         }
+        let kv_backends: Vec<_> = backends.into_iter().map(|b| b.kv).collect();
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let listener_addr = listener.local_addr()?;
         let backends = Arc::new(kv_backends);
@@ -217,7 +217,7 @@ impl Server {
         ));
         let mut shards = Vec::with_capacity(backends.len());
         let mut shard_threads = Vec::with_capacity(backends.len());
-        for (i, async_kv) in async_handles.into_iter().enumerate() {
+        for i in 0..backends.len() {
             let device = dcs_flashsim::FlashDevice::new(dcs_flashsim::DeviceConfig {
                 segment_count: 4096,
                 ..dcs_flashsim::DeviceConfig::small_test()
@@ -225,7 +225,6 @@ impl Server {
             let wal = Arc::new(RecoveryLog::on_device(Arc::new(device)));
             let shard = Arc::new(
                 Shard::new(i, &config.shard, backends.clone(), partitioner.clone(), wal)
-                    .with_async_backend(async_kv)
                     .with_router(router.clone()),
             );
             let worker = shard.clone();

@@ -40,7 +40,7 @@ use crate::protocol::{Request, Response};
 use bytes::Bytes;
 use dcs_rebalance::{PartitionMap, Router, TailEntry, WriteAdmission};
 use dcs_tc::{LogRecord, RecoveryLog};
-use dcs_workload::{AsyncGet, AsyncKvStore, CompletedGet, KvStore};
+use dcs_workload::{AsyncGet, CompletedGet, KvStore};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -68,6 +68,54 @@ pub struct Mail {
     /// nanos (`dcs_telemetry::now_nanos`) — the latency measurement origin,
     /// on the same timeline the spans are recorded against.
     pub enqueued: u64,
+}
+
+/// How [`Shard::execute`] says a request is to be answered.
+enum Outcome {
+    /// Answer now: a read, or a refusal.
+    Reply(Response),
+    /// Stale-routed: answer `MOVED(epoch, shard)` without executing.
+    Moved { epoch: u64, shard: usize },
+    /// A write's answer, released after the batch's group commit.
+    Deferred(Response),
+    /// A GET waiting on a device fetch under this submit token.
+    Parked(u64),
+}
+
+/// The mail a worker holds between taking it from its mailbox and
+/// answering it. If the worker panics, dropping this answers all of it
+/// `ERR`, then closes the mailbox and answers what is still queued the
+/// same way; later sends are refused at the closed mailbox. So no client
+/// of a failed shard waits forever.
+struct Held<'a> {
+    mailbox: &'a Mailbox<Mail>,
+    /// Drained from the mailbox and not yet run.
+    batch: Vec<Mail>,
+    /// Applied writes waiting for their batch's group commit.
+    deferred: Vec<(Mail, Response)>,
+    /// GETs waiting on a device fetch, by submit token.
+    parked: HashMap<u64, Mail>,
+}
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        self.mailbox.close();
+        let mut queued = Vec::new();
+        self.mailbox.try_recv_batch(usize::MAX, &mut queued);
+        let held = self
+            .batch
+            .drain(..)
+            .chain(self.deferred.drain(..).map(|(mail, _)| mail))
+            .chain(self.parked.drain().map(|(_, mail)| mail))
+            .chain(queued);
+        for mail in held {
+            mail.reply
+                .deliver(mail.id, Response::Err("shard failed".into()));
+        }
+    }
 }
 
 /// Lexicographic range partitioning of the key space.
@@ -142,11 +190,9 @@ pub struct Shard {
     pub index: usize,
     mailbox: Mailbox<Mail>,
     metrics: ShardMetrics,
+    /// This shard's own store. GETs are submitted to it: hits answer
+    /// inline, misses are parked until the device completes them.
     backend: Arc<dyn KvStore + Send + Sync>,
-    /// Non-blocking submit/poll handle over the same store, when it has
-    /// one. GETs route through it: hits answer inline, misses are parked
-    /// until the device completes them.
-    async_backend: Option<Arc<dyn AsyncKvStore + Send + Sync>>,
     /// All shards' backends, for read-only scan continuation.
     all_backends: Arc<Vec<Arc<dyn KvStore + Send + Sync>>>,
     /// The shared placement surface: versioned map, per-shard write
@@ -183,7 +229,6 @@ impl Shard {
             mailbox: Mailbox::new(config.mailbox_capacity),
             metrics: ShardMetrics::default(),
             backend,
-            async_backend: None,
             all_backends: backends,
             router,
             wal,
@@ -210,17 +255,6 @@ impl Shard {
         &self.backend
     }
 
-    /// Attach the non-blocking handle over this shard's own store. With
-    /// one attached, GETs go submit/poll and a pending miss is parked
-    /// (see [`Shard::run`]); without one, GETs call the blocking store.
-    pub fn with_async_backend(
-        mut self,
-        async_backend: Option<Arc<dyn AsyncKvStore + Send + Sync>>,
-    ) -> Self {
-        self.async_backend = async_backend;
-        self
-    }
-
     /// The shard's mailbox (senders route requests here).
     pub fn mailbox(&self) -> &Mailbox<Mail> {
         &self.mailbox
@@ -236,8 +270,9 @@ impl Shard {
         &self.wal
     }
 
-    /// Route `mail` into the mailbox, answering BUSY / shutdown errors
-    /// directly on rejection.
+    /// Route `mail` into the mailbox, answering BUSY, or `ERR` once the
+    /// mailbox is closed (shutdown, or a failed worker), directly on
+    /// rejection.
     pub fn offer(&self, mail: Mail) {
         match self.mailbox.send(mail) {
             Ok(()) => {}
@@ -247,7 +282,7 @@ impl Shard {
             }
             Err(SendError::Closed(mail)) => {
                 mail.reply
-                    .deliver(mail.id, Response::Err("server shutting down".into()));
+                    .deliver(mail.id, Response::Err("shard closed".into()));
             }
         }
     }
@@ -262,7 +297,7 @@ impl Shard {
         let found = {
             // The reader must not stall its socket in the store.
             let _nb = dcs_syncshim::block::non_blocking();
-            self.async_backend.as_ref()?.kv_get_resident(key)?
+            self.backend.kv_get_resident(key)?
         };
         self.metrics.gets.fetch_add(1, Ordering::Relaxed);
         self.metrics.inline_gets.fetch_add(1, Ordering::Relaxed);
@@ -283,8 +318,9 @@ impl Shard {
     /// receives to non-blocking drains interleaved with completion polls,
     /// so a device-bound GET never stops the shard from serving the
     /// requests queued behind it; parked requests are answered out of
-    /// order, by request id, as their fetches complete. A shard without an
-    /// async handle never parks, so it only ever blocks in `recv_batch`.
+    /// order, by request id, as their fetches complete. A store that
+    /// answers every submit at once never parks, so its shard only ever
+    /// blocks in `recv_batch`.
     ///
     /// Each batch's work (execution, completion poll, replies) runs in a
     /// [`dcs_syncshim::block::non_blocking`] scope: a debug build panics at
@@ -295,36 +331,41 @@ impl Shard {
     ///
     /// The loop ends once the mailbox is closed *and* empty and every
     /// parked request has been answered; then a final WAL barrier makes
-    /// every acknowledged write durable before shutdown completes.
+    /// every acknowledged write durable before shutdown completes. If the
+    /// worker panics instead, every request it holds or that reaches its
+    /// mailbox is answered `ERR` (see `Held`).
     pub fn run(&self) {
-        let mut batch: Vec<Mail> = Vec::with_capacity(self.batch_max);
-        let mut parked: HashMap<u64, Mail> = HashMap::new();
+        let mut held = Held {
+            mailbox: &self.mailbox,
+            batch: Vec::with_capacity(self.batch_max),
+            deferred: Vec::new(),
+            parked: HashMap::new(),
+        };
         let mut completions: Vec<CompletedGet> = Vec::new();
         loop {
-            let more = if parked.is_empty() {
-                self.mailbox.recv_batch(self.batch_max, &mut batch)
+            let more = if held.parked.is_empty() {
+                self.mailbox.recv_batch(self.batch_max, &mut held.batch)
             } else {
-                self.mailbox.try_recv_batch(self.batch_max, &mut batch)
+                self.mailbox.try_recv_batch(self.batch_max, &mut held.batch)
             };
-            let got_mail = !batch.is_empty();
+            let got_mail = !held.batch.is_empty();
             let nb = dcs_syncshim::block::non_blocking();
             if got_mail {
-                self.process_batch(&mut batch, &mut parked);
+                self.process_batch(&mut held);
                 self.metrics
                     .parked_peak
-                    .fetch_max(parked.len(), Ordering::Relaxed);
+                    .fetch_max(held.parked.len(), Ordering::Relaxed);
             }
             let mut reaped = 0;
-            // Only a shard with an async handle ever parks a miss.
-            if let (Some(ab), false) = (&self.async_backend, parked.is_empty()) {
+            if !held.parked.is_empty() {
                 completions.clear();
-                reaped = ab.kv_poll(&mut completions);
+                reaped = self.backend.kv_poll(&mut completions);
                 for c in completions.drain(..) {
                     // Tokens not in the table cannot arise (each shard owns
                     // its store instance and is its only GET submitter),
                     // but losing one here would strand a client forever, so
                     // tolerate and drop rather than panic.
-                    if let Some(mail) = parked.remove(&c.token) {
+                    if let Some(mail) = held.parked.remove(&c.token) {
                         let resp = match c.result {
                             Ok(v) => Response::Value(v),
                             Err(e) => Response::Err(e.to_string()),
@@ -334,7 +375,7 @@ impl Shard {
                 }
             }
             drop(nb);
-            if parked.is_empty() {
+            if held.parked.is_empty() {
                 if !more {
                     break;
                 }
@@ -349,148 +390,33 @@ impl Shard {
         let _ = self.wal.commit_batch(&[]);
     }
 
-    fn process_batch(&self, batch: &mut Vec<Mail>, parked: &mut HashMap<u64, Mail>) {
+    /// Execute `held.batch` in arrival order. Reads are answered as they
+    /// run and misses park; writes are applied and their acks deferred to
+    /// one group commit. A request leaves `held.batch` only once it has
+    /// run, so a panic in the store leaves it for [`Held`] to answer.
+    fn process_batch(&self, held: &mut Held<'_>) {
         self.metrics.batches.fetch_add(1, Ordering::Relaxed);
         self.metrics
             .batched_ops
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+            .fetch_add(held.batch.len() as u64, Ordering::Relaxed);
         self.metrics
             .max_batch
-            .fetch_max(batch.len(), Ordering::Relaxed);
+            .fetch_max(held.batch.len(), Ordering::Relaxed);
         let mut wal_records: Vec<LogRecord> = Vec::new();
-        let mut deferred: Vec<(Mail, Response)> = Vec::new();
-        for mail in batch.drain(..) {
-            match &mail.req {
-                Request::Get { key } => {
-                    self.metrics.gets.fetch_add(1, Ordering::Relaxed);
-                    // Stale-routed under the current map: bounce before
-                    // touching the store. Reads never take the write gate
-                    // (see dcs-rebalance::migrate) — a frozen range's
-                    // source copy is immutable, so serving it stays
-                    // linearizable right up to the epoch install.
-                    if let Some((epoch, owner)) = self.router.read_misroute(self.index, key) {
-                        self.reply_redirect(mail, epoch, owner);
-                        continue;
-                    }
-                    let Some(ab) = &self.async_backend else {
-                        let resp = match self.backend.kv_get(key) {
-                            Ok(v) => Response::Value(v),
-                            Err(e) => Response::Err(e.to_string()),
-                        };
-                        self.reply_read(mail, resp);
-                        continue;
-                    };
-                    match ab.kv_get_submit(key) {
-                        // Memory-served: answer inline, count as a hit.
-                        Ok(AsyncGet::Ready(v)) => self.reply_read(mail, Response::Value(v)),
-                        Ok(AsyncGet::Pending(token)) => {
-                            self.metrics
-                                .misses_submitted
-                                .fetch_add(1, Ordering::Relaxed);
-                            // The run loop acks it when the fetch completes.
-                            parked.insert(token, mail);
-                        }
-                        Err(e) => self.reply_read(mail, Response::Err(e.to_string())),
-                    }
-                }
-                Request::Scan { start, limit } => {
-                    self.metrics.scans.fetch_add(1, Ordering::Relaxed);
-                    let resp = match Self::stall(|| self.scan_from(start, *limit as usize)) {
-                        Ok(n) => Response::Count(n as u64),
-                        Err(e) => Response::Err(e),
-                    };
-                    self.reply_read(mail, resp);
-                }
-                Request::Put { key, value } => {
-                    self.metrics.puts.fetch_add(1, Ordering::Relaxed);
-                    if !self.wal.fits(key, Some(value)) {
-                        deferred.push((mail, Self::too_large()));
-                        continue;
-                    }
-                    match self.router.admit_write(self.index, key, Some(value)) {
-                        WriteAdmission::Moved { epoch, shard } => {
-                            self.reply_redirect(mail, epoch, shard);
-                        }
-                        WriteAdmission::Clear(permit) => {
-                            let resp = match self.backend.kv_put(key.clone(), value.clone()) {
-                                Ok(()) => {
-                                    wal_records.push(self.redo(key, Some(value)));
-                                    Response::Ok
-                                }
-                                Err(e) => Response::Err(e.to_string()),
-                            };
-                            // The permit pins the migration phase across
-                            // the backend apply; release it before the
-                            // group-commit wait.
-                            drop(permit);
-                            deferred.push((mail, resp));
-                        }
-                    }
-                }
-                Request::Delete { key } => {
-                    self.metrics.deletes.fetch_add(1, Ordering::Relaxed);
-                    if !self.wal.fits(key, None) {
-                        deferred.push((mail, Self::too_large()));
-                        continue;
-                    }
-                    match self.router.admit_write(self.index, key, None) {
-                        WriteAdmission::Moved { epoch, shard } => {
-                            self.reply_redirect(mail, epoch, shard);
-                        }
-                        WriteAdmission::Clear(permit) => {
-                            let resp = match self.backend.kv_delete(key.clone()) {
-                                Ok(()) => {
-                                    wal_records.push(self.redo(key, None));
-                                    Response::Ok
-                                }
-                                Err(e) => Response::Err(e.to_string()),
-                            };
-                            drop(permit);
-                            deferred.push((mail, resp));
-                        }
-                    }
-                }
-                // STATS never reaches a shard (the connection reader
-                // answers it); a stray one is harmless to refuse.
-                Request::Stats => {
-                    self.reply_read(mail, Response::Err("stats not routable".into()));
-                }
-                Request::Rmw { key, value } => {
-                    self.metrics.rmws.fetch_add(1, Ordering::Relaxed);
-                    // Atomic at the shard: the worker is the only writer of
-                    // this key range, so read-append-write cannot race. The
-                    // merged post-image is computed before admission so a
-                    // copying migration mirrors the complete value into its
-                    // tail, not the delta.
-                    let resp = match Self::stall(|| self.backend.kv_get(key)) {
-                        Ok(cur) => {
-                            let mut new = cur.unwrap_or_default();
-                            new.extend_from_slice(value);
-                            if !self.wal.fits(key, Some(&new)) {
-                                deferred.push((mail, Self::too_large()));
-                                continue;
-                            }
-                            match self.router.admit_write(self.index, key, Some(&new)) {
-                                WriteAdmission::Moved { epoch, shard } => {
-                                    self.reply_redirect(mail, epoch, shard);
-                                    continue;
-                                }
-                                WriteAdmission::Clear(permit) => {
-                                    let resp = match self.backend.kv_put(key.clone(), new.clone()) {
-                                        Ok(()) => {
-                                            wal_records.push(self.redo(key, Some(&new)));
-                                            Response::Ok
-                                        }
-                                        Err(e) => Response::Err(e.to_string()),
-                                    };
-                                    drop(permit);
-                                    resp
-                                }
-                            }
-                        }
-                        Err(e) => Response::Err(e.to_string()),
-                    };
-                    deferred.push((mail, resp));
+        held.batch.reverse();
+        while let Some(mail) = held.batch.last() {
+            let outcome = self.execute(&mail.req, &mut wal_records);
+            let Some(mail) = held.batch.pop() else { break };
+            match outcome {
+                Outcome::Reply(resp) => self.reply_read(mail, resp),
+                Outcome::Moved { epoch, shard } => self.reply_redirect(mail, epoch, shard),
+                Outcome::Deferred(resp) => held.deferred.push((mail, resp)),
+                Outcome::Parked(token) => {
+                    self.metrics
+                        .misses_submitted
+                        .fetch_add(1, Ordering::Relaxed);
+                    // The run loop acks it when the fetch completes.
+                    held.parked.insert(token, mail);
                 }
             }
         }
@@ -503,19 +429,107 @@ impl Shard {
                 .fetch_add(wal_records.len() as u64, Ordering::Relaxed);
             if let Err(e) = self.wal.commit_batch(&wal_records) {
                 let msg = format!("group commit failed: {e}");
-                for (mail, _) in deferred.drain(..) {
+                for (mail, _) in held.deferred.drain(..) {
                     let id = mail.id;
                     mail.reply.deliver(id, Response::Err(msg.clone()));
                 }
             }
         }
-        for (mail, resp) in deferred {
+        for (mail, resp) in held.deferred.drain(..) {
             let waited = dcs_telemetry::now_nanos().saturating_sub(mail.enqueued);
             self.metrics.write_latency.record(waited);
             // Write spans carry the WAL class: their latency is dominated by
             // the group-commit barrier they waited on.
             let _span = Self::request_span(&mail.req, dcs_telemetry::CostClass::Wal, waited);
             mail.reply.deliver(mail.id, resp);
+        }
+    }
+
+    /// Run one request against the store, appending a write's redo record
+    /// to `wal_records`, and say how it is to be answered.
+    fn execute(&self, req: &Request, wal_records: &mut Vec<LogRecord>) -> Outcome {
+        match req {
+            Request::Get { key } => {
+                self.metrics.gets.fetch_add(1, Ordering::Relaxed);
+                // Stale-routed under the current map: bounce before
+                // touching the store. Reads never take the write gate
+                // (see dcs-rebalance::migrate) — a frozen range's
+                // source copy is immutable, so serving it stays
+                // linearizable right up to the epoch install.
+                if let Some((epoch, shard)) = self.router.read_misroute(self.index, key) {
+                    return Outcome::Moved { epoch, shard };
+                }
+                match self.backend.kv_get_submit(key) {
+                    Ok(AsyncGet::Ready(v)) => Outcome::Reply(Response::Value(v)),
+                    Ok(AsyncGet::Pending(token)) => Outcome::Parked(token),
+                    Err(e) => Outcome::Reply(Response::Err(e.to_string())),
+                }
+            }
+            Request::Scan { start, limit } => {
+                self.metrics.scans.fetch_add(1, Ordering::Relaxed);
+                Outcome::Reply(
+                    match Self::stall(|| self.scan_from(start, *limit as usize)) {
+                        Ok(n) => Response::Count(n as u64),
+                        Err(e) => Response::Err(e),
+                    },
+                )
+            }
+            Request::Put { key, value } => {
+                self.metrics.puts.fetch_add(1, Ordering::Relaxed);
+                self.write(key, Some(value), wal_records)
+            }
+            Request::Delete { key } => {
+                self.metrics.deletes.fetch_add(1, Ordering::Relaxed);
+                self.write(key, None, wal_records)
+            }
+            // STATS never reaches a shard (the connection reader
+            // answers it); a stray one is harmless to refuse.
+            Request::Stats => Outcome::Reply(Response::Err("stats not routable".into())),
+            Request::Rmw { key, value } => {
+                self.metrics.rmws.fetch_add(1, Ordering::Relaxed);
+                // Atomic at the shard: the worker is the only writer of
+                // this key range, so read-append-write cannot race. The
+                // merged post-image is computed before admission so a
+                // copying migration mirrors the complete value into its
+                // tail, not the delta.
+                match Self::stall(|| self.backend.kv_get(key)) {
+                    Ok(cur) => {
+                        let mut new = cur.unwrap_or_default();
+                        new.extend_from_slice(value);
+                        self.write(key, Some(&new), wal_records)
+                    }
+                    Err(e) => Outcome::Deferred(Response::Err(e.to_string())),
+                }
+            }
+        }
+    }
+
+    /// Apply a PUT (`Some` value) or DELETE (`None`) that fits one WAL
+    /// frame and that the router admits here. A write too large for the
+    /// WAL is refused before the store sees it, so nothing is applied.
+    fn write(&self, key: &[u8], value: Option<&[u8]>, wal_records: &mut Vec<LogRecord>) -> Outcome {
+        if !self.wal.fits(key, value) {
+            return Outcome::Deferred(Response::Err("write too large for one WAL frame".into()));
+        }
+        match self.router.admit_write(self.index, key, value) {
+            WriteAdmission::Moved { epoch, shard } => Outcome::Moved { epoch, shard },
+            WriteAdmission::Clear(permit) => {
+                let applied = match value {
+                    Some(v) => self.backend.kv_put(key.to_vec(), v.to_vec()),
+                    None => self.backend.kv_delete(key.to_vec()),
+                };
+                let resp = match applied {
+                    Ok(()) => {
+                        wal_records.push(self.redo(key, value));
+                        Response::Ok
+                    }
+                    Err(e) => Response::Err(e.to_string()),
+                };
+                // The permit pins the migration phase across the backend
+                // apply; release it before the group-commit wait.
+                drop(permit);
+                Outcome::Deferred(resp)
+            }
         }
     }
 
@@ -586,12 +600,6 @@ impl Shard {
     fn stall<R>(read: impl FnOnce() -> R) -> R {
         let _exempt = dcs_syncshim::block::exempt();
         read()
-    }
-
-    /// The answer to a write whose redo record cannot fit one WAL frame:
-    /// it is refused before the backend sees it, so nothing is applied.
-    fn too_large() -> Response {
-        Response::Err("write too large for one WAL frame".into())
     }
 
     fn redo(&self, key: &[u8], value: Option<&[u8]>) -> LogRecord {
@@ -667,54 +675,9 @@ impl Shard {
 #[allow(clippy::disallowed_types)]
 mod tests {
     use super::*;
-    use dcs_workload::StoreFailure;
-    use std::collections::BTreeMap;
+    use dcs_workload::{MemStore, StoreFailure};
     use std::sync::Mutex;
     use std::time::Instant;
-
-    #[derive(Default)]
-    struct MapStore(Mutex<BTreeMap<Vec<u8>, Vec<u8>>>);
-
-    impl KvStore for MapStore {
-        fn kv_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreFailure> {
-            Ok(self.0.lock().unwrap().get(key).cloned())
-        }
-        fn kv_put(&self, key: Vec<u8>, value: Vec<u8>) -> Result<(), StoreFailure> {
-            self.0.lock().unwrap().insert(key, value);
-            Ok(())
-        }
-        fn kv_delete(&self, key: Vec<u8>) -> Result<(), StoreFailure> {
-            self.0.lock().unwrap().remove(&key);
-            Ok(())
-        }
-        fn kv_scan(&self, start: &[u8], limit: usize) -> Result<usize, StoreFailure> {
-            Ok(self
-                .0
-                .lock()
-                .unwrap()
-                .range(start.to_vec()..)
-                .take(limit)
-                .count())
-        }
-        fn kv_range(
-            &self,
-            start: &[u8],
-            end: Option<&[u8]>,
-            limit: usize,
-            visit: &mut dyn FnMut(&[u8], &[u8]),
-        ) -> Result<usize, StoreFailure> {
-            let m = self.0.lock().unwrap();
-            let mut n = 0;
-            for (k, v) in m.range(start.to_vec()..) {
-                if n == limit || end.is_some_and(|e| k.as_slice() >= e) {
-                    break;
-                }
-                visit(k, v);
-                n += 1;
-            }
-            Ok(n)
-        }
-    }
 
     #[derive(Default)]
     struct CollectSink(Mutex<Vec<(u64, Response)>>);
@@ -729,8 +692,8 @@ mod tests {
 
     fn two_shards() -> (Arc<Shard>, Arc<Shard>, SharedBackends) {
         let backends: SharedBackends = Arc::new(vec![
-            Arc::new(MapStore::default()),
-            Arc::new(MapStore::default()),
+            Arc::new(MemStore::default()),
+            Arc::new(MemStore::default()),
         ]);
         let part = Arc::new(Partitioner::from_splits(vec![b"m".to_vec()]));
         let cfg = ShardConfig::default();
@@ -890,21 +853,10 @@ mod tests {
     /// Async test double: keys starting with `cold` miss and complete only
     /// after a wall-clock delay; everything else answers inline.
     struct SlowAsyncStore {
-        inner: MapStore,
+        inner: MemStore,
         delay: std::time::Duration,
         next_token: AtomicU64,
         pending: Mutex<Vec<(u64, Vec<u8>, Instant)>>,
-    }
-
-    impl SlowAsyncStore {
-        fn new(delay: std::time::Duration) -> Self {
-            SlowAsyncStore {
-                inner: MapStore::default(),
-                delay,
-                next_token: AtomicU64::new(1),
-                pending: Mutex::new(Vec::new()),
-            }
-        }
     }
 
     impl KvStore for SlowAsyncStore {
@@ -917,81 +869,57 @@ mod tests {
         fn kv_delete(&self, key: Vec<u8>) -> Result<(), StoreFailure> {
             self.inner.kv_delete(key)
         }
-        fn kv_scan(&self, start: &[u8], limit: usize) -> Result<usize, StoreFailure> {
-            self.inner.kv_scan(start, limit)
-        }
-        fn kv_range(
-            &self,
-            start: &[u8],
-            end: Option<&[u8]>,
-            limit: usize,
-            visit: &mut dyn FnMut(&[u8], &[u8]),
-        ) -> Result<usize, StoreFailure> {
-            self.inner.kv_range(start, end, limit, visit)
-        }
-    }
-
-    impl AsyncKvStore for SlowAsyncStore {
         fn kv_get_submit(&self, key: &[u8]) -> Result<AsyncGet, StoreFailure> {
-            if key.starts_with(b"cold") {
-                let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-                self.pending.lock().unwrap().push((
-                    token,
-                    key.to_vec(),
-                    Instant::now() + self.delay,
-                ));
-                Ok(AsyncGet::Pending(token))
-            } else {
-                Ok(AsyncGet::Ready(self.inner.kv_get(key)?))
+            if !key.starts_with(b"cold") {
+                return Ok(AsyncGet::Ready(self.inner.kv_get(key)?));
             }
+            let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+            let ready = Instant::now() + self.delay;
+            self.pending
+                .lock()
+                .unwrap()
+                .push((token, key.to_vec(), ready));
+            Ok(AsyncGet::Pending(token))
         }
-
         fn kv_poll(&self, out: &mut Vec<CompletedGet>) -> usize {
-            let mut pending = self.pending.lock().unwrap();
             let now = Instant::now();
-            let mut reaped = 0;
-            pending.retain(|(token, key, ready)| {
-                if *ready <= now {
+            let before = out.len();
+            self.pending.lock().unwrap().retain(|(token, key, ready)| {
+                let done = *ready <= now;
+                if done {
+                    let result = self.inner.kv_get(key);
                     out.push(CompletedGet {
                         token: *token,
-                        result: self.inner.kv_get(key),
+                        result,
                     });
-                    reaped += 1;
-                    false
-                } else {
-                    true
                 }
+                !done
             });
-            reaped
+            out.len() - before
         }
-
-        fn kv_inflight(&self) -> usize {
-            self.pending.lock().unwrap().len()
-        }
-
         fn kv_get_resident(&self, key: &[u8]) -> Option<Result<Option<Vec<u8>>, StoreFailure>> {
             (!key.starts_with(b"cold")).then(|| self.inner.kv_get(key))
         }
     }
 
     fn slow_shard(delay_ms: u64) -> (Arc<Shard>, Arc<SlowAsyncStore>) {
-        let store = Arc::new(SlowAsyncStore::new(std::time::Duration::from_millis(
-            delay_ms,
-        )));
+        let store = Arc::new(SlowAsyncStore {
+            inner: MemStore::default(),
+            delay: std::time::Duration::from_millis(delay_ms),
+            next_token: AtomicU64::new(1),
+            pending: Mutex::new(Vec::new()),
+        });
         store.kv_put(b"cold1".to_vec(), b"c1".to_vec()).unwrap();
         store.kv_put(b"cold2".to_vec(), b"c2".to_vec()).unwrap();
         store.kv_put(b"hot".to_vec(), b"h".to_vec()).unwrap();
         let backends: SharedBackends = Arc::new(vec![store.clone()]);
-        let shard = Arc::new(
-            Shard::new(
-                0,
-                &ShardConfig::default(),
-                backends,
-                Arc::new(Partitioner::single()),
-                Arc::new(RecoveryLog::in_memory()),
-            )
-            .with_async_backend(Some(store.clone())),
-        );
+        let shard = Arc::new(Shard::new(
+            0,
+            &ShardConfig::default(),
+            backends,
+            Arc::new(Partitioner::single()),
+            Arc::new(RecoveryLog::in_memory()),
+        ));
         (shard, store)
     }
 
@@ -1069,7 +997,8 @@ mod tests {
         assert_eq!(m.inline_gets.load(Ordering::Relaxed), 1);
         assert_eq!(m.read_latency.count(), 1);
         assert_eq!(shard.mailbox().stats().accepted, 0);
-        // A store without an async handle never answers off the worker.
+        // A store without the memory-only probe never answers off the
+        // worker.
         let (s0, _s1, backends) = two_shards();
         backends[0].kv_put(b"a".to_vec(), b"1".to_vec()).unwrap();
         assert_eq!(s0.get_resident(b"a", dcs_telemetry::now_nanos()), None);
@@ -1106,14 +1035,14 @@ mod tests {
         assert!(replies
             .iter()
             .any(|(id, r)| *id == 2 && *r == Response::Value(Some(b"c2".to_vec()))));
-        assert_eq!(store.kv_inflight(), 0);
+        assert!(store.pending.lock().unwrap().is_empty());
         assert_eq!(shard.metrics().parked_peak.load(Ordering::Relaxed), 2);
     }
 
     #[test]
     fn busy_and_closed_answered_not_dropped() {
         let backends: Arc<Vec<Arc<dyn KvStore + Send + Sync>>> =
-            Arc::new(vec![Arc::new(MapStore::default())]);
+            Arc::new(vec![Arc::new(MemStore::default())]);
         let cfg = ShardConfig {
             mailbox_capacity: 1,
             batch_max: 8,

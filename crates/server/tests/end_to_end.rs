@@ -12,7 +12,7 @@ use dcs_server::{
     Client, ClientConfig, Partitioner, Server, ServerConfig, ShardBackend, ShardConfig,
 };
 use dcs_workload::{
-    keys, AsyncGet, AsyncKvStore, CompletedGet, KvStore, Runner, StoreFailure, WorkloadSpec,
+    keys, AsyncGet, CompletedGet, KvStore, MemStore, Runner, StoreFailure, WorkloadSpec,
 };
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
@@ -129,7 +129,7 @@ fn four_shards_pipelined_no_acked_write_lost() {
 
 /// A deliberately slow store: every op takes ~1ms, so a flood through a
 /// tiny mailbox must hit the BUSY path.
-struct SlowStore(std::sync::Mutex<std::collections::BTreeMap<Vec<u8>, Vec<u8>>>);
+struct SlowStore(MemStore);
 
 // The 1 ms stands for store work on the shard thread, so it sleeps around
 // the shard's blocking check rather than through it.
@@ -137,25 +137,14 @@ struct SlowStore(std::sync::Mutex<std::collections::BTreeMap<Vec<u8>, Vec<u8>>>)
 impl KvStore for SlowStore {
     fn kv_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreFailure> {
         std::thread::sleep(std::time::Duration::from_millis(1));
-        Ok(self.0.lock().unwrap().get(key).cloned())
+        self.0.kv_get(key)
     }
     fn kv_put(&self, key: Vec<u8>, value: Vec<u8>) -> Result<(), StoreFailure> {
         std::thread::sleep(std::time::Duration::from_millis(1));
-        self.0.lock().unwrap().insert(key, value);
-        Ok(())
+        self.0.kv_put(key, value)
     }
     fn kv_delete(&self, key: Vec<u8>) -> Result<(), StoreFailure> {
-        self.0.lock().unwrap().remove(&key);
-        Ok(())
-    }
-    fn kv_scan(&self, start: &[u8], limit: usize) -> Result<usize, StoreFailure> {
-        Ok(self
-            .0
-            .lock()
-            .unwrap()
-            .range(start.to_vec()..)
-            .take(limit)
-            .count())
+        self.0.kv_delete(key)
     }
 }
 
@@ -163,7 +152,7 @@ impl KvStore for SlowStore {
 fn flood_gets_busy_not_hangs_and_accepted_ops_all_answered() {
     let server = Server::start_with(
         vec![ShardBackend {
-            kv: Arc::new(SlowStore(Default::default())),
+            kv: Arc::new(SlowStore(MemStore::default())),
             async_kv: None,
         }],
         Partitioner::single(),
@@ -225,21 +214,10 @@ fn flood_gets_busy_not_hangs_and_accepted_ops_all_answered() {
 /// `cold` take a wall-clock device delay; everything else is served from
 /// memory. Lets the wire-level tests control exactly which GETs miss.
 struct ColdKeyStore {
-    map: std::sync::Mutex<std::collections::BTreeMap<Vec<u8>, Vec<u8>>>,
+    map: MemStore,
     delay: Duration,
     next_token: std::sync::atomic::AtomicU64,
     pending: std::sync::Mutex<Vec<(u64, Vec<u8>, Instant)>>,
-}
-
-impl ColdKeyStore {
-    fn new(delay: Duration) -> Self {
-        ColdKeyStore {
-            map: Default::default(),
-            delay,
-            next_token: std::sync::atomic::AtomicU64::new(1),
-            pending: Default::default(),
-        }
-    }
 }
 
 impl KvStore for ColdKeyStore {
@@ -247,67 +225,51 @@ impl KvStore for ColdKeyStore {
         if key.starts_with(b"cold") {
             dcs_syncshim::block::sleep(self.delay);
         }
-        Ok(self.map.lock().unwrap().get(key).cloned())
+        self.map.kv_get(key)
     }
     fn kv_put(&self, key: Vec<u8>, value: Vec<u8>) -> Result<(), StoreFailure> {
-        self.map.lock().unwrap().insert(key, value);
-        Ok(())
+        self.map.kv_put(key, value)
     }
     fn kv_delete(&self, key: Vec<u8>) -> Result<(), StoreFailure> {
-        self.map.lock().unwrap().remove(&key);
-        Ok(())
+        self.map.kv_delete(key)
     }
-    fn kv_scan(&self, start: &[u8], limit: usize) -> Result<usize, StoreFailure> {
-        Ok(self
-            .map
+    fn kv_get_submit(&self, key: &[u8]) -> Result<AsyncGet, StoreFailure> {
+        if !key.starts_with(b"cold") {
+            return self.map.kv_get(key).map(AsyncGet::Ready);
+        }
+        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+        let ready = Instant::now() + self.delay;
+        self.pending
             .lock()
             .unwrap()
-            .range(start.to_vec()..)
-            .take(limit)
-            .count())
-    }
-}
-
-impl AsyncKvStore for ColdKeyStore {
-    fn kv_get_submit(&self, key: &[u8]) -> Result<AsyncGet, StoreFailure> {
-        if key.starts_with(b"cold") {
-            let token = self
-                .next_token
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.pending
-                .lock()
-                .unwrap()
-                .push((token, key.to_vec(), Instant::now() + self.delay));
-            Ok(AsyncGet::Pending(token))
-        } else {
-            Ok(AsyncGet::Ready(self.map.lock().unwrap().get(key).cloned()))
-        }
+            .push((token, key.to_vec(), ready));
+        Ok(AsyncGet::Pending(token))
     }
     fn kv_poll(&self, out: &mut Vec<CompletedGet>) -> usize {
-        let mut pending = self.pending.lock().unwrap();
         let now = Instant::now();
-        let mut reaped = 0;
-        pending.retain(|(token, key, ready)| {
-            if *ready <= now {
+        let before = out.len();
+        self.pending.lock().unwrap().retain(|(token, key, ready)| {
+            let done = *ready <= now;
+            if done {
+                let result = self.map.kv_get(key);
                 out.push(CompletedGet {
                     token: *token,
-                    result: Ok(self.map.lock().unwrap().get(key).cloned()),
+                    result,
                 });
-                reaped += 1;
-                false
-            } else {
-                true
             }
+            !done
         });
-        reaped
-    }
-    fn kv_inflight(&self) -> usize {
-        self.pending.lock().unwrap().len()
+        out.len() - before
     }
 }
 
 fn start_cold_key_server(delay: Duration) -> (Server, Arc<ColdKeyStore>) {
-    let store = Arc::new(ColdKeyStore::new(delay));
+    let store = Arc::new(ColdKeyStore {
+        map: MemStore::default(),
+        delay,
+        next_token: Default::default(),
+        pending: Default::default(),
+    });
     store.kv_put(b"coldA".to_vec(), b"polar".to_vec()).unwrap();
     store.kv_put(b"hot".to_vec(), b"lava".to_vec()).unwrap();
     let server = Server::start_with(
@@ -372,13 +334,12 @@ fn slow_miss_does_not_block_hits_over_the_wire() {
     let report = server.shutdown();
     assert_eq!(report.shards[0].misses, 1);
     assert_eq!(report.shards[0].miss_latency.count, 1);
-    assert_eq!(store.kv_inflight(), 0);
+    assert!(store.pending.lock().unwrap().is_empty());
 }
 
 /// The flash-backed stores served the way the benchmark's wire workloads
-/// and CI's loadgen runs serve them: `build_shards_with` hands
-/// `Server::start_with` the submit/poll handle, so a GET that needs the
-/// device parks instead of blocking the shard. The caching store misses
+/// and CI's loadgen runs serve them: a GET that needs the device parks
+/// instead of blocking the shard. The caching store misses
 /// past its 64 KiB budget; the LSM's 32 KiB memtable sends most of the
 /// keys to SSTables, whose reads park the same way.
 #[test]

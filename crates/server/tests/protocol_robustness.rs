@@ -10,6 +10,7 @@ use dcs_server::protocol::{
 };
 use dcs_server::{Client, ClientConfig, ClientError};
 use dcs_telemetry::Json;
+use dcs_workload::{KvStore, MemStore, StoreFailure};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
@@ -593,6 +594,70 @@ fn huge_key_delete_does_not_fail_its_batch() {
             }
         }
         drop(stream);
+        server.shutdown();
+    });
+}
+
+/// A store that panics on a PUT of `boom`, like a store bug would.
+struct PanicsOnBoom(MemStore);
+
+impl KvStore for PanicsOnBoom {
+    fn kv_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreFailure> {
+        self.0.kv_get(key)
+    }
+    fn kv_put(&self, key: Vec<u8>, value: Vec<u8>) -> Result<(), StoreFailure> {
+        assert_ne!(key, b"boom", "planted store panic");
+        self.0.kv_put(key, value)
+    }
+    fn kv_delete(&self, key: Vec<u8>) -> Result<(), StoreFailure> {
+        self.0.kv_delete(key)
+    }
+}
+
+/// A shard whose worker panics answers `ERR` to the requests it held and
+/// to every request routed to it afterwards: no ticket waits forever, and
+/// shutdown returns.
+#[test]
+fn panicked_shard_answers_every_request() {
+    within_20s("a request to a panicked shard was never answered", || {
+        let server = dcs_server::Server::start_with(
+            vec![dcs_server::ShardBackend {
+                kv: std::sync::Arc::new(PanicsOnBoom(MemStore::default())),
+                async_kv: None,
+            }],
+            dcs_server::Partitioner::single(),
+            dcs_server::ServerConfig::default(),
+        )
+        .unwrap();
+        let one = ClientConfig {
+            connections: 1,
+            ..ClientConfig::default()
+        };
+        let client = Client::connect(server.addr(), one).unwrap();
+        let tickets: Vec<_> = (0..21u32)
+            .map(|i| {
+                let key = format!("k{}", i / 2).into_bytes();
+                let req = match i {
+                    10 => Request::Put {
+                        key: b"boom".to_vec(),
+                        value: b"v".to_vec(),
+                    },
+                    _ if i % 2 == 0 => Request::Put {
+                        key,
+                        value: b"v".to_vec(),
+                    },
+                    _ => Request::Get { key },
+                };
+                client.submit(req).unwrap()
+            })
+            .collect();
+        for (i, t) in tickets.into_iter().enumerate() {
+            let resp = t.wait().unwrap();
+            if i >= 10 {
+                assert!(matches!(resp, Response::Err(_)), "request {i}: {resp:?}");
+            }
+        }
+        client.close();
         server.shutdown();
     });
 }

@@ -45,5 +45,5 @@ mod spec;
 pub use arrivals::Arrivals;
 pub use dist::{KeyDist, KeySampler};
 pub use mix::{OpKind, OpMix, Operation};
-pub use runner::{AsyncGet, AsyncKvStore, CompletedGet, KvStore, RunCounts, Runner, StoreFailure};
+pub use runner::{AsyncGet, CompletedGet, KvStore, MemStore, RunCounts, Runner, StoreFailure};
 pub use spec::{OpGenerator, WorkloadSpec};

@@ -1,13 +1,16 @@
 //! Driving any key-value store through a workload.
 //!
 //! [`KvStore`] is the minimal surface the drivers need; every store in
-//! this workspace implements it (see `dcs-core::backends`). [`Runner`]
+//! this workspace implements it (see `dcs-core::backends`), and
+//! [`MemStore`] is the in-memory reference implementation. [`Runner`]
 //! loads and executes a [`WorkloadSpec`] against it, returning per-kind
 //! counts so harnesses can report throughput and mix compliance.
 
 use crate::keys;
 use crate::mix::OpKind;
 use crate::spec::WorkloadSpec;
+use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard};
 
 /// Errors surfaced by a store under workload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,7 +24,15 @@ impl std::fmt::Display for StoreFailure {
 
 impl std::error::Error for StoreFailure {}
 
-/// The operations a workload can drive.
+/// The operations a workload can drive, and the one interface a server
+/// shard serves a store through.
+///
+/// Point reads also come in a non-blocking form: a GET is *submitted*,
+/// a miss that needs the device comes back [`AsyncGet::Pending`], and the
+/// caller (a server shard) reaps it later with [`KvStore::kv_poll`],
+/// SPDK-style, serving hits meanwhile. A store that never waits on a
+/// device keeps the provided defaults, which answer every submit from
+/// [`KvStore::kv_get`].
 pub trait KvStore {
     /// Point read.
     fn kv_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreFailure>;
@@ -30,8 +41,10 @@ pub trait KvStore {
     /// Delete.
     fn kv_delete(&self, key: Vec<u8>) -> Result<(), StoreFailure>;
     /// Range scan: up to `limit` records from `start`; returns how many
-    /// were produced.
-    fn kv_scan(&self, start: &[u8], limit: usize) -> Result<usize, StoreFailure>;
+    /// were produced. The default counts [`KvStore::kv_range`].
+    fn kv_scan(&self, start: &[u8], limit: usize) -> Result<usize, StoreFailure> {
+        self.kv_range(start, None, limit, &mut |_, _| {})
+    }
     /// A blind update, if the store distinguishes one (default: plain put).
     fn kv_blind_update(&self, key: Vec<u8>, value: Vec<u8>) -> Result<(), StoreFailure> {
         self.kv_put(key, value)
@@ -52,48 +65,91 @@ pub trait KvStore {
         let _ = (start, end, limit, visit);
         Err(StoreFailure("range enumeration not supported".to_string()))
     }
+    /// Begin a point read. Hits (and I/O-free misses) resolve immediately
+    /// as [`AsyncGet::Ready`]; a miss that needs the device returns
+    /// [`AsyncGet::Pending`] with a token and proceeds in the background.
+    /// The default answers from [`KvStore::kv_get`].
+    fn kv_get_submit(&self, key: &[u8]) -> Result<AsyncGet, StoreFailure> {
+        self.kv_get(key).map(AsyncGet::Ready)
+    }
+    /// Reap every completed miss into `out`, returning how many were
+    /// reaped. Non-blocking. The default, for a store that never answers
+    /// [`AsyncGet::Pending`], reaps nothing.
+    fn kv_poll(&self, out: &mut Vec<CompletedGet>) -> usize {
+        let _ = out;
+        0
+    }
+    /// A point read answered only if it needs no I/O: `None` means "ask
+    /// [`KvStore::kv_get_submit`]", and a `None` must count nothing, so
+    /// the read is counted once whichever call answers it. The default
+    /// never answers.
+    fn kv_get_resident(&self, key: &[u8]) -> Option<Result<Option<Vec<u8>>, StoreFailure>> {
+        let _ = key;
+        None
+    }
 }
 
-/// Outcome of a non-blocking point read submitted to an [`AsyncKvStore`].
+/// Outcome of a point read submitted with [`KvStore::kv_get_submit`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AsyncGet {
     /// Served from memory (a cache hit, or a definitive miss that needed no
     /// I/O): the result is available immediately.
     Ready(Option<Vec<u8>>),
     /// A secondary-storage fetch is in flight; the token identifies this
-    /// miss in later [`AsyncKvStore::kv_poll`] completions.
+    /// miss in later [`KvStore::kv_poll`] completions.
     Pending(u64),
 }
 
-/// A completed miss, reaped by [`AsyncKvStore::kv_poll`].
+/// A completed miss, reaped by [`KvStore::kv_poll`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompletedGet {
-    /// The token [`AsyncKvStore::kv_get_submit`] returned.
+    /// The token [`KvStore::kv_get_submit`] returned.
     pub token: u64,
     /// The read's final outcome.
     pub result: Result<Option<Vec<u8>>, StoreFailure>,
 }
 
-/// Non-blocking point reads over a [`KvStore`]: misses are *submitted* and
-/// later *polled*, SPDK-style, so a caller (e.g. a server shard) keeps
-/// serving hits while the device works on the misses.
-pub trait AsyncKvStore: KvStore {
-    /// Begin a point read. Hits (and I/O-free misses) resolve immediately as
-    /// [`AsyncGet::Ready`]; cache misses return [`AsyncGet::Pending`] with a
-    /// token and proceed in the background.
-    fn kv_get_submit(&self, key: &[u8]) -> Result<AsyncGet, StoreFailure>;
-    /// Reap every completed miss into `out`, returning how many were reaped.
-    /// Non-blocking.
-    fn kv_poll(&self, out: &mut Vec<CompletedGet>) -> usize;
-    /// Misses currently in flight.
-    fn kv_inflight(&self) -> usize;
-    /// A point read answered only if it needs no I/O: `None` means "ask
-    /// [`AsyncKvStore::kv_get_submit`]", and a `None` must count nothing,
-    /// so the read is counted once whichever call answers it. The default
-    /// never answers.
-    fn kv_get_resident(&self, key: &[u8]) -> Option<Result<Option<Vec<u8>>, StoreFailure>> {
-        let _ = key;
-        None
+/// The reference store: a `BTreeMap` behind a mutex, every read served
+/// from memory. Tests use it as the model other stores are checked
+/// against and as the store under server and migration tests.
+#[derive(Debug, Default)]
+pub struct MemStore(Mutex<BTreeMap<Vec<u8>, Vec<u8>>>);
+
+impl MemStore {
+    fn map(&self) -> MutexGuard<'_, BTreeMap<Vec<u8>, Vec<u8>>> {
+        self.0.lock().unwrap()
+    }
+}
+
+impl KvStore for MemStore {
+    fn kv_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreFailure> {
+        Ok(self.map().get(key).cloned())
+    }
+    fn kv_put(&self, key: Vec<u8>, value: Vec<u8>) -> Result<(), StoreFailure> {
+        self.map().insert(key, value);
+        Ok(())
+    }
+    fn kv_delete(&self, key: Vec<u8>) -> Result<(), StoreFailure> {
+        self.map().remove(&key);
+        Ok(())
+    }
+    fn kv_range(
+        &self,
+        start: &[u8],
+        end: Option<&[u8]>,
+        limit: usize,
+        visit: &mut dyn FnMut(&[u8], &[u8]),
+    ) -> Result<usize, StoreFailure> {
+        let map = self.map();
+        let mut n = 0;
+        for (k, v) in map.range(start.to_vec()..) {
+            if n == limit || end.is_some_and(|e| k.as_slice() >= e) {
+                break;
+            }
+            visit(k, v);
+            n += 1;
+        }
+        Ok(n)
     }
 }
 
@@ -199,41 +255,11 @@ mod tests {
     use super::*;
     use crate::dist::KeyDist;
     use crate::mix::OpMix;
-    use std::collections::BTreeMap;
-    use std::sync::Mutex;
-
-    /// A BTreeMap reference store.
-    #[derive(Default)]
-    struct MapStore(Mutex<BTreeMap<Vec<u8>, Vec<u8>>>);
-
-    impl KvStore for MapStore {
-        fn kv_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreFailure> {
-            Ok(self.0.lock().unwrap().get(key).cloned())
-        }
-        fn kv_put(&self, key: Vec<u8>, value: Vec<u8>) -> Result<(), StoreFailure> {
-            self.0.lock().unwrap().insert(key, value);
-            Ok(())
-        }
-        fn kv_delete(&self, key: Vec<u8>) -> Result<(), StoreFailure> {
-            self.0.lock().unwrap().remove(&key);
-            Ok(())
-        }
-        fn kv_scan(&self, start: &[u8], limit: usize) -> Result<usize, StoreFailure> {
-            Ok(self
-                .0
-                .lock()
-                .unwrap()
-                .range(start.to_vec()..)
-                .take(limit)
-                .count())
-        }
-    }
-
     #[test]
     fn load_then_read_only_run_hits_everything() {
         let spec = WorkloadSpec::read_only_uniform(500, 40, 9);
         let runner = Runner::new(spec);
-        let store = MapStore::default();
+        let store = MemStore::default();
         assert_eq!(runner.load(&store).unwrap(), 500);
         let counts = runner.run(&store, 2_000).unwrap();
         assert_eq!(counts.reads, 2_000);
@@ -250,7 +276,7 @@ mod tests {
             seed: 4,
         };
         let runner = Runner::new(spec);
-        let store = MapStore::default();
+        let store = MemStore::default();
         runner.load(&store).unwrap();
         let counts = runner.run(&store, 10_000).unwrap();
         assert_eq!(counts.total(), 10_000);
@@ -271,7 +297,7 @@ mod tests {
             seed: 5,
         };
         let runner = Runner::new(spec);
-        let store = MapStore::default();
+        let store = MemStore::default();
         runner.load(&store).unwrap();
         let counts = runner.run(&store, 1_000).unwrap();
         assert!(counts.scans > 300);
