@@ -605,6 +605,36 @@ mod tests {
         assert!(s.stats().tree.ss_ops > 0, "reads should have faulted");
     }
 
+    /// Rewrites fill a 32-segment device that nothing cleans, so flushes
+    /// start failing with `page store full` while writes go on. A failed
+    /// flush must keep its buffered pages: every key still reads its last
+    /// value, and each failed sweep is counted.
+    #[test]
+    fn full_log_keeps_buffered_pages_and_counts_failed_sweeps() {
+        let mut b = StoreBuilder::small_test();
+        b.device.segment_count = 32;
+        b.memory_budget = 64 << 10;
+        b.sweep_every_ops = 256;
+        let s = b.build();
+        let key = |i: u32| Bytes::from(format!("key{i:06}"));
+        let value = |round: u32, i: u32| Bytes::from(format!("r{round}-{i}-{}", "v".repeat(188)));
+        let rounds = 46;
+        let mut failed = 0;
+        for round in 0..rounds {
+            for i in 0..2000u32 {
+                s.put(key(i), value(round, i));
+            }
+            failed += usize::from(s.sweep().is_err());
+        }
+        assert!(failed > 0, "the device never filled");
+        assert!(s.stats().cache.sweep_errors >= failed as u64);
+        let scraped = dcs_telemetry::global().counter("llama.cache.sweep_errors");
+        assert!(scraped.value() >= failed as u64);
+        for i in 0..2000u32 {
+            assert_eq!(s.get(&key(i)), Some(value(rounds - 1, i)), "key {i}");
+        }
+    }
+
     #[test]
     fn async_get_roundtrip_under_eviction() {
         let mut b = StoreBuilder::small_test();

@@ -57,6 +57,9 @@ pub struct CacheStats {
     pub bytes_released: u64,
     /// Pages flushed (made durable) without eviction, by checkpoints.
     pub pages_checkpointed: u64,
+    /// Sweeps that returned an error (a full log, say) and so stopped
+    /// evicting part-way.
+    pub sweep_errors: u64,
 }
 
 /// Drives [`BwTree::flush_page`] according to a policy. See module docs.
@@ -67,6 +70,7 @@ pub struct CacheManager {
     pages_evicted: AtomicU64,
     bytes_released: AtomicU64,
     pages_checkpointed: AtomicU64,
+    sweep_errors: AtomicU64,
 }
 
 impl CacheManager {
@@ -79,6 +83,7 @@ impl CacheManager {
             pages_evicted: AtomicU64::new(0),
             bytes_released: AtomicU64::new(0),
             pages_checkpointed: AtomicU64::new(0),
+            sweep_errors: AtomicU64::new(0),
         }
     }
 
@@ -96,6 +101,7 @@ impl CacheManager {
             pages_evicted: self.pages_evicted.load(Ordering::Relaxed),
             bytes_released: self.bytes_released.load(Ordering::Relaxed),
             pages_checkpointed: self.pages_checkpointed.load(Ordering::Relaxed),
+            sweep_errors: self.sweep_errors.load(Ordering::Relaxed),
         }
     }
 
@@ -114,7 +120,21 @@ impl CacheManager {
     /// cost-model interval rule (if configured), then enforces the memory
     /// budget by LRU — all over one [`BwTree::pages`] snapshot, the
     /// footprint following each eviction by the bytes it released.
+    /// A sweep that fails is counted in [`CacheStats::sweep_errors`] and
+    /// the `llama.cache.sweep_errors` registry counter.
     pub fn sweep(&self, tree: &BwTree) -> Result<(usize, usize), TreeError> {
+        let result = self.sweep_once(tree);
+        if result.is_err() {
+            // ORDERING: statistics counter only.
+            self.sweep_errors.fetch_add(1, Ordering::Relaxed);
+            dcs_telemetry::global()
+                .counter("llama.cache.sweep_errors")
+                .incr();
+        }
+        result
+    }
+
+    fn sweep_once(&self, tree: &BwTree) -> Result<(usize, usize), TreeError> {
         // ORDERING: statistics counter only.
         self.sweeps.fetch_add(1, Ordering::Relaxed);
         let _span = dcs_telemetry::span("llama.cache_sweep", dcs_telemetry::CostClass::Maintenance);

@@ -358,8 +358,10 @@ impl LogStructuredStore {
             return Ok(());
         }
         let _span = dcs_telemetry::span("llama.flush_buffer", dcs_telemetry::CostClass::SsWrite);
+        // Take the buffer only once it is on flash: a failed append must
+        // leave every `Location::Buffer` offset pointing at its bytes.
+        let addr = self.device.append(&inner.buffer).map_err(device_err)?;
         let blob = std::mem::take(&mut inner.buffer);
-        let addr = self.device.append(&blob).map_err(device_err)?;
         // ORDERING: statistics counter only; store state is guarded
         // by the inner mutex held here.
         self.stats.buffers_flushed.fetch_add(1, Ordering::Relaxed);
